@@ -2,15 +2,16 @@
 
 After the fermionization of the periodic chain, each positive quasi-momentum
 carries an independent two-level problem. This module integrates those 2x2
-mode equations under a cubic field ramp and a chosen coupling model, and
-assembles final and instantaneous ground-state probabilities from the
-per-mode amplitudes.
+mode equations under a cubic field ramp and a chosen coupling model, all
+modes of a chain stacked into one vector ODE, and assembles final and
+instantaneous ground-state probabilities from the per-mode amplitudes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -78,7 +79,7 @@ class ChainConfig:
             raise ValueError(f"chain length must be even and >= 2, got {self.n}")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("solver tolerances must be positive")
-        if self.trace_points == 1:
+        if self.trace_points < 0 or self.trace_points == 1:
             raise ValueError("trace needs at least 2 samples (0 disables it)")
 
 
@@ -106,7 +107,9 @@ class EvolutionResult:
 
     p_gs is the squared overlap with the target ground state at the final
     field; trace optionally samples the instantaneous overlap along the
-    ramp as (t, g(t), probability) triples.
+    ramp as (t, g(t), probability) triples. steps counts the accepted
+    steps of the one integration that carries every mode, summed over the
+    sample segments; it is not a sum over modes.
     """
 
     p_gs: float
@@ -115,121 +118,138 @@ class EvolutionResult:
     steps: int
 
 
-def bogoliubov_angle(k: float, g: float) -> float:
-    """Mixing angle of the mode-pair ground state, in [0, pi]."""
-    return math.atan2(math.sin(k), g - math.cos(k))
+def bogoliubov_angle(k, g):
+    """Mixing angle of the mode-pair ground state, in [0, pi].
+
+    k and g may be scalars or arrays that broadcast together.
+    """
+    return np.arctan2(np.sin(k), g - np.cos(k))
 
 
-def ground_amplitudes(k: float, g: float) -> tuple[float, float]:
+def ground_amplitudes(k, g):
     """Ground-state amplitudes (u, v) of mode k at field g, both >= 0."""
     half = 0.5 * bogoliubov_angle(k, g)
-    return math.cos(half), math.sin(half)
+    return np.cos(half), np.sin(half)
 
 
-def cd_drive_exact(k: float, g: float) -> float:
-    """Momentum-space drive factor resummed from the exact couplings."""
-    return 0.25 * math.sin(k) / (g * g - 2.0 * g * math.cos(k) + 1.0)
+def cd_drive_exact(k, g: float):
+    """Momentum-space drive factor resummed from the exact couplings.
+
+    Like every drive kernel here, k is a scalar or an array of momenta.
+    """
+    return 0.25 * np.sin(k) / (g * g - 2.0 * g * np.cos(k) + 1.0)
 
 
-def cd_drive_thermo(k: float, g: float, n: int) -> float:
+def cd_drive_thermo(k, g: float, n: int):
     """Drive factor resummed from the thermodynamic couplings.
 
     Exact drive plus a finite-size correction that is exponentially small
     in n away from the critical field; ferromagnetic branch below g = 1,
     paramagnetic branch at and above it.
     """
-    denom = g * g - 2.0 * g * math.cos(k) + 1.0
-    ripple = math.sin(0.5 * k * n)
+    denom = g * g - 2.0 * g * np.cos(k) + 1.0
+    ripple = np.sin(0.5 * k * n)
     if g < 1.0:
         corr = g ** (n // 2 - 1) / 8.0 * (g * g - 1.0) / denom * ripple
     else:
         corr = -(g ** (-(n // 2)) / (8.0 * g)) * (g * g - 1.0) / denom * ripple
-    return 0.25 * math.sin(k) / denom + corr
+    return 0.25 * np.sin(k) / denom + corr
 
 
-def cd_drive_from_couplings(k: float, g: float, model: CouplingModel, n: int) -> float:
+def cd_drive_from_couplings(k, g: float, model: CouplingModel, n: int):
     """Drive factor summed literally from a coupling set.
 
     2 * sum over ranges m < n/2 of h_m sin(km), plus the half-weight
-    longest-range term h_{n/2} sin(kn/2).
+    longest-range term h_{n/2} sin(kn/2). The coupling set is built once
+    per call, whatever the number of momenta.
     """
-    values = coupling_set(model, g, n)
-    half = n // 2
-    total = 0.0
-    for m in range(1, half):
-        total += 2.0 * values[m - 1] * math.sin(k * m)
-    total += values[half - 1] * math.sin(k * half)
-    return total
+    weights = 2.0 * coupling_set(model, g, n)
+    weights[-1] *= 0.5
+    return (np.sin(np.multiply.outer(k, np.arange(1, n // 2 + 1))) * weights).sum(axis=-1)
 
 
-def _cd_drive_truncated(k: float, g: float, n: int, m_max: int) -> float:
+def _cd_drive_truncated(k, g: float, n: int, m_max: int):
     # Geometric resummation of 2 sum_{m<=m_max} h_m sin(mk) for
-    # 1 <= m_max < n/2; equals the literal sum to rounding.
+    # 0 <= m_max < n/2; equals the literal sum to rounding.
     if g > 1.0:
         return _cd_drive_truncated(k, 1.0 / g, n, m_max) / (g * g)
-    z = g * complex(math.cos(k), math.sin(k))
-    zbar = z.conjugate()
-    head = (complex(math.cos(k), math.sin(k)) * (1.0 - z**m_max) / (1.0 - z)).imag
-    phase = complex(math.cos(k * m_max), math.sin(k * m_max))
-    tail = (phase * (1.0 - zbar**m_max) / (1.0 - zbar)).imag
+    phase = np.cos(k) + 1j * np.sin(k)
+    z = g * phase
+    zbar = np.conj(z)
+    head = (phase * (1.0 - z**m_max) / (1.0 - z)).imag
+    tail = ((np.cos(k * m_max) + 1j * np.sin(k * m_max)) * (1.0 - zbar**m_max) / (1.0 - zbar)).imag
     return (head + g ** (n - 1 - m_max) * tail) / (4.0 * (1.0 + g**n))
 
 
-def drive_function(model: CouplingModel, n: int) -> Callable[[float, float], float]:
-    """Drive factor q(k, g) evaluator for the given coupling model.
+def drive_function(model: CouplingModel, n: int) -> Callable:
+    """Drive factor kernel q(k, g) for the given coupling model.
 
     The exact and thermodynamic families use their closed resummations;
-    the truncated family uses a geometric closed form (falling back to the
-    exact drive at full range, which carries identical couplings); the
-    direct-sum family evaluates the literal coupling sum each call.
+    the truncated family uses a geometric closed form (the exact kernel
+    itself at full range, which carries identical couplings); the
+    direct-sum family evaluates the literal coupling sum. Every kernel
+    takes a scalar or an array of momenta and a scalar field.
     """
     if model.kind is CouplingKind.EXACT:
-        return lambda k, g: cd_drive_exact(k, g)
+        return cd_drive_exact
     if model.kind is CouplingKind.THERMODYNAMIC:
-        return lambda k, g: cd_drive_thermo(k, g, n)
+        return partial(cd_drive_thermo, n=n)
     if model.kind is CouplingKind.TRUNCATED:
         assert model.m_max is not None
         if model.m_max > n // 2:
             raise ValueError(f"truncation range {model.m_max} outside [0, {n // 2}]")
-        if model.m_max == 0:
-            return lambda k, g: 0.0
         if model.m_max == n // 2:
-            return lambda k, g: cd_drive_exact(k, g)
-        return lambda k, g: _cd_drive_truncated(k, g, n, model.m_max)
-    return lambda k, g: cd_drive_from_couplings(k, g, model, n)
+            return cd_drive_exact
+        return partial(_cd_drive_truncated, n=n, m_max=model.m_max)
+    return partial(cd_drive_from_couplings, model=model, n=n)
 
 
-def _integrate_segment(
-    k: float,
-    y: np.ndarray,
-    t0: float,
-    t1: float,
-    schedule: Schedule,
-    drive: Callable[[float, float], float],
-    rel_tol: float,
-    abs_tol: float,
+def _integrate(
+    ks: np.ndarray, y0: np.ndarray, times: np.ndarray, config: ChainConfig
 ) -> tuple[np.ndarray, float, int]:
-    cos_k = math.cos(k)
-    sin_k = math.sin(k)
-    duration = schedule.duration
+    # Integrates the modes ks as one ODE over the stacked state
+    # [v_k..., u_k...], restarting at each sample time. Returns the state
+    # at every sample time (one row each), the largest norm drift of any
+    # mode at any step, and the accepted steps summed over segments.
+    schedule = config.schedule
+    drive = drive_function(config.coupling, config.n)
+    cos_k = np.cos(ks)
+    sin_k = np.sin(ks)
+    half = len(ks)
 
-    def rhs(t, state):
+    def rhs(t, y):
         # the solver may probe a rounding error beyond the span edges
-        tc = min(max(t, 0.0), duration)
+        tc = min(max(t, 0.0), schedule.duration)
         g = schedule.value(tc)
-        gp = schedule.rate(tc)
-        q = drive(k, g)
         a = g - cos_k
-        b = complex(-sin_k, -gp * q)
-        v, u = state
-        return (-2j * (a * v + b * u), -2j * (b.conjugate() * v - a * u))
+        b = -sin_k - 1j * (schedule.rate(tc) * drive(ks, g))
+        v, u = y[:half], y[half:]
+        return -2j * np.concatenate((a * v + b * u, b.conj() * v - a * u))
 
-    sol = solve_ivp(rhs, (t0, t1), y, method="DOP853", rtol=rel_tol, atol=abs_tol)
-    if not sol.success:
-        raise IntegrationError(f"mode k={k:.6g} failed on [{t0:.6g}, {t1:.6g}]: {sol.message}")
-    norms = np.abs(sol.y[0]) ** 2 + np.abs(sol.y[1]) ** 2
-    drift = float(np.max(np.abs(norms - 1.0)))
-    return sol.y[:, -1], drift, sol.t.size - 1
+    samples = np.empty((len(times), 2 * half), dtype=complex)
+    samples[0] = y0
+    drift = 0.0
+    steps = 0
+    for j in range(1, len(times)):
+        t0, t1 = times[j - 1], times[j]
+        sol = solve_ivp(
+            rhs, (t0, t1), samples[j - 1], method="DOP853", rtol=config.rel_tol, atol=config.abs_tol
+        )
+        if not sol.success:
+            raise IntegrationError(f"integration failed on [{t0:.6g}, {t1:.6g}]: {sol.message}")
+        norms = np.abs(sol.y[:half]) ** 2 + np.abs(sol.y[half:]) ** 2
+        drift = max(drift, float(np.max(np.abs(norms - 1.0))))
+        steps += sol.t.size - 1
+        samples[j] = sol.y[:, -1]
+    return samples, drift, steps
+
+
+def _probability(ks: np.ndarray, states: np.ndarray, g) -> np.ndarray:
+    # Product over modes of |<ground mode at g|state mode>|^2 for stacked
+    # states [v..., u...] in the last axis; g broadcasts against the rest.
+    u0, v0 = ground_amplitudes(ks, g)
+    half = len(ks)
+    return np.prod(np.abs(u0 * states[..., half:] + v0 * states[..., :half]) ** 2, axis=-1)
 
 
 def evolve_mode(
@@ -250,14 +270,11 @@ def evolve_mode(
     """
     if initial is None:
         u0, v0 = ground_amplitudes(k, config.schedule.g0)
-        y = np.array([v0, u0], dtype=complex)
-    else:
-        y = np.array(initial, dtype=complex)
-    drive = drive_function(config.coupling, config.n)
-    y, drift, steps = _integrate_segment(
-        k, y, 0.0, config.schedule.duration, config.schedule, drive, config.rel_tol, config.abs_tol
-    )
-    return ModeResult(ModeState(k, y[0], y[1]), drift, steps)
+        initial = (v0, u0)
+    times = np.array([0.0, config.schedule.duration])
+    samples, drift, steps = _integrate(np.array([k]), np.array(initial, dtype=complex), times, config)
+    v, u = samples[-1]
+    return ModeResult(ModeState(k, v, u), drift, steps)
 
 
 def ground_state_probability(states: Sequence[ModeState], g: float, n: int) -> float:
@@ -274,59 +291,36 @@ def ground_state_probability(states: Sequence[ModeState], g: float, n: int) -> f
     ks = momentum_grid(n)
     if len(states) != len(ks):
         raise ValueError(f"need {len(ks)} mode states, got {len(states)}")
-    p = 1.0
     for k, state in zip(ks, states):
         if abs(state.k - k) > 1e-12:
             raise ValueError(f"mode at k={state.k} does not match grid value {k}")
-        u0, v0 = ground_amplitudes(k, g)
-        p *= abs(u0 * state.u + v0 * state.v) ** 2
-    return float(p)
+    stacked = np.array([state.v for state in states] + [state.u for state in states])
+    return float(_probability(ks, stacked, g))
 
 
 def evolve_chain(config: ChainConfig) -> EvolutionResult:
     """Evolve every mode of the chain and assemble ground-state probabilities.
 
-    With trace_points = 0 only the final probability is computed. With
-    trace_points >= 2 the integrator restarts at uniformly spaced sample
-    times and the instantaneous probability against the ground state of
-    the momentary field is recorded at each sample.
+    All n/2 modes are integrated together as one vector ODE. With
+    trace_points = 0 that is one integration over the whole ramp and only
+    the final probability is computed. With trace_points >= 2 the
+    integrator restarts at uniformly spaced sample times and the
+    instantaneous probability against the ground state of the momentary
+    field is recorded at each sample.
 
-    Modes are integrated serially in grid order, so identical configs give
-    bit-identical results.
+    The integration does not depend on the process it runs in, so
+    identical configs give bit-identical results.
     """
     ks = momentum_grid(config.n)
     schedule = config.schedule
-    drive = drive_function(config.coupling, config.n)
-    drift = 0.0
-    steps = 0
-    if config.trace_points == 0:
-        states = []
-        for k in ks:
-            result = evolve_mode(k, config)
-            states.append(result.state)
-            drift = max(drift, result.norm_drift)
-            steps += result.steps
-        p = ground_state_probability(states, schedule.gf, config.n)
-        return EvolutionResult(p, None, drift, steps)
-
-    times = np.linspace(0.0, schedule.duration, config.trace_points)
-    sampled = np.empty((len(ks), len(times), 2), dtype=complex)
-    for i, k in enumerate(ks):
-        u0, v0 = ground_amplitudes(k, schedule.g0)
-        y = np.array([v0, u0], dtype=complex)
-        sampled[i, 0] = y
-        for j in range(1, len(times)):
-            y, seg_drift, seg_steps = _integrate_segment(
-                k, y, times[j - 1], times[j], schedule, drive, config.rel_tol, config.abs_tol
-            )
-            sampled[i, j] = y
-            drift = max(drift, seg_drift)
-            steps += seg_steps
-    trace = []
-    for j, t in enumerate(times):
-        g = schedule.value(float(t))
-        states = [ModeState(k, sampled[i, j, 0], sampled[i, j, 1]) for i, k in enumerate(ks)]
-        trace.append((float(t), g, ground_state_probability(states, g, config.n)))
+    times = np.linspace(0.0, schedule.duration, max(config.trace_points, 2))
+    u0, v0 = ground_amplitudes(ks, schedule.g0)
+    samples, drift, steps = _integrate(ks, np.concatenate((v0, u0)).astype(complex), times, config)
+    if not config.trace_points:
+        return EvolutionResult(float(_probability(ks, samples[-1], schedule.gf)), None, drift, steps)
+    fields = np.array([schedule.value(float(t)) for t in times])
+    probs = _probability(ks, samples, fields[:, None])
+    trace = [(float(t), float(g), float(p)) for t, g, p in zip(times, fields, probs)]
     return EvolutionResult(trace[-1][2], trace, drift, steps)
 
 

@@ -197,11 +197,12 @@ def run_trace(
 
     Returns rows (t, g, p_instant) at uniformly spaced sample times.
     """
+    if samples < 2:
+        # ChainConfig reads trace_points = 0 as "no trace"
+        raise ValueError(f"trace needs at least 2 samples, got {samples}")
     model = CouplingModel(kind, m_max) if kind is CouplingKind.TRUNCATED else CouplingModel(kind)
     config = ChainConfig(n, Schedule(g0, gf, t_final), model, rel_tol, abs_tol, samples)
-    result = evolve_chain(config)
-    assert result.trace is not None
-    return result.trace
+    return evolve_chain(config).trace
 
 
 def run_oracle_comparison(

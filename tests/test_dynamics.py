@@ -18,6 +18,7 @@ from cdising import (
     cd_drive_from_couplings,
     cd_drive_thermo,
     coupling_exact,
+    coupling_sum,
     dispersion_ground_energy,
     drive_function,
     evolve_chain,
@@ -73,6 +74,8 @@ def test_chain_config_validation():
         ChainConfig(4, ramp, EXACT, rel_tol=0.0)
     with pytest.raises(ValueError):
         ChainConfig(4, ramp, EXACT, trace_points=1)
+    with pytest.raises(ValueError):
+        ChainConfig(4, ramp, EXACT, trace_points=-3)
 
 
 def test_bogoliubov_angle():
@@ -131,6 +134,31 @@ def test_truncated_drive_matches_literal_sum():
                     coupling_exact(m, g, n) * math.sin(m * k) for m in range(1, m_max + 1)
                 )
                 assert abs(drive(k, g) - literal) < 1e-12
+
+
+def test_drive_kernels_accept_arrays_and_scalars():
+    n = 10
+    ks = momentum_grid(n)
+    models = [EXACT, THERMO, CouplingModel(CouplingKind.DIRECT_SUM)]
+    models += [CouplingModel(CouplingKind.TRUNCATED, m) for m in range(n // 2 + 1)]
+    for model in models:
+        drive = drive_function(model, n)
+        for g in (0.0, 0.4, 1.0, 2.2):
+            batch = drive(ks, g)
+            assert batch.shape == ks.shape
+            for k, value in zip(ks, batch):
+                assert abs(drive(k, g) - value) <= 1e-15
+    # the direct kernel against the literal per-momentum coupling sum
+    direct = drive_function(CouplingModel(CouplingKind.DIRECT_SUM), n)
+    for g in (0.0, 0.4, 1.0, 2.2):
+        h = [coupling_sum(m, g, n) for m in range(1, n // 2 + 1)]
+        batch = direct(ks, g)
+        for k, value in zip(ks, batch):
+            literal = 0.0
+            for m in range(1, n // 2):
+                literal += 2.0 * h[m - 1] * math.sin(k * m)
+            literal += h[-1] * math.sin(k * (n // 2))
+            assert abs(value - literal) <= 1e-15
 
 
 def test_truncated_drive_endpoints():
@@ -241,6 +269,44 @@ def test_trace_shape_and_endpoints():
     assert result.trace[0][1] == 3.0 and result.trace[-1][1] == 0.0
     assert result.p_gs == result.trace[-1][2]
     assert all(0.0 <= p <= 1.0 + 1e-9 for _, _, p in result.trace)
+
+
+def test_single_mode_chain_matches_evolve_mode():
+    # n = 2 has one mode, so the chain is a batch of one
+    config = ChainConfig(2, Schedule(3.0, 0.2, 2.0), THERMO)
+    k = momentum_grid(2)[0]
+    mode = evolve_mode(k, config)
+    chain = evolve_chain(config)
+    assert chain.p_gs == ground_state_probability([mode.state], 0.2, 2)
+    assert chain.steps == mode.steps and chain.norm_drift == mode.norm_drift
+    traced = evolve_chain(ChainConfig(2, Schedule(3.0, 0.2, 2.0), THERMO, trace_points=4))
+    assert abs(traced.p_gs - chain.p_gs) < 1e-9
+    assert 0.0 < chain.p_gs < 1.0
+
+
+def test_reversed_ramp_exact_drive():
+    for n in (2, 10, 40):
+        result = evolve_chain(ChainConfig(n, Schedule(0.0, 5.0, 1.0), EXACT))
+        assert abs(result.p_gs - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "n, model, t_final",
+    [
+        (200, THERMO, 10.0),
+        (20, THERMO, 100.0),
+        (20, CouplingModel(CouplingKind.TRUNCATED, 3), 10.0),
+    ],
+)
+def test_batched_accuracy_against_tight_reference(n, model, t_final):
+    # the batch shares one RMS error norm over all modes; the default
+    # tolerances must still hold each result to 1e-8 of a converged run
+    ramp = Schedule(5.0, 0.0, t_final)
+    default = evolve_chain(ChainConfig(n, ramp, model))
+    tight = evolve_chain(ChainConfig(n, ramp, model, rel_tol=1e-13, abs_tol=1e-15))
+    assert abs(default.p_gs - tight.p_gs) < 1e-8
+    traced = evolve_chain(ChainConfig(n, ramp, model, trace_points=11))
+    assert abs(traced.trace[-1][2] - default.p_gs) < 1e-8
 
 
 def test_traced_and_direct_evolution_agree():

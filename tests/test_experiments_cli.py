@@ -194,6 +194,12 @@ def test_cli_trace_small(tmp_path):
     assert abs(float(first[2]) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("samples", ["0", "1", "-3"])
+def test_cli_trace_rejects_too_few_samples(samples, capsys):
+    assert main(["trace", "--n", "4", "--t-final", "1", "--samples", samples]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_evolve_and_oracle(tmp_path):
     evolve_path = tmp_path / "evolve.csv"
     code = main(
