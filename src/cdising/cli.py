@@ -1,23 +1,29 @@
 """Command-line interface for the counterdiabatic Ising toolkit.
 
+Each subcommand declares the parameters it reads, with their defaults, once
+in ``_COMMANDS``. That table gives the subcommand its flags (``--t-final``
+for ``t_final``) and its config-file keys (the parameter names, with
+underscores). A parameter resolves to its flag, else its entry in the
+key=value file given by --config, else its default; a config key the
+subcommand does not read is an error.
+
 Subcommands emit self-describing CSV (manifest comments, header row, data
-rows) either to --out or to stdout. An optional key=value config file
-supplies defaults; explicit flags always win. Exit codes: 0 success,
-1 verification or computation failure, 2 bad arguments, 3 I/O failure.
+rows) either to --out or to stdout. The manifest records every resolved
+parameter except --out and --jobs, so a file can be regenerated from its
+own header. Exit codes: 0 success, 1 verification or computation failure,
+2 bad arguments, 3 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 from typing import Callable
 
 from . import __version__, experiments
 from .coefficients import CouplingKind, CouplingModel
 from .dynamics import ChainConfig, IntegrationError, Schedule, evolve_chain
-
-_TRUNCATION_SWEEP_SIZES = [10, 30, 50, 70, 100, 200]
-_SIZE_SWEEP_SIZES = list(range(10, 201, 10))
 
 
 def _int_list(text: str) -> list[int]:
@@ -26,6 +32,37 @@ def _int_list(text: str) -> list[int]:
 
 def _float_list(text: str) -> list[float]:
     return [float(piece) for piece in text.split(",") if piece.strip()]
+
+
+@dataclass(frozen=True)
+class _Param:
+    """One subcommand parameter: flag --<name>, config key <name>, default.
+
+    parse converts the text of a flag or config entry; None marks an on/off
+    switch, which is a flag only and not a config key.
+    """
+
+    name: str
+    parse: Callable[[str], object] | None
+    default: object
+    help: str
+    choices: tuple[str, ...] | None = None
+
+
+_CHAIN = _Param("n", int, 200, "chain length")
+_N_LIST_HELP = "comma-separated chain lengths"
+_T_FINAL = _Param("t_final", float, 10.0, "ramp duration")
+_RAMP = (_Param("g0", float, 5.0, "initial field"), _Param("gf", float, 0.0, "final field"))
+_TOLERANCES = (
+    _Param("rel_tol", float, 1e-10, "integrator relative tolerance"),
+    _Param("abs_tol", float, 1e-12, "integrator absolute tolerance"),
+)
+_M_MAX = _Param("m_max", int, None, "truncation range for --coupling truncated")
+_JOBS = _Param("jobs", int, 1, "worker processes")
+
+
+def _coupling(default: str) -> _Param:
+    return _Param("coupling", str, default, "coupling model", tuple(k.value for k in CouplingKind))
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -42,189 +79,156 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-class _Resolver:
-    """Merges explicit flags, config-file entries and built-in defaults."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = _read_config(args.config) if args.config else {}
-
-    def get(self, key: str, convert: Callable, default):
-        value = getattr(self.args, key, None)
-        if value is not None:
-            return value
-        if key in self.config:
-            return convert(self.config[key])
-        return default
-
-
-def _model(kind_token: str, m_max: int | None) -> CouplingModel:
-    kind = CouplingKind(kind_token)
-    if kind is CouplingKind.TRUNCATED:
-        if m_max is None:
-            raise ValueError("truncated coupling needs --m-max")
-        return CouplingModel(kind, m_max)
-    if m_max is not None:
-        raise ValueError(f"--m-max is only valid with --coupling truncated, not {kind_token}")
-    return CouplingModel(kind)
+def _resolve(args: argparse.Namespace) -> dict[str, object]:
+    # flag > config entry > default, for each parameter of the subcommand
+    params = _COMMANDS[args.command][2]
+    config = _read_config(args.config) if args.config else {}
+    keys = sorted(param.name for param in params if param.parse is not None)
+    for key in config:
+        if key not in keys:
+            raise ValueError(
+                f"{args.config}: unknown key {key!r} for {args.command}"
+                f" (known keys: {', '.join(keys)})"
+            )
+    resolved: dict[str, object] = {"out": args.out}
+    for param in params:
+        value = getattr(args, param.name)
+        if value is None and param.name in config:
+            value = param.parse(config[param.name])
+        resolved[param.name] = param.default if value is None else value
+    return resolved
 
 
-def _manifest(command: str, params: dict[str, object]) -> experiments.RunManifest:
-    return experiments.RunManifest(command, params)
+def _model(p: dict) -> CouplingModel:
+    kind = CouplingKind(p["coupling"])
+    if kind is CouplingKind.TRUNCATED and p["m_max"] is None:
+        raise ValueError("truncated coupling needs --m-max")
+    if kind is not CouplingKind.TRUNCATED and p["m_max"] is not None:
+        raise ValueError(f"--m-max is only valid with --coupling truncated, not {kind.value}")
+    return CouplingModel(kind, p["m_max"])
 
 
-def cmd_coeffs(resolver: _Resolver) -> int:
-    n = resolver.get("n", int, 200)
-    g = resolver.get("g0", float, 1.0)
-    model = _model(resolver.get("coupling", str, "exact"), resolver.get("m_max", int, None))
-    rows = experiments.run_coeffs(n, g, model)
-    manifest = _manifest("coeffs", {"n": n, "g0": g, "coupling": model.label()})
-    experiments.save_csv(resolver.args.out, manifest, ("m", "coupling"), rows)
+def _save(command: str, p: dict, columns: tuple[str, ...], rows) -> None:
+    params = {key: value for key, value in p.items() if key not in ("out", "jobs")}
+    experiments.save_csv(p["out"], experiments.RunManifest(command, params), columns, rows)
+
+
+def cmd_coeffs(p: dict) -> int:
+    rows = experiments.run_coeffs(p["n"], p["g0"], _model(p))
+    _save("coeffs", p, ("m", "coupling"), rows)
     return 0
 
 
-def cmd_sweep_truncation(resolver: _Resolver) -> int:
-    n_values = resolver.get("n", _int_list, _TRUNCATION_SWEEP_SIZES)
-    t_final = resolver.get("t_final", float, 10.0)
-    g0 = resolver.get("g0", float, 5.0)
-    gf = resolver.get("gf", float, 0.0)
-    rel_tol = resolver.get("rel_tol", float, 1e-10)
-    abs_tol = resolver.get("abs_tol", float, 1e-12)
-    jobs = resolver.get("jobs", int, 1)
+def cmd_sweep_truncation(p: dict) -> int:
     rows = experiments.run_truncation_sweep(
-        n_values, t_final, g0, gf, rel_tol, abs_tol, jobs=jobs
+        p["n"], p["t_final"], p["g0"], p["gf"], p["rel_tol"], p["abs_tol"], jobs=p["jobs"]
     )
-    manifest = _manifest(
-        "sweep-truncation",
-        {"n": n_values, "t_final": t_final, "g0": g0, "gf": gf,
-         "rel_tol": rel_tol, "abs_tol": abs_tol},
-    )
-    experiments.save_csv(resolver.args.out, manifest, ("n", "m_max", "p_gs"), rows)
+    _save("sweep-truncation", p, ("n", "m_max", "p_gs"), rows)
     return 0
 
 
-def cmd_sweep_size(resolver: _Resolver) -> int:
-    n_values = resolver.get("n", _int_list, _SIZE_SWEEP_SIZES)
-    t_values = resolver.get("t_final", _float_list, [1.0, 10.0, 100.0])
-    kind = CouplingKind(resolver.get("coupling", str, "thermo"))
-    g0 = resolver.get("g0", float, 5.0)
-    gf = resolver.get("gf", float, 0.0)
-    rel_tol = resolver.get("rel_tol", float, 1e-10)
-    abs_tol = resolver.get("abs_tol", float, 1e-12)
-    jobs = resolver.get("jobs", int, 1)
+def cmd_sweep_size(p: dict) -> int:
     rows = experiments.run_size_sweep(
-        n_values, t_values, kind, g0, gf, rel_tol, abs_tol, jobs=jobs
+        p["n"], p["t_final"], CouplingKind(p["coupling"]), p["g0"], p["gf"],
+        p["rel_tol"], p["abs_tol"], jobs=p["jobs"],
     )
-    manifest = _manifest(
-        "sweep-size",
-        {"n": n_values, "t_final": t_values, "coupling": kind.value,
-         "g0": g0, "gf": gf, "rel_tol": rel_tol, "abs_tol": abs_tol},
-    )
-    experiments.save_csv(resolver.args.out, manifest, ("n", "t_final", "p_gs"), rows)
+    _save("sweep-size", p, ("n", "t_final", "p_gs"), rows)
     return 0
 
 
-def cmd_trace(resolver: _Resolver) -> int:
-    n = resolver.get("n", int, 200)
-    t_final = resolver.get("t_final", float, 10.0)
-    kind = CouplingKind(resolver.get("coupling", str, "thermo"))
-    m_max = resolver.get("m_max", int, None)
-    samples = resolver.get("samples", int, 500)
-    g0 = resolver.get("g0", float, 5.0)
-    gf = resolver.get("gf", float, 0.0)
-    rel_tol = resolver.get("rel_tol", float, 1e-10)
-    abs_tol = resolver.get("abs_tol", float, 1e-12)
-    if kind is not CouplingKind.TRUNCATED and m_max is not None:
-        raise ValueError("--m-max is only valid with --coupling truncated")
-    rows = experiments.run_trace(n, t_final, kind, samples, g0, gf, m_max, rel_tol, abs_tol)
-    manifest = _manifest(
-        "trace",
-        {"n": n, "t_final": t_final, "coupling": kind.value, "samples": samples,
-         "g0": g0, "gf": gf, "rel_tol": rel_tol, "abs_tol": abs_tol},
+def cmd_trace(p: dict) -> int:
+    model = _model(p)
+    rows = experiments.run_trace(
+        p["n"], p["t_final"], model.kind, p["samples"], p["g0"], p["gf"], model.m_max,
+        p["rel_tol"], p["abs_tol"],
     )
-    experiments.save_csv(resolver.args.out, manifest, ("t", "g", "p_instant"), rows)
+    _save("trace", p, ("t", "g", "p_instant"), rows)
     return 0
 
 
-def cmd_verify(resolver: _Resolver) -> int:
-    n_values = resolver.get("n", _int_list, [2, 4, 8, 16, 64, 200])
-    g_values = resolver.get("g_grid", _float_list, None)
-    corrupt = bool(getattr(resolver.args, "self_test_corrupt", False))
-    oracle_sizes = [n for n in n_values if n <= 8]
-    checks = experiments.run_verification(n_values, g_values, oracle_sizes, corrupt)
+def cmd_verify(p: dict) -> int:
+    oracle_sizes = [n for n in p["n"] if n <= 8]
+    checks = experiments.run_verification(
+        p["n"], p["g_grid"], oracle_sizes, p["self_test_corrupt"]
+    )
     ok = experiments.verification_report(checks, sys.stdout)
-    if resolver.args.out is not None:
-        manifest = _manifest(
-            "verify",
-            {"n": n_values, "g_grid": "default" if g_values is None else g_values},
-        )
+    if p["out"] is not None:
         rows = [
             (check.name, check.scope, check.residual, check.threshold, check.passed)
             for check in checks
         ]
-        experiments.save_csv(
-            resolver.args.out, manifest,
-            ("name", "scope", "residual", "threshold", "passed"), rows,
-        )
+        _save("verify", p, ("name", "scope", "residual", "threshold", "passed"), rows)
     return 0 if ok else 1
 
 
-def cmd_oracle(resolver: _Resolver) -> int:
-    n = resolver.get("n", int, 4)
-    t_final = resolver.get("t_final", float, 10.0)
-    g0 = resolver.get("g0", float, 5.0)
-    gf = resolver.get("gf", float, 0.0)
-    rel_tol = resolver.get("rel_tol", float, 1e-10)
-    abs_tol = resolver.get("abs_tol", float, 1e-12)
-    kind_token = resolver.get("coupling", str, "exact")
-    m_max = resolver.get("m_max", int, None)
-    if CouplingKind(kind_token) is CouplingKind.TRUNCATED and m_max is None:
-        models = [CouplingModel(CouplingKind.TRUNCATED, m) for m in range(n // 2 + 1)]
+def cmd_oracle(p: dict) -> int:
+    if p["coupling"] == CouplingKind.TRUNCATED.value and p["m_max"] is None:
+        models = [CouplingModel(CouplingKind.TRUNCATED, m) for m in range(p["n"] // 2 + 1)]
     else:
-        models = [_model(kind_token, m_max)]
-    rows = experiments.run_oracle_comparison(n, models, t_final, g0, gf, rel_tol, abs_tol)
-    manifest = _manifest(
-        "oracle",
-        {"n": n, "t_final": t_final, "g0": g0, "gf": gf,
-         "rel_tol": rel_tol, "abs_tol": abs_tol},
+        models = [_model(p)]
+    rows = experiments.run_oracle_comparison(
+        p["n"], models, p["t_final"], p["g0"], p["gf"], p["rel_tol"], p["abs_tol"]
     )
-    experiments.save_csv(
-        resolver.args.out, manifest, ("coupling", "p_dense", "p_fermion", "abs_diff"), rows
-    )
+    _save("oracle", p, ("coupling", "p_dense", "p_fermion", "abs_diff"), rows)
     return 0
 
 
-def cmd_evolve(resolver: _Resolver) -> int:
-    n = resolver.get("n", int, 100)
-    t_final = resolver.get("t_final", float, 10.0)
-    g0 = resolver.get("g0", float, 5.0)
-    gf = resolver.get("gf", float, 0.0)
-    rel_tol = resolver.get("rel_tol", float, 1e-10)
-    abs_tol = resolver.get("abs_tol", float, 1e-12)
-    model = _model(resolver.get("coupling", str, "exact"), resolver.get("m_max", int, None))
-    config = ChainConfig(n, Schedule(g0, gf, t_final), model, rel_tol, abs_tol)
-    result = evolve_chain(config)
-    manifest = _manifest(
-        "evolve",
-        {"n": n, "t_final": t_final, "coupling": model.label(), "g0": g0, "gf": gf,
-         "rel_tol": rel_tol, "abs_tol": abs_tol},
-    )
-    row = [(n, t_final, model.label(), result.p_gs, result.norm_drift, result.steps)]
-    experiments.save_csv(
-        resolver.args.out, manifest,
-        ("n", "t_final", "coupling", "p_gs", "norm_drift", "steps"), row,
-    )
+def cmd_evolve(p: dict) -> int:
+    model = _model(p)
+    schedule = Schedule(p["g0"], p["gf"], p["t_final"])
+    result = evolve_chain(ChainConfig(p["n"], schedule, model, p["rel_tol"], p["abs_tol"]))
+    row = [(p["n"], p["t_final"], model.label(), result.p_gs, result.norm_drift, result.steps)]
+    _save("evolve", p, ("n", "t_final", "coupling", "p_gs", "norm_drift", "steps"), row)
     return 0
 
 
-_HANDLERS = {
-    "coeffs": cmd_coeffs,
-    "sweep-truncation": cmd_sweep_truncation,
-    "sweep-size": cmd_sweep_size,
-    "trace": cmd_trace,
-    "verify": cmd_verify,
-    "oracle": cmd_oracle,
-    "evolve": cmd_evolve,
+# subcommand -> (handler, help, parameters it reads)
+_COMMANDS: dict[str, tuple[Callable[[dict], int], str, tuple[_Param, ...]]] = {
+    "coeffs": (
+        cmd_coeffs,
+        "coupling table for one field value",
+        (_CHAIN, _Param("g0", float, 1.0, "static field"), _coupling("exact"), _M_MAX),
+    ),
+    "sweep-truncation": (
+        cmd_sweep_truncation,
+        "final probability over truncation ranges (all m_max in [0, n/2])",
+        (_Param("n", _int_list, [10, 30, 50, 70, 100, 200], _N_LIST_HELP), _T_FINAL, *_RAMP,
+         *_TOLERANCES, _JOBS),
+    ),
+    "sweep-size": (
+        cmd_sweep_size,
+        "final probability over chain lengths and ramp durations",
+        (_Param("n", _int_list, list(range(10, 201, 10)), _N_LIST_HELP),
+         _Param("t_final", _float_list, [1.0, 10.0, 100.0], "comma-separated ramp durations"),
+         _coupling("thermo"), *_RAMP, *_TOLERANCES, _JOBS),
+    ),
+    "trace": (
+        cmd_trace,
+        "instantaneous probability along one ramp",
+        (_CHAIN, _T_FINAL, _coupling("thermo"), _M_MAX,
+         _Param("samples", int, 500, "number of trace samples"), *_RAMP, *_TOLERANCES),
+    ),
+    "verify": (
+        cmd_verify,
+        "identity and oracle verification suite",
+        (_Param("n", _int_list, [2, 4, 8, 16, 64, 200], _N_LIST_HELP),
+         _Param("g_grid", _float_list, None,
+                "comma-separated field values; None is 0, 1 and 0.05 to 5 in steps of 0.45"),
+         _Param("self_test_corrupt", None, False,
+                "perturb one coupling; the suite must then fail")),
+    ),
+    "oracle": (
+        cmd_oracle,
+        "dense spin evolution vs fermionic pipeline",
+        (_Param("n", int, 4, "spin count (<= 10)"), _T_FINAL, _coupling("exact"), _M_MAX,
+         *_RAMP, *_TOLERANCES),
+    ),
+    "evolve": (
+        cmd_evolve,
+        "single chain evolution",
+        (_Param("n", int, 100, "chain length"), _T_FINAL, _coupling("exact"), _M_MAX,
+         *_RAMP, *_TOLERANCES),
+    ),
 }
 
 
@@ -234,64 +238,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Counterdiabatic driving of the transverse-field Ising chain.",
     )
     parser.add_argument("--version", action="version", version=f"cdising {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--g0", type=float, help="initial field (also the static field for coeffs)")
-    common.add_argument("--gf", type=float, help="final field")
-    common.add_argument("--rel-tol", type=float, help="integrator relative tolerance")
-    common.add_argument("--abs-tol", type=float, help="integrator absolute tolerance")
-    common.add_argument("--out", help="output CSV path (default: stdout)")
-    common.add_argument("--config", help="key=value file supplying defaults")
-    common.add_argument(
-        "--coupling", choices=[kind.value for kind in CouplingKind],
-        help="coupling model",
-    )
-    common.add_argument("--m-max", type=int, help="truncation range for --coupling truncated")
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("coeffs", parents=[common], help="coupling table for one field value")
-    p.add_argument("--n", type=int, help="chain length")
-
-    p = sub.add_parser(
-        "sweep-truncation", parents=[common],
-        help="final probability over truncation ranges (all m_max in [0, n/2])",
-    )
-    p.add_argument("--n", type=_int_list, help="comma-separated chain lengths")
-    p.add_argument("--t-final", type=float, help="ramp duration")
-    p.add_argument("--jobs", type=int, help="worker processes")
-
-    p = sub.add_parser(
-        "sweep-size", parents=[common],
-        help="final probability over chain lengths and ramp durations",
-    )
-    p.add_argument("--n", type=_int_list, help="comma-separated chain lengths")
-    p.add_argument("--t-final", type=_float_list, help="comma-separated ramp durations")
-    p.add_argument("--jobs", type=int, help="worker processes")
-
-    p = sub.add_parser(
-        "trace", parents=[common], help="instantaneous probability along one ramp"
-    )
-    p.add_argument("--n", type=int, help="chain length")
-    p.add_argument("--t-final", type=float, help="ramp duration")
-    p.add_argument("--samples", type=int, help="number of trace samples")
-
-    p = sub.add_parser("verify", parents=[common], help="identity and oracle verification suite")
-    p.add_argument("--n", type=_int_list, help="comma-separated chain lengths")
-    p.add_argument("--g-grid", type=_float_list, help="comma-separated field values")
-    p.add_argument(
-        "--self-test-corrupt", action="store_true",
-        help="perturb one coupling; the suite must then fail",
-    )
-
-    p = sub.add_parser(
-        "oracle", parents=[common], help="dense spin evolution vs fermionic pipeline"
-    )
-    p.add_argument("--n", type=int, help="spin count (<= 10)")
-    p.add_argument("--t-final", type=float, help="ramp duration")
-
-    p = sub.add_parser("evolve", parents=[common], help="single chain evolution")
-    p.add_argument("--n", type=int, help="chain length")
-    p.add_argument("--t-final", type=float, help="ramp duration")
+    for command, (_, help_text, params) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--out", help="output CSV path (default: stdout)")
+        p.add_argument("--config", help="key=value file supplying defaults")
+        for param in params:
+            flag = "--" + param.name.replace("_", "-")
+            if param.parse is None:
+                p.add_argument(flag, action="store_true", help=param.help)
+            else:
+                p.add_argument(
+                    flag, type=param.parse, choices=param.choices,
+                    help=f"{param.help} (default: {param.default})",
+                )
     return parser
 
 
@@ -299,8 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        resolver = _Resolver(args)
-        return _HANDLERS[args.command](resolver)
+        return _COMMANDS[args.command][0](_resolve(args))
     except IntegrationError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

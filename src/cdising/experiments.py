@@ -111,21 +111,19 @@ def run_coeffs(n: int, g: float, model: CouplingModel) -> list[tuple[int, float]
     return [(m, float(values[m - 1])) for m in range(1, n // 2 + 1)]
 
 
-def _evolution_probability(args) -> float:
-    n, m_max_or_none, kind, t_final, g0, gf, rel_tol, abs_tol = args
-    if kind is CouplingKind.TRUNCATED:
-        model = CouplingModel(kind, m_max_or_none)
-    else:
-        model = CouplingModel(kind)
-    config = ChainConfig(n, Schedule(g0, gf, t_final), model, rel_tol, abs_tol)
+def _p_gs(config: ChainConfig) -> float:
     return evolve_chain(config).p_gs
 
 
-def _map_points(points, jobs: int):
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            return pool.map(_evolution_probability, points)
-    return [_evolution_probability(point) for point in points]
+def _final_probabilities(configs: Sequence[ChainConfig], jobs: int) -> list[float]:
+    # final p_gs of each config, in order; a config pickles whole, and
+    # evolve_chain does not depend on its process, so jobs never moves a bit
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1 or len(configs) < 2:
+        return [_p_gs(config) for config in configs]
+    with Pool(min(jobs, len(configs))) as pool:
+        return pool.map(_p_gs, configs)
 
 
 def run_truncation_sweep(
@@ -146,18 +144,20 @@ def run_truncation_sweep(
         rel_tol, abs_tol: solver tolerances.
         m_grids: optional per-length list of truncation ranges; defaults
             to every m_max in [0, n/2].
-        jobs: worker processes (1 = serial; ordering is identical either way).
+        jobs: worker processes, >= 1 (1 = serial; the rows are identical
+            either way, and no more workers start than there are rows).
 
     Returns:
         Rows (n, m_max, p_gs) sorted by (n, m_max).
     """
-    points = []
-    for n in sorted(n_values):
-        ms = sorted(m_grids[n]) if m_grids else range(n // 2 + 1)
-        for m_max in ms:
-            points.append((n, m_max, CouplingKind.TRUNCATED, t_final, g0, gf, rel_tol, abs_tol))
-    probs = _map_points(points, jobs)
-    return [(p[0], p[1], prob) for p, prob in zip(points, probs)]
+    schedule = Schedule(g0, gf, t_final)
+    configs = [
+        ChainConfig(n, schedule, CouplingModel(CouplingKind.TRUNCATED, m_max), rel_tol, abs_tol)
+        for n in sorted(n_values)
+        for m_max in (sorted(m_grids[n]) if m_grids else range(n // 2 + 1))
+    ]
+    probs = _final_probabilities(configs, jobs)
+    return [(c.n, c.coupling.m_max, p) for c, p in zip(configs, probs)]
 
 
 def run_size_sweep(
@@ -174,12 +174,14 @@ def run_size_sweep(
 
     Returns rows (n, t_final, p_gs) sorted by (n, t_final).
     """
-    points = []
-    for n in sorted(n_values):
-        for t_final in sorted(t_values):
-            points.append((n, None, kind, t_final, g0, gf, rel_tol, abs_tol))
-    probs = _map_points(points, jobs)
-    return [(p[0], p[3], prob) for p, prob in zip(points, probs)]
+    model = CouplingModel(kind)
+    configs = [
+        ChainConfig(n, Schedule(g0, gf, t_final), model, rel_tol, abs_tol)
+        for n in sorted(n_values)
+        for t_final in sorted(t_values)
+    ]
+    probs = _final_probabilities(configs, jobs)
+    return [(c.n, c.schedule.duration, p) for c, p in zip(configs, probs)]
 
 
 def run_trace(
@@ -195,12 +197,14 @@ def run_trace(
 ) -> list[tuple[float, float, float]]:
     """Instantaneous ground-state probability along the ramp.
 
-    Returns rows (t, g, p_instant) at uniformly spaced sample times.
+    m_max is the truncation range of kind TRUNCATED and must be None for
+    every other kind. Returns rows (t, g, p_instant) at uniformly spaced
+    sample times.
     """
     if samples < 2:
         # ChainConfig reads trace_points = 0 as "no trace"
         raise ValueError(f"trace needs at least 2 samples, got {samples}")
-    model = CouplingModel(kind, m_max) if kind is CouplingKind.TRUNCATED else CouplingModel(kind)
+    model = CouplingModel(kind, m_max)
     config = ChainConfig(n, Schedule(g0, gf, t_final), model, rel_tol, abs_tol, samples)
     return evolve_chain(config).trace
 
@@ -387,24 +391,27 @@ def run_verification(
                 worst = (r, f"cos expansion m={m} k={k:.3f}")
     checks.append(Check("expansion reconstruction", worst[1], worst[0], 1e-10))
 
-    # drive resummations against the literal coupling sums
+    # drive resummations against the literal coupling sums, each kernel
+    # called once per (n, g) on the whole momentum grid; the residuals sit
+    # k by k, exact before thermo, which is the order the worst is kept in
     worst = (-1.0, "")
     for n in n_values:
         ks = momentum_grid(n)
         for g in g_values:
-            for k in ks:
-                r = rel(
-                    cd_drive_exact(k, g),
-                    cd_drive_from_couplings(k, g, CouplingModel(CouplingKind.EXACT), n),
-                )
-                if r > worst[0]:
-                    worst = (r, f"exact drive k={k:.3f} g={g} n={n}")
-                r = rel(
-                    cd_drive_thermo(k, g, n),
-                    cd_drive_from_couplings(k, g, CouplingModel(CouplingKind.THERMODYNAMIC), n),
-                )
-                if r > worst[0]:
-                    worst = (r, f"thermo drive k={k:.3f} g={g} n={n}")
+            pairs = (
+                (cd_drive_exact(ks, g), CouplingModel(CouplingKind.EXACT)),
+                (cd_drive_thermo(ks, g, n), CouplingModel(CouplingKind.THERMODYNAMIC)),
+            )
+            residuals = []
+            for closed, model in pairs:
+                summed = cd_drive_from_couplings(ks, g, model, n)
+                scale = np.maximum(1.0, np.maximum(np.abs(closed), np.abs(summed)))
+                residuals.append(np.abs(closed - summed) / scale)
+            r = np.column_stack(residuals).ravel()
+            at = int(np.argmax(r))
+            if r[at] > worst[0]:
+                kind = ("exact", "thermo")[at % 2]
+                worst = (float(r[at]), f"{kind} drive k={ks[at // 2]:.3f} g={g} n={n}")
     checks.append(Check("drive resummation", worst[1], worst[0], tol))
 
     # dense spin oracle against the fermionic pipeline

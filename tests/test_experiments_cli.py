@@ -7,7 +7,16 @@ import math
 
 import pytest
 
-from cdising import CouplingKind, CouplingModel, cos_multiple_expansion
+from cdising import (
+    CouplingKind,
+    CouplingModel,
+    cd_drive_exact,
+    cd_drive_from_couplings,
+    cd_drive_thermo,
+    cos_multiple_expansion,
+    momentum_grid,
+)
+from cdising import experiments
 from cdising.cli import main
 from cdising.experiments import (
     Check,
@@ -96,6 +105,9 @@ def test_run_trace_small():
     assert len(rows) == 5
     assert rows[0][0] == 0.0 and rows[-1][0] == 1.0
     assert abs(rows[0][2] - 1.0) < 1e-12
+    # a truncation range with a non-truncated model is rejected, not ignored
+    with pytest.raises(ValueError, match="m_max"):
+        run_trace(n=4, t_final=1.0, samples=5, m_max=1)
 
 
 def test_run_verification_clean_and_corrupt():
@@ -271,3 +283,157 @@ def test_cli_config_file_rejects_garbage(tmp_path, capsys):
 def test_cli_missing_config_file_exits_3(capsys):
     assert main(["evolve", "--config", "/nonexistent/run.conf"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("evolve", "rel-tol = 1e-3"),
+        ("evolve", "samples = 3"),
+        ("evolve", "bogus = 1"),
+        ("evolve", "out = x.csv"),
+        ("verify", "self_test_corrupt = True"),  # a switch is a flag only
+    ],
+)
+def test_cli_config_file_rejects_keys_the_command_does_not_read(command, line, tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text(f"n = 4\n{line}\n")
+    assert main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    key = line.split("=")[0].strip()
+    assert err.startswith("error:") and repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--gf", "0"],
+        ["coeffs", "--rel-tol", "1e-3"],
+        ["coeffs", "--abs-tol", "1e-3"],
+        ["sweep-truncation", "--coupling", "exact"],
+        ["sweep-truncation", "--m-max", "1"],
+        ["sweep-size", "--m-max", "1"],
+        ["verify", "--g0", "1"],
+        ["verify", "--gf", "0"],
+        ["verify", "--rel-tol", "1e-3"],
+        ["verify", "--abs-tol", "1e-3"],
+        ["verify", "--coupling", "exact"],
+        ["verify", "--m-max", "1"],
+    ],
+)
+def test_cli_rejects_flags_the_command_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _argv_from_manifest(text: str) -> list[str]:
+    # every "# key = value" line after command/version/timestamp is a flag;
+    # lists print as [a, b], None means unset, switches print as True/False
+    lines = [line[2:] for line in text.splitlines() if line.startswith("# ")]
+    argv = [lines[0].partition(" = ")[2]]
+    for line in lines[3:]:
+        key, _, value = line.partition(" = ")
+        flag = "--" + key.replace("_", "-")
+        if value == "True":
+            argv.append(flag)
+        elif value not in ("None", "False"):
+            argv += [flag, value.strip("[]").replace(" ", "")]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--n", "6", "--g0", "0.7", "--coupling", "truncated", "--m-max", "2"],
+        ["sweep-truncation", "--n", "4", "--t-final", "1", "--g0", "3", "--rel-tol", "1e-8"],
+        ["sweep-size", "--n", "4,6", "--t-final", "1,2", "--coupling", "exact", "--gf", "0.5"],
+        ["trace", "--n", "6", "--t-final", "1", "--samples", "4", "--coupling", "truncated",
+         "--m-max", "1"],
+        ["verify", "--n", "2,4", "--g-grid", "0.5,2.0", "--self-test-corrupt"],
+        ["oracle", "--n", "4", "--t-final", "1", "--coupling", "truncated", "--m-max", "1"],
+        ["evolve", "--n", "6", "--t-final", "1", "--coupling", "truncated", "--m-max", "2",
+         "--abs-tol", "1e-11"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_output_regenerates_from_its_manifest(argv, tmp_path, capsys):
+    first = tmp_path / "first.csv"
+    code = main(argv + ["--out", str(first)])
+    rebuilt = _argv_from_manifest(first.read_text())
+    second = tmp_path / "second.csv"
+    assert main(rebuilt + ["--out", str(second)]) == code
+    capsys.readouterr()
+    assert data_rows(first.read_text()) and data_rows(second.read_text())
+    assert data_rows(second.read_text()) == data_rows(first.read_text())
+
+
+def test_cli_manifest_records_coupling_and_m_max_separately(tmp_path):
+    path = tmp_path / "evolve.csv"
+    argv = ["evolve", "--n", "4", "--t-final", "1", "--coupling", "truncated", "--m-max", "1"]
+    assert main(argv + ["--out", str(path)]) == 0
+    text = path.read_text()
+    assert "# coupling = truncated" in text and "# m_max = 1" in text
+    assert data_rows(text)[0].split(",")[2] == "truncated(m_max=1)"
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_sweeps_reject_fewer_than_one_job(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        run_size_sweep([4], t_values=[1.0], jobs=jobs)
+    with pytest.raises(ValueError, match="jobs"):
+        run_truncation_sweep([4], t_final=1.0, jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_cli_rejects_fewer_than_one_job(jobs, capsys):
+    assert main(["sweep-size", "--n", "4", "--t-final", "1", "--jobs", jobs]) == 2
+    assert "error: jobs must be >= 1" in capsys.readouterr().err
+
+
+def test_pool_is_never_larger_than_the_sweep(monkeypatch):
+    serial = run_size_sweep([4, 6], t_values=[1.0], jobs=1)
+    # a real pool: 3 jobs on 2 configs, bit-identical to the serial rows
+    assert run_size_sweep([4, 6], t_values=[1.0], jobs=3) == serial
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(experiments, "Pool", RecordingPool)
+    assert run_size_sweep([4, 6], t_values=[1.0], jobs=3) == serial
+    assert run_truncation_sweep([4], t_final=1.0, jobs=2) == run_truncation_sweep([4], t_final=1.0)
+    assert sizes == [2, 2]
+
+
+def test_verify_drive_resummation_matches_the_per_momentum_scan():
+    # the check evaluates each kernel once on the grid; it must report the
+    # same worst residual and location as scanning k by k, exact first
+    n_values, g_values = [4, 8], [0.5, 1.0, 2.0]
+    worst = (-1.0, "")
+    for n in n_values:
+        for g in g_values:
+            for k in momentum_grid(n):
+                for kind, closed, model in (
+                    ("exact", cd_drive_exact(k, g), CouplingModel(CouplingKind.EXACT)),
+                    ("thermo", cd_drive_thermo(k, g, n),
+                     CouplingModel(CouplingKind.THERMODYNAMIC)),
+                ):
+                    summed = cd_drive_from_couplings(k, g, model, n)
+                    r = abs(closed - summed) / max(1.0, abs(closed), abs(summed))
+                    if r > worst[0]:
+                        worst = (r, f"{kind} drive k={k:.3f} g={g} n={n}")
+    checks = run_verification(n_values, g_values, oracle_sizes=[])
+    check = next(check for check in checks if check.name == "drive resummation")
+    assert (check.residual, check.scope) == (float(worst[0]), worst[1])
