@@ -23,7 +23,18 @@ from typing import Callable
 
 from . import __version__, experiments
 from .coefficients import CouplingKind, CouplingModel
-from .dynamics import ChainConfig, IntegrationError, Schedule, evolve_chain
+from .dynamics import (
+    DEFAULT_ABS_TOL,
+    DEFAULT_G0,
+    DEFAULT_GF,
+    DEFAULT_REL_TOL,
+    DEFAULT_T_FINAL,
+    ChainConfig,
+    IntegrationError,
+    Schedule,
+    evolve_chain,
+)
+from .spin_oracle import MAX_SPINS
 
 
 def _int_list(text: str) -> list[int]:
@@ -51,11 +62,14 @@ class _Param:
 
 _CHAIN = _Param("n", int, 200, "chain length")
 _N_LIST_HELP = "comma-separated chain lengths"
-_T_FINAL = _Param("t_final", float, 10.0, "ramp duration")
-_RAMP = (_Param("g0", float, 5.0, "initial field"), _Param("gf", float, 0.0, "final field"))
+_T_FINAL = _Param("t_final", float, DEFAULT_T_FINAL, "ramp duration")
+_RAMP = (
+    _Param("g0", float, DEFAULT_G0, "initial field"),
+    _Param("gf", float, DEFAULT_GF, "final field"),
+)
 _TOLERANCES = (
-    _Param("rel_tol", float, 1e-10, "integrator relative tolerance"),
-    _Param("abs_tol", float, 1e-12, "integrator absolute tolerance"),
+    _Param("rel_tol", float, DEFAULT_REL_TOL, "integrator relative tolerance"),
+    _Param("abs_tol", float, DEFAULT_ABS_TOL, "integrator absolute tolerance"),
 )
 _M_MAX = _Param("m_max", int, None, "truncation range for --coupling truncated")
 _JOBS = _Param("jobs", int, 1, "worker processes")
@@ -147,7 +161,7 @@ def cmd_trace(p: dict) -> int:
 
 
 def cmd_verify(p: dict) -> int:
-    oracle_sizes = [n for n in p["n"] if n <= 8]
+    oracle_sizes = [n for n in p["n"] if n <= MAX_SPINS]
     checks = experiments.run_verification(
         p["n"], p["g_grid"], oracle_sizes, p["self_test_corrupt"]
     )

@@ -25,6 +25,16 @@ from .coefficients import (
 )
 
 
+# Run defaults, declared once for ChainConfig, the experiment runners, the
+# dense oracle and the CLI: a ramp from DEFAULT_G0 to DEFAULT_GF over
+# DEFAULT_T_FINAL, integrated at the default tolerances.
+DEFAULT_G0 = 5.0
+DEFAULT_GF = 0.0
+DEFAULT_T_FINAL = 10.0
+DEFAULT_REL_TOL = 1e-10
+DEFAULT_ABS_TOL = 1e-12
+
+
 class IntegrationError(RuntimeError):
     """Raised when the adaptive integrator fails to complete a run."""
 
@@ -70,8 +80,8 @@ class ChainConfig:
     n: int
     schedule: Schedule
     coupling: CouplingModel
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
+    rel_tol: float = DEFAULT_REL_TOL
+    abs_tol: float = DEFAULT_ABS_TOL
     trace_points: int = 0
 
     def __post_init__(self) -> None:

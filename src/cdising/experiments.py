@@ -34,6 +34,11 @@ from .coefficients import (
     sin_product_expansion,
 )
 from .dynamics import (
+    DEFAULT_ABS_TOL,
+    DEFAULT_G0,
+    DEFAULT_GF,
+    DEFAULT_REL_TOL,
+    DEFAULT_T_FINAL,
     ChainConfig,
     Schedule,
     cd_drive_exact,
@@ -128,11 +133,11 @@ def _final_probabilities(configs: Sequence[ChainConfig], jobs: int) -> list[floa
 
 def run_truncation_sweep(
     n_values: Sequence[int],
-    t_final: float = 10.0,
-    g0: float = 5.0,
-    gf: float = 0.0,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
+    t_final: float = DEFAULT_T_FINAL,
+    g0: float = DEFAULT_G0,
+    gf: float = DEFAULT_GF,
+    rel_tol: float = DEFAULT_REL_TOL,
+    abs_tol: float = DEFAULT_ABS_TOL,
     m_grids: dict[int, Sequence[int]] | None = None,
     jobs: int = 1,
 ) -> list[tuple[int, int, float]]:
@@ -164,10 +169,10 @@ def run_size_sweep(
     n_values: Sequence[int],
     t_values: Sequence[float] = (1.0, 10.0, 100.0),
     kind: CouplingKind = CouplingKind.THERMODYNAMIC,
-    g0: float = 5.0,
-    gf: float = 0.0,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
+    g0: float = DEFAULT_G0,
+    gf: float = DEFAULT_GF,
+    rel_tol: float = DEFAULT_REL_TOL,
+    abs_tol: float = DEFAULT_ABS_TOL,
     jobs: int = 1,
 ) -> list[tuple[int, float, float]]:
     """Final ground-state probability over chain lengths and ramp times.
@@ -186,14 +191,14 @@ def run_size_sweep(
 
 def run_trace(
     n: int = 200,
-    t_final: float = 10.0,
+    t_final: float = DEFAULT_T_FINAL,
     kind: CouplingKind = CouplingKind.THERMODYNAMIC,
     samples: int = 500,
-    g0: float = 5.0,
-    gf: float = 0.0,
+    g0: float = DEFAULT_G0,
+    gf: float = DEFAULT_GF,
     m_max: int | None = None,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
+    rel_tol: float = DEFAULT_REL_TOL,
+    abs_tol: float = DEFAULT_ABS_TOL,
 ) -> list[tuple[float, float, float]]:
     """Instantaneous ground-state probability along the ramp.
 
@@ -212,11 +217,11 @@ def run_trace(
 def run_oracle_comparison(
     n: int,
     models: Sequence[CouplingModel],
-    t_final: float = 10.0,
-    g0: float = 5.0,
-    gf: float = 0.0,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
+    t_final: float = DEFAULT_T_FINAL,
+    g0: float = DEFAULT_G0,
+    gf: float = DEFAULT_GF,
+    rel_tol: float = DEFAULT_REL_TOL,
+    abs_tol: float = DEFAULT_ABS_TOL,
 ) -> list[tuple[str, float, float, float]]:
     """Dense spin evolution against the fermionic pipeline, model by model.
 

@@ -1,28 +1,35 @@
-"""Dense spin-space oracle for the counterdiabatic Ising chain.
+"""Spin-space oracle for the counterdiabatic Ising chain.
 
-Brute-force construction of the chain Hamiltonian and of the multi-spin
-counterdiabatic term as explicit Pauli-string matrices on the full 2^n
-space, ground states resolved inside the positive-parity sector, and full
-Schrodinger evolution. Everything here is meant to validate the
-free-fermion pipeline at small sizes, not to be fast.
+Builds the chain Hamiltonian and the multi-spin counterdiabatic term
+literally, as sums of Pauli strings, and evolves the Schrodinger equation
+under them, to validate the free-fermion pipeline at small sizes. One
+sparse builder makes every operator from bit arithmetic on basis indices.
+Every term of the chain keeps the parity (an even number of down spins
+stays even), so the ground states and the evolution live in the
+positive-parity sector of dimension 2^(n-1); the public dense functions
+are full-space views of the same builder.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+import itertools
+import math
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .coefficients import CouplingModel, coupling_set
-from .dynamics import IntegrationError, Schedule
+from .dynamics import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, IntegrationError, Schedule
 
 MAX_SPINS = 10
 
-_ID = np.eye(2, dtype=complex)
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_PAULI = {
+    "i": np.eye(2, dtype=complex),
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
 
 
 def _check_size(n: int) -> None:
@@ -30,9 +37,82 @@ def _check_size(n: int) -> None:
         raise ValueError(f"spin count must be even, 2 <= n <= {MAX_SPINS}, got {n}")
 
 
+def _even_sector(n: int) -> np.ndarray:
+    # positive-parity basis states have an even number of down spins
+    basis = np.arange(2**n)
+    return basis[np.bitwise_count(basis) % 2 == 0]
+
+
+def _pauli(n: int, string: dict[int, str], basis: np.ndarray) -> sparse.csr_array:
+    """One Pauli string {site: "i" | "x" | "y" | "z"} as a sparse matrix on the basis states.
+
+    Site s is bit n - 1 - s of a basis index (site 0 is the leftmost
+    Kronecker factor), and a set bit is a down spin. The string flips the
+    x and y bits of |b>, takes a sign -1 from each set z or y bit, and a
+    factor i from each y: P|b> = i^ny (-1)^popcount(b & (y|z)) |b ^ (x|y)>.
+    The basis must be closed under the flip.
+    """
+
+    def mask(letters: str) -> int:
+        return sum(1 << (n - 1 - site) for site, letter in string.items() if letter in letters)
+
+    position = np.empty(2**n, dtype=np.int64)
+    position[basis] = np.arange(basis.size)
+    rows = position[basis ^ mask("xy")]
+    signs = 1.0 - 2.0 * (np.bitwise_count(basis & mask("yz")) % 2)
+    values = 1j ** list(string.values()).count("y") * signs
+    return sparse.csr_array((values, (rows, np.arange(basis.size))), shape=(basis.size,) * 2)
+
+
+def _bond_sum(n: int, basis: np.ndarray) -> sparse.csr_array:
+    # all n periodic bonds; for n = 2 both act on the same pair and both count
+    return sum(_pauli(n, {site: "x", (site + 1) % n: "x"}, basis) for site in range(n))
+
+
+def _field_sum(n: int, basis: np.ndarray) -> sparse.csr_array:
+    return sum(_pauli(n, {site: "z"}, basis) for site in range(n))
+
+
+def _ising(n: int, g: float, basis: np.ndarray) -> sparse.csr_array:
+    return -(_bond_sum(n, basis) + g * _field_sum(n, basis))
+
+
+def _real_block(n: int, g: float, basis: np.ndarray) -> np.ndarray:
+    # the chain Hamiltonian has real entries; a real eigensolver is ~4x cheaper
+    return _ising(n, g, basis).toarray().real
+
+
+def _multi_spin(n: int, m: int, basis: np.ndarray) -> sparse.csr_array:
+    strings = []
+    for site in range(n):
+        between = {(site + step) % n: "z" for step in range(1, m)}
+        for left, right in (("x", "y"), ("y", "x")):
+            strings.append(_pauli(n, {site: left, **between, (site + m) % n: right}, basis))
+    return sum(strings)
+
+
+def _weighted_cd_terms(n: int, basis: np.ndarray) -> list[sparse.csr_array]:
+    # ranges 1 .. n/2; the longest range enters with half weight
+    return [
+        (0.5 if m == n // 2 else 1.0) * _multi_spin(n, m, basis) for m in range(1, n // 2 + 1)
+    ]
+
+
 def pauli_string(n: int, factors: dict[int, np.ndarray]) -> np.ndarray:
-    """Tensor product over n sites with the given single-site factors."""
-    return reduce(np.kron, [factors.get(site, _ID) for site in range(n)])
+    """Tensor product over n sites with the given single-site factors.
+
+    Each factor is expanded in the Pauli basis, A = sum_P tr(P A)/2 P, so a
+    Pauli factor gives one string and any other 2x2 matrix a sum of them.
+    """
+    expansions = [
+        [(site, label, c) for label, p in _PAULI.items() if (c := np.trace(p @ factor) / 2) != 0]
+        for site, factor in factors.items()
+    ]
+    total = sparse.csr_array((2**n, 2**n), dtype=complex)
+    for combo in itertools.product(*expansions):
+        string = {site: label for site, label, _ in combo}
+        total = total + math.prod(c for *_, c in combo) * _pauli(n, string, np.arange(2**n))
+    return total.toarray()
 
 
 def ising_hamiltonian(n: int, g: float) -> np.ndarray:
@@ -43,11 +123,7 @@ def ising_hamiltonian(n: int, g: float) -> np.ndarray:
     dictates.
     """
     _check_size(n)
-    h = np.zeros((2**n, 2**n), dtype=complex)
-    for site in range(n):
-        h -= pauli_string(n, {site: _SX, (site + 1) % n: _SX})
-        h -= g * pauli_string(n, {site: _SZ})
-    return h
+    return _ising(n, g, np.arange(2**n)).toarray()
 
 
 def multi_spin_term(n: int, m: int) -> np.ndarray:
@@ -59,12 +135,7 @@ def multi_spin_term(n: int, m: int) -> np.ndarray:
     _check_size(n)
     if not 1 <= m <= n // 2:
         raise ValueError(f"interaction range m={m} outside [1, {n // 2}]")
-    term = np.zeros((2**n, 2**n), dtype=complex)
-    for site in range(n):
-        string = {(site + step) % n: _SZ for step in range(1, m)}
-        term += pauli_string(n, {site: _SX, **string, (site + m) % n: _SY})
-        term += pauli_string(n, {site: _SY, **string, (site + m) % n: _SX})
-    return term
+    return _multi_spin(n, m, np.arange(2**n)).toarray()
 
 
 def cd_hamiltonian(n: int, g: float, gdot: float, model: CouplingModel) -> np.ndarray:
@@ -74,27 +145,17 @@ def cd_hamiltonian(n: int, g: float, gdot: float, model: CouplingModel) -> np.nd
     ranges 1 .. n/2, the longest range entering with half weight.
     """
     _check_size(n)
-    h = np.zeros((2**n, 2**n), dtype=complex)
     if gdot == 0.0:
-        return h
+        return np.zeros((2**n, 2**n), dtype=complex)
     values = coupling_set(model, g, n)
-    for m in range(1, n // 2 + 1):
-        weight = 0.5 if m == n // 2 else 1.0
-        h -= gdot * weight * values[m - 1] * multi_spin_term(n, m)
-    return h
+    terms = _weighted_cd_terms(n, np.arange(2**n))
+    return (-gdot * sum(value * term for value, term in zip(values, terms))).toarray()
 
 
 def parity_operator(n: int) -> np.ndarray:
     """Product of z operators over all sites (diagonal, entries +-1)."""
     _check_size(n)
-    return pauli_string(n, {site: _SZ for site in range(n)})
-
-
-def _even_sector(n: int) -> np.ndarray:
-    # positive-parity basis states have an even number of down spins
-    bits = np.arange(2**n)
-    popcount = np.array([bin(b).count("1") for b in bits])
-    return np.flatnonzero(popcount % 2 == 0)
+    return _pauli(n, {site: "z" for site in range(n)}, np.arange(2**n)).toarray()
 
 
 def parity_ground_state(n: int, g: float) -> np.ndarray:
@@ -106,10 +167,8 @@ def parity_ground_state(n: int, g: float) -> np.ndarray:
     by making the largest-magnitude amplitude real positive.
     """
     _check_size(n)
-    h = ising_hamiltonian(n, g)
     sector = _even_sector(n)
-    block = h[np.ix_(sector, sector)]
-    eigenvalues, eigenvectors = np.linalg.eigh(block)
+    eigenvalues, eigenvectors = np.linalg.eigh(_real_block(n, g, sector))
     state = np.zeros(2**n, dtype=complex)
     state[sector] = eigenvectors[:, 0]
     anchor = state[np.argmax(np.abs(state))]
@@ -120,56 +179,46 @@ def parity_ground_state(n: int, g: float) -> np.ndarray:
 def sector_ground_energy(n: int, g: float) -> float:
     """Lowest eigenvalue of the chain Hamiltonian in the parity +1 sector."""
     _check_size(n)
-    h = ising_hamiltonian(n, g)
-    sector = _even_sector(n)
-    block = h[np.ix_(sector, sector)]
-    return float(np.linalg.eigvalsh(block)[0])
+    return float(np.linalg.eigvalsh(_real_block(n, g, _even_sector(n)))[0])
 
 
 def dense_evolve(
     n: int,
     schedule: Schedule,
     model: CouplingModel,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
+    rel_tol: float = DEFAULT_REL_TOL,
+    abs_tol: float = DEFAULT_ABS_TOL,
 ) -> float:
-    """Full 2^n Schrodinger evolution; squared overlap with the target state.
+    """Schrodinger evolution of n spins; squared overlap with the target state.
 
     Starts from the positive-parity ground state at the initial field,
     integrates under chain Hamiltonian plus counterdiabatic term with the
     same adaptive integrator contract as the mode evolution, and projects
-    onto the positive-parity ground state at the final field.
+    onto the positive-parity ground state at the final field. The state
+    never leaves that sector, so only its 2^(n-1) amplitudes are carried.
     """
     _check_size(n)
-    base_x = np.zeros((2**n, 2**n), dtype=complex)
-    for site in range(n):
-        base_x += pauli_string(n, {site: _SX, (site + 1) % n: _SX})
-    base_z = pauli_string(n, {0: _SZ})
-    for site in range(1, n):
-        base_z += pauli_string(n, {site: _SZ})
-    weighted_terms = np.stack(
-        [
-            (0.5 if m == n // 2 else 1.0) * multi_spin_term(n, m)
-            for m in range(1, n // 2 + 1)
-        ]
-    )
+    sector = _even_sector(n)
+    dim = sector.size
+    hx = _bond_sum(n, sector)
+    z = _field_sum(n, sector).diagonal()
+    stacked = sparse.vstack(_weighted_cd_terms(n, sector), format="csr")
     duration = schedule.duration
 
     def rhs(t, state):
         tc = min(max(t, 0.0), duration)
         g = schedule.value(tc)
         gp = schedule.rate(tc)
-        values = coupling_set(model, g, n)
-        h_state = -(base_x @ state) - g * (base_z @ state)
+        h_state = -(hx @ state) - g * (z * state)
         if gp != 0.0:
-            mixed = np.tensordot(weighted_terms, state, axes=([2], [0]))
-            h_state -= gp * (values @ mixed)
+            values = coupling_set(model, g, n)
+            h_state -= gp * (values @ (stacked @ state).reshape(-1, dim))
         return -1j * h_state
 
-    start = parity_ground_state(n, schedule.g0)
+    start = parity_ground_state(n, schedule.g0)[sector]
     sol = solve_ivp(rhs, (0.0, duration), start, method="DOP853", rtol=rel_tol, atol=abs_tol)
     if not sol.success:
         raise IntegrationError(f"dense run (n={n}, {model.label()}): {sol.message}")
-    target = parity_ground_state(n, schedule.gf)
+    target = parity_ground_state(n, schedule.gf)[sector]
     overlap = np.vdot(target, sol.y[:, -1])
     return float(abs(overlap) ** 2)

@@ -314,7 +314,7 @@ def test_criterion_6_oracle_equivalence():
     start = time.perf_counter()
     failures: list[str] = []
     worst_p = 0.0
-    for n in (2, 4, 6, 8):
+    for n in (2, 4, 6, 8, 10):
         models = [
             CouplingModel(CouplingKind.EXACT),
             CouplingModel(CouplingKind.DIRECT_SUM),
@@ -328,7 +328,7 @@ def test_criterion_6_oracle_equivalence():
                     failures.append(f"dense vs fermionic {diff:.2e} at n={n} T={t_final} {label}")
 
     worst_e = 0.0
-    for n in (2, 4, 6, 8):
+    for n in (2, 4, 6, 8, 10):
         for g in (0.0, 0.5, 1.0, 2.0):
             gap = abs(sector_ground_energy(n, g) - dispersion_ground_energy(n, g))
             worst_e = max(worst_e, gap)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import io
 import math
 
@@ -14,10 +15,12 @@ from cdising import (
     cd_drive_from_couplings,
     cd_drive_thermo,
     cos_multiple_expansion,
+    dense_evolve,
     momentum_grid,
 )
 from cdising import experiments
-from cdising.cli import main
+from cdising.cli import _COMMANDS, main
+from cdising.dynamics import ChainConfig
 from cdising.experiments import (
     Check,
     RunManifest,
@@ -437,3 +440,35 @@ def test_verify_drive_resummation_matches_the_per_momentum_scan():
     checks = run_verification(n_values, g_values, oracle_sizes=[])
     check = next(check for check in checks if check.name == "drive resummation")
     assert (check.residual, check.scope) == (float(worst[0]), worst[1])
+
+
+def test_cli_verify_runs_the_dense_checks_up_to_max_spins(capsys):
+    code = main(["verify", "--n", "10", "--g-grid", "0.5,2.0"])
+    out = capsys.readouterr().out
+    assert code == 0 and "FAIL" not in out
+    dense = [line for line in out.splitlines() if "dense" in line]
+    assert len(dense) == 2
+    assert all(line.startswith("pass") and "n=10" in line.split(" at ")[1] for line in dense)
+
+
+@pytest.mark.parametrize(
+    "runner, command",
+    [
+        (run_truncation_sweep, "sweep-truncation"),
+        (run_size_sweep, "sweep-size"),
+        (run_trace, "trace"),
+        (experiments.run_oracle_comparison, "oracle"),
+        (dense_evolve, "oracle"),
+        (ChainConfig, "evolve"),
+    ],
+)
+def test_library_defaults_equal_the_cli_defaults(runner, command):
+    cli_defaults = {param.name: param.default for param in _COMMANDS[command][2]}
+    shared = [
+        parameter
+        for parameter in inspect.signature(runner).parameters.values()
+        if parameter.name in cli_defaults and parameter.default is not inspect.Parameter.empty
+    ]
+    assert shared
+    for parameter in shared:
+        assert parameter.default == cli_defaults[parameter.name], parameter.name

@@ -23,6 +23,7 @@ from cdising import (
     sector_ground_energy,
 )
 from cdising.dynamics import ChainConfig
+from cdising.spin_oracle import _even_sector, _ising, _multi_spin
 
 EXACT = CouplingModel(CouplingKind.EXACT)
 
@@ -176,3 +177,69 @@ def test_dense_size_validation():
         parity_ground_state(12, 1.0)
     with pytest.raises(ValueError):
         dense_evolve(12, Schedule(5.0, 0.0, 1.0), EXACT)
+
+
+def literal(n, factors):
+    return kron_chain(*[factors.get(site, I2) for site in range(n)])
+
+
+def literal_ising(n, g):
+    return -sum(
+        literal(n, {site: X, (site + 1) % n: X}) + g * literal(n, {site: Z}) for site in range(n)
+    )
+
+
+def literal_multi_spin(n, m):
+    term = 0
+    for site in range(n):
+        between = {(site + step) % n: Z for step in range(1, m)}
+        term = term + literal(n, {site: X, **between, (site + m) % n: Y})
+        term = term + literal(n, {site: Y, **between, (site + m) % n: X})
+    return term
+
+
+def even_states(n):
+    return [b for b in range(2**n) if bin(b).count("1") % 2 == 0]
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_sector_operators_match_the_literal_kron_construction(n):
+    # n = 2 included: its two bonds, and its two range-1 strings per site, act on one pair
+    sector = _even_sector(n)
+    assert sector.tolist() == even_states(n)
+    block = np.ix_(sector, sector)
+    for g in (0.0, 0.7, 2.0):
+        assert np.max(np.abs(_ising(n, g, sector).toarray() - literal_ising(n, g)[block])) <= 1e-15
+    for m in range(1, n // 2 + 1):
+        built = _multi_spin(n, m, sector).toarray()
+        assert np.max(np.abs(built - literal_multi_spin(n, m)[block])) <= 1e-15
+        assert np.max(np.abs(multi_spin_term(n, m) - literal_multi_spin(n, m))) <= 1e-15
+    assert np.max(np.abs(ising_hamiltonian(n, 0.7) - literal_ising(n, 0.7))) <= 1e-15
+    assert np.array_equal(parity_operator(n), literal(n, {site: Z for site in range(n)}))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_literal_operators_commute_with_parity(n):
+    # why the oracle may drop the odd sector: no term of the chain leaves it
+    p = parity_operator(n)
+    for operator in [literal_ising(n, 1.3)] + [
+        literal_multi_spin(n, m) for m in range(1, n // 2 + 1)
+    ]:
+        assert np.max(np.abs(operator @ p - p @ operator)) == 0.0
+
+
+def test_pauli_string_expands_general_factors():
+    a = np.array([[1.0, 2.0j], [3.0, 4.0]])
+    assert np.allclose(pauli_string(3, {0: a, 2: Y}), kron_chain(a, I2, Y), atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "n, kind, t_final",
+    [(8, CouplingKind.DIRECT_SUM, 10.0), (10, CouplingKind.EXACT, 1.0)],
+)
+def test_dense_evolve_default_tolerance_is_converged(n, kind, t_final):
+    ramp = Schedule(5.0, 0.0, t_final)
+    model = CouplingModel(kind)
+    default = dense_evolve(n, ramp, model)
+    tight = dense_evolve(n, ramp, model, rel_tol=1e-13, abs_tol=1e-15)
+    assert abs(default - tight) <= 1e-8
