@@ -428,14 +428,25 @@ def coupling_set(model: CouplingModel, g: float, n: int) -> np.ndarray:
         Array of n/2 coupling values indexed by m - 1.
     """
     _check_chain_length(n)
-    half = n // 2
-    if model.kind is CouplingKind.EXACT:
-        values = [coupling_exact(m, g, n) for m in range(1, half + 1)]
-    elif model.kind is CouplingKind.DIRECT_SUM:
-        values = [coupling_sum(m, g, n) for m in range(1, half + 1)]
-    elif model.kind is CouplingKind.THERMODYNAMIC:
-        values = [coupling_thermo(m, g) for m in range(1, half + 1)]
-    else:
+    ms = np.arange(1, n // 2 + 1)
+    if model.kind is CouplingKind.DIRECT_SUM:
+        # coupling_sum for every m at once
+        ks = momentum_grid(n)
+        weights = np.sin(ks) / (g * g - 2.0 * g * np.cos(ks) + 1.0)
+        return (np.sin(np.multiply.outer(ms, ks)) * weights).sum(axis=-1) / (2.0 * n)
+    if g < 0:
+        raise ValueError("field must be nonnegative")
+    g = float(g)
+    if model.kind is CouplingKind.THERMODYNAMIC:
+        # coupling_thermo for every m at once
+        return (g ** (ms - 1) if g < 1.0 else g ** (-ms - 1)) / 8.0
+    # coupling_exact for every m at once, through its duality above g = 1
+    # (at g = 1 every term is exact and gives 1/8)
+    x = g if g <= 1.0 else 1.0 / g
+    values = (x ** (ms - 1) + x ** (n - ms - 1)) / (8.0 * (1.0 + x**n)) / max(1.0, g * g)
+    if model.kind is CouplingKind.TRUNCATED:
         assert model.m_max is not None
-        values = [coupling_truncated(m, g, n, model.m_max) for m in range(1, half + 1)]
-    return np.array(values)
+        if model.m_max > n // 2:
+            raise ValueError(f"truncation range {model.m_max} outside [0, {n // 2}]")
+        values[ms > model.m_max] = 0.0
+    return values

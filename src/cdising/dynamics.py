@@ -3,8 +3,9 @@
 After the fermionization of the periodic chain, each positive quasi-momentum
 carries an independent two-level problem. This module integrates those 2x2
 mode equations under a cubic field ramp and a chosen coupling model, all
-modes of a chain stacked into one vector ODE, and assembles final and
-instantaneous ground-state probabilities from the per-mode amplitudes.
+modes of a chain stacked into one vector ODE in the adiabatic interaction
+frame, and assembles final and instantaneous ground-state probabilities
+from the per-mode amplitudes.
 """
 
 from __future__ import annotations
@@ -118,8 +119,10 @@ class EvolutionResult:
     p_gs is the squared overlap with the target ground state at the final
     field; trace optionally samples the instantaneous overlap along the
     ramp as (t, g(t), probability) triples. steps counts the accepted
-    steps of the one integration that carries every mode, summed over the
-    sample segments; it is not a sum over modes.
+    steps of the one adiabatic-frame integration that carries every mode;
+    it is not a sum over modes, and it does not depend on the samples.
+    norm_drift is the largest |d_g|^2 + |d_e|^2 - 1 (ground and excited
+    amplitudes of one mode) over every mode and accepted step.
     """
 
     p_gs: float
@@ -147,7 +150,7 @@ def cd_drive_exact(k, g: float):
 
     Like every drive kernel here, k is a scalar or an array of momenta.
     """
-    return 0.25 * np.sin(k) / (g * g - 2.0 * g * np.cos(k) + 1.0)
+    return 0.25 * np.sin(k) / ((g * g + 1.0) - 2.0 * g * np.cos(k))
 
 
 def cd_drive_thermo(k, g: float, n: int):
@@ -157,13 +160,12 @@ def cd_drive_thermo(k, g: float, n: int):
     in n away from the critical field; ferromagnetic branch below g = 1,
     paramagnetic branch at and above it.
     """
-    denom = g * g - 2.0 * g * np.cos(k) + 1.0
-    ripple = np.sin(0.5 * k * n)
     if g < 1.0:
-        corr = g ** (n // 2 - 1) / 8.0 * (g * g - 1.0) / denom * ripple
+        scale = g ** (n // 2 - 1) / 8.0 * (g * g - 1.0)
     else:
-        corr = -(g ** (-(n // 2)) / (8.0 * g)) * (g * g - 1.0) / denom * ripple
-    return 0.25 * np.sin(k) / denom + corr
+        scale = -(g ** (-(n // 2)) / (8.0 * g)) * (g * g - 1.0)
+    # the exact drive's denominator, written identically so both agree at g = 1
+    return (0.25 * np.sin(k) + scale * np.sin(0.5 * n * k)) / ((g * g + 1.0) - 2.0 * g * np.cos(k))
 
 
 def cd_drive_from_couplings(k, g: float, model: CouplingModel, n: int):
@@ -183,11 +185,14 @@ def _cd_drive_truncated(k, g: float, n: int, m_max: int):
     # 0 <= m_max < n/2; equals the literal sum to rounding.
     if g > 1.0:
         return _cd_drive_truncated(k, 1.0 / g, n, m_max) / (g * g)
-    phase = np.cos(k) + 1j * np.sin(k)
-    z = g * phase
-    zbar = np.conj(z)
-    head = (phase * (1.0 - z**m_max) / (1.0 - z)).imag
-    tail = ((np.cos(k * m_max) + 1j * np.sin(k * m_max)) * (1.0 - zbar**m_max) / (1.0 - zbar)).imag
+    # with w = 1/(1 - g e^{ik}): head = Im((e^{ik} - g^m e^{ik(m+1)}) w),
+    # tail = Im((e^{ikm} - g^m) conj(w))
+    phase = np.exp(1j * k)
+    turn = np.exp(1j * m_max * k)
+    power = g**m_max
+    w = 1.0 / (1.0 - g * phase)
+    head = ((phase - power * phase * turn) * w).imag
+    tail = ((turn - power) * w.conj()).imag
     return (head + g ** (n - 1 - m_max) * tail) / (4.0 * (1.0 + g**n))
 
 
@@ -217,41 +222,49 @@ def drive_function(model: CouplingModel, n: int) -> Callable:
 def _integrate(
     ks: np.ndarray, y0: np.ndarray, times: np.ndarray, config: ChainConfig
 ) -> tuple[np.ndarray, float, int]:
-    # Integrates the modes ks as one ODE over the stacked state
-    # [v_k..., u_k...], restarting at each sample time. Returns the state
-    # at every sample time (one row each), the largest norm drift of any
-    # mode at any step, and the accepted steps summed over segments.
+    # Integrates the modes ks in the adiabatic interaction frame, over the
+    # stacked state [d_g..., d_e..., phi...]: ground and excited amplitudes
+    # in the instantaneous eigenbasis, stripped of the dynamical phase phi.
+    # The exact drive cancels the rotation of the basis, so only the
+    # residual r = 2 gdot (q - q_exact) couples the two:
+    #   d_g' = r exp(-2i phi) d_e,  d_e' = -r exp(2i phi) d_g,  phi' = 2 eps_k(g)
+    # with eps_k = sqrt(g^2 - 2g cos k + 1). One dense-output solve; returns
+    # the state at every sample time (one row each), the largest norm drift
+    # of any mode at any accepted step, and the accepted steps.
     schedule = config.schedule
     drive = drive_function(config.coupling, config.n)
     cos_k = np.cos(ks)
-    sin_k = np.sin(ks)
     half = len(ks)
 
     def rhs(t, y):
         # the solver may probe a rounding error beyond the span edges
         tc = min(max(t, 0.0), schedule.duration)
         g = schedule.value(tc)
-        a = g - cos_k
-        b = -sin_k - 1j * (schedule.rate(tc) * drive(ks, g))
-        v, u = y[:half], y[half:]
-        return -2j * np.concatenate((a * v + b * u, b.conj() * v - a * u))
+        coupling = 2.0 * schedule.rate(tc) * (drive(ks, g) - cd_drive_exact(ks, g))
+        coupling = coupling * np.exp(2j * y[2 * half :].real)
+        gap = np.sqrt((4.0 * g * g + 4.0) - 8.0 * g * cos_k)
+        return np.concatenate((coupling.conj() * y[half : 2 * half], -coupling * y[:half], gap))
 
-    samples = np.empty((len(times), 2 * half), dtype=complex)
-    samples[0] = y0
-    drift = 0.0
-    steps = 0
-    for j in range(1, len(times)):
-        t0, t1 = times[j - 1], times[j]
-        sol = solve_ivp(
-            rhs, (t0, t1), samples[j - 1], method="DOP853", rtol=config.rel_tol, atol=config.abs_tol
-        )
-        if not sol.success:
-            raise IntegrationError(f"integration failed on [{t0:.6g}, {t1:.6g}]: {sol.message}")
-        norms = np.abs(sol.y[:half]) ** 2 + np.abs(sol.y[half:]) ** 2
-        drift = max(drift, float(np.max(np.abs(norms - 1.0))))
-        steps += sol.t.size - 1
-        samples[j] = sol.y[:, -1]
-    return samples, drift, steps
+    t1 = schedule.duration
+    sol = solve_ivp(
+        rhs, (0.0, t1), y0, method="DOP853", rtol=config.rel_tol, atol=config.abs_tol, dense_output=True
+    )
+    if not sol.success:
+        raise IntegrationError(f"integration failed on [0, {t1:.6g}]: {sol.message}")
+    norms = np.abs(sol.y[:half]) ** 2 + np.abs(sol.y[half : 2 * half]) ** 2
+    return sol.sol(times).T, float(np.max(np.abs(norms - 1.0))), sol.t.size - 1
+
+
+def _lab_states(ks: np.ndarray, samples: np.ndarray, g) -> np.ndarray:
+    # Lab amplitudes [v..., u...] of frame states [d_g..., d_e..., phi...]
+    # in the last axis, at field g (which broadcasts against the rest):
+    # c_g = d_g exp(i phi) on the ground state (v0, u0), c_e = d_e exp(-i phi)
+    # on the excited state (u0, -v0).
+    half = len(ks)
+    turn = np.exp(1j * samples[..., 2 * half :].real)
+    c_g, c_e = samples[..., :half] * turn, samples[..., half : 2 * half] * turn.conj()
+    u0, v0 = ground_amplitudes(ks, g)
+    return np.concatenate((c_g * v0 + c_e * u0, c_g * u0 - c_e * v0), axis=-1)
 
 
 def _probability(ks: np.ndarray, states: np.ndarray, g) -> np.ndarray:
@@ -276,14 +289,19 @@ def evolve_mode(
             mode ground state at the initial field.
 
     Returns:
-        Final amplitudes with the observed norm drift and step count.
+        Final amplitudes (v, u) with the observed norm drift and step count.
     """
+    schedule = config.schedule
     if initial is None:
-        u0, v0 = ground_amplitudes(k, config.schedule.g0)
-        initial = (v0, u0)
-    times = np.array([0.0, config.schedule.duration])
-    samples, drift, steps = _integrate(np.array([k]), np.array(initial, dtype=complex), times, config)
-    v, u = samples[-1]
+        d_g, d_e = 1.0, 0.0
+    else:
+        # project onto the eigenbasis at g0: ground (v0, u0), excited (u0, -v0)
+        u0, v0 = ground_amplitudes(k, schedule.g0)
+        d_g, d_e = v0 * initial[0] + u0 * initial[1], u0 * initial[0] - v0 * initial[1]
+    ks = np.array([k])
+    times = np.array([0.0, schedule.duration])
+    samples, drift, steps = _integrate(ks, np.array([d_g, d_e, 0.0], dtype=complex), times, config)
+    v, u = _lab_states(ks, samples[-1], schedule.gf)
     return ModeResult(ModeState(k, v, u), drift, steps)
 
 
@@ -311,26 +329,31 @@ def ground_state_probability(states: Sequence[ModeState], g: float, n: int) -> f
 def evolve_chain(config: ChainConfig) -> EvolutionResult:
     """Evolve every mode of the chain and assemble ground-state probabilities.
 
-    All n/2 modes are integrated together as one vector ODE. With
-    trace_points = 0 that is one integration over the whole ramp and only
-    the final probability is computed. With trace_points >= 2 the
-    integrator restarts at uniformly spaced sample times and the
-    instantaneous probability against the ground state of the momentary
-    field is recorded at each sample.
+    All n/2 modes are integrated together as one vector ODE, in one
+    dense-output solve over the whole ramp. With trace_points = 0 only the
+    final probability is computed. With trace_points >= 2 the solution is
+    read at uniformly spaced sample times, and the instantaneous
+    probability against the ground state of the momentary field is
+    recorded at each; the steps, and so the final sample, are those of the
+    final-only run.
 
     The integration does not depend on the process it runs in, so
     identical configs give bit-identical results.
     """
     ks = momentum_grid(config.n)
+    half = len(ks)
     schedule = config.schedule
     times = np.linspace(0.0, schedule.duration, max(config.trace_points, 2))
-    u0, v0 = ground_amplitudes(ks, schedule.g0)
-    samples, drift, steps = _integrate(ks, np.concatenate((v0, u0)).astype(complex), times, config)
+    y0 = np.concatenate((np.ones(half), np.zeros(2 * half))).astype(complex)
+    samples, drift, steps = _integrate(ks, y0, times, config)
+    # the last sample sits at the target field itself, not at its rounded ramp value
+    fields = np.array([schedule.value(float(t)) for t in times[:-1]] + [schedule.gf])[:, None]
+    # prod |d_g|^2, evaluated as ground_state_probability does on the lab
+    # state, so that a chain and its modes from evolve_mode agree to the bit
+    probs = _probability(ks, _lab_states(ks, samples, fields), fields)
     if not config.trace_points:
-        return EvolutionResult(float(_probability(ks, samples[-1], schedule.gf)), None, drift, steps)
-    fields = np.array([schedule.value(float(t)) for t in times])
-    probs = _probability(ks, samples, fields[:, None])
-    trace = [(float(t), float(g), float(p)) for t, g, p in zip(times, fields, probs)]
+        return EvolutionResult(float(probs[-1]), None, drift, steps)
+    trace = [(float(t), float(g), float(p)) for t, g, p in zip(times, fields[:, 0], probs)]
     return EvolutionResult(trace[-1][2], trace, drift, steps)
 
 

@@ -403,6 +403,34 @@ def test_coupling_set_direct_and_thermo():
     assert np.allclose(thermo, [coupling_thermo(m, 0.7) for m in range(1, 5)])
 
 
+@pytest.mark.parametrize("n", [2, 8, 20, 64])
+def test_coupling_set_matches_scalar_couplings(n):
+    ms = range(1, n // 2 + 1)
+    families = [
+        (CouplingModel(CouplingKind.EXACT), lambda m, g: coupling_exact(m, g, n)),
+        (CouplingModel(CouplingKind.THERMODYNAMIC), coupling_thermo),
+    ]
+    families += [
+        (CouplingModel(CouplingKind.TRUNCATED, cap), lambda m, g, cap=cap: coupling_truncated(m, g, n, cap))
+        for cap in range(n // 2 + 1)
+    ]
+    for g in (0.0, 0.5, 1.0, 2.0, 5.0):
+        for model, scalar in families:
+            values = coupling_set(model, g, n)
+            expected = np.array([scalar(m, g) for m in ms])
+            assert values.shape == (n // 2,)
+            if g in (0.0, 1.0):  # the 0**0 == 1 limit and the 1/8 critical value
+                assert np.array_equal(values, expected)
+            else:
+                assert np.max(np.abs(values - expected)) <= 1e-15
+        direct = coupling_set(CouplingModel(CouplingKind.DIRECT_SUM), g, n)
+        assert np.max(np.abs(direct - [coupling_sum(m, g, n) for m in ms])) <= 1e-15
+    with pytest.raises(ValueError):
+        coupling_set(CouplingModel(CouplingKind.EXACT), -0.1, n)
+    with pytest.raises(ValueError):
+        coupling_set(CouplingModel(CouplingKind.TRUNCATED, n // 2 + 1), 0.5, n)
+
+
 def test_coupling_model_validation_and_labels():
     with pytest.raises(ValueError):
         CouplingModel(CouplingKind.EXACT, m_max=3)

@@ -296,17 +296,19 @@ def test_reversed_ramp_exact_drive():
         (200, THERMO, 10.0),
         (20, THERMO, 100.0),
         (20, CouplingModel(CouplingKind.TRUNCATED, 3), 10.0),
+        (200, THERMO, 100.0),
     ],
 )
 def test_batched_accuracy_against_tight_reference(n, model, t_final):
     # the batch shares one RMS error norm over all modes; the default
-    # tolerances must still hold each result to 1e-8 of a converged run
+    # tolerances must still hold each result to 1e-9 of a converged run
+    # (thermo n=200, T=100 converges to 0.958872619)
     ramp = Schedule(5.0, 0.0, t_final)
     default = evolve_chain(ChainConfig(n, ramp, model))
     tight = evolve_chain(ChainConfig(n, ramp, model, rel_tol=1e-13, abs_tol=1e-15))
-    assert abs(default.p_gs - tight.p_gs) < 1e-8
+    assert abs(default.p_gs - tight.p_gs) < 1e-9
     traced = evolve_chain(ChainConfig(n, ramp, model, trace_points=11))
-    assert abs(traced.trace[-1][2] - default.p_gs) < 1e-8
+    assert abs(traced.trace[-1][2] - default.p_gs) < 1e-9
 
 
 def test_traced_and_direct_evolution_agree():

@@ -1,0 +1,78 @@
+"""Property and edge tests of the chain evolution, drawn with hypothesis."""
+
+from __future__ import annotations
+
+import math
+import warnings
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cdising import ChainConfig, CouplingKind, CouplingModel, Schedule, evolve_chain
+
+EXACT = CouplingModel(CouplingKind.EXACT)
+THERMO = CouplingModel(CouplingKind.THERMODYNAMIC)
+
+# a fixed draw sequence keeps tier-1 reproducible; no example database on disk
+SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+fields = st.floats(0.0, 6.0)
+
+
+@st.composite
+def chains(draw, max_half: int, max_t: float):
+    """(n, ramp, model): any ramp, including reversed and constant ones."""
+    n = 2 * draw(st.integers(1, max_half))
+    g0 = draw(fields)
+    gf = draw(st.one_of(fields, st.just(g0)))
+    ramp = Schedule(g0, gf, draw(st.floats(1e-3, max_t)))
+    kind = draw(st.sampled_from([CouplingKind.EXACT, CouplingKind.THERMODYNAMIC, CouplingKind.TRUNCATED]))
+    m_max = draw(st.integers(0, n // 2)) if kind is CouplingKind.TRUNCATED else None
+    return n, ramp, CouplingModel(kind, m_max)
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 100).map(lambda half: 2 * half),
+    g0=fields,
+    gf=fields,
+    t_final=st.floats(1e-3, 1e3),
+    full_truncation=st.booleans(),
+)
+@example(n=2, g0=0.0, gf=5.0, t_final=1.0, full_truncation=False)
+@example(n=40, g0=1.0, gf=1.0, t_final=3.0, full_truncation=True)
+@example(n=200, g0=0.5, gf=0.5, t_final=1e3, full_truncation=False)
+def test_exact_drives_prepare_the_ground_state(n, g0, gf, t_final, full_truncation):
+    # the full-range truncation carries the exact couplings
+    model = CouplingModel(CouplingKind.TRUNCATED, n // 2) if full_truncation else EXACT
+    result = evolve_chain(ChainConfig(n, Schedule(g0, gf, t_final), model))
+    assert abs(result.p_gs - 1.0) < 1e-12
+
+
+@SETTINGS
+@given(chain=chains(max_half=20, max_t=10.0), samples=st.integers(2, 12))
+@example(chain=(2, Schedule(3.0, 0.2, 2.0), THERMO), samples=3)
+@example(chain=(20, Schedule(0.2, 3.0, 5.0), CouplingModel(CouplingKind.TRUNCATED, 2)), samples=7)
+def test_trace_is_a_probability_and_ends_at_the_final_run(chain, samples):
+    n, ramp, model = chain
+    traced = evolve_chain(ChainConfig(n, ramp, model, trace_points=samples))
+    final = evolve_chain(ChainConfig(n, ramp, model))
+    # one dense-output solve takes the same steps whatever the samples
+    assert traced.steps == final.steps
+    assert traced.trace[-1][2] == traced.p_gs == final.p_gs
+    for _, _, p in traced.trace:
+        assert 0.0 <= p <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("model", [THERMO, CouplingModel(CouplingKind.TRUNCATED, 999)], ids=["thermo", "truncated999"])
+def test_long_chain_has_no_overflow(model):
+    # g**n and g**(n/2) underflow or overflow for n = 2000 unless written
+    # with nonpositive powers; any numpy warning fails the test
+    ramp = Schedule(5.0, 0.0, 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        default = evolve_chain(ChainConfig(2000, ramp, model))
+        tight = evolve_chain(ChainConfig(2000, ramp, model, rel_tol=1e-13, abs_tol=1e-15))
+    assert math.isfinite(default.p_gs) and math.isfinite(default.norm_drift)
+    assert abs(default.p_gs - tight.p_gs) < 1e-8
