@@ -2,106 +2,29 @@
 
 Closed-form coupling coefficients, free-fermion mode evolution, a dense
 spin-basis oracle for small chains, and experiment drivers that write the
-reference data sets.
+reference data sets. The package exports what configures and runs a chain
+evolution and its oracle; everything else is imported from its own module.
 """
 
 from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .coefficients import (
-    CouplingKind,
-    CouplingModel,
-    correlation_length,
-    cos_multiple_expansion,
-    cos_sum,
-    cos_sum_exact,
-    cos_sum_series,
-    coupling_exact,
-    coupling_series,
-    coupling_set,
-    coupling_sum,
-    coupling_thermo,
-    coupling_truncated,
-    identity_residuals,
-    momentum_grid,
-    period_sign,
-    power_sum,
-    power_sum_exact,
-    sin_product_expansion,
-)
-from .dynamics import (
-    ChainConfig,
-    EvolutionResult,
-    IntegrationError,
-    ModeResult,
-    ModeState,
-    Schedule,
-    bogoliubov_angle,
-    cd_drive_exact,
-    cd_drive_from_couplings,
-    cd_drive_thermo,
-    dispersion_ground_energy,
-    drive_function,
-    evolve_chain,
-    evolve_mode,
-    ground_amplitudes,
-    ground_state_probability,
-)
-from .spin_oracle import (
-    cd_hamiltonian,
-    dense_evolve,
-    ising_hamiltonian,
-    multi_spin_term,
-    parity_ground_state,
-    parity_operator,
-    pauli_string,
-    sector_ground_energy,
-)
+from .coefficients import CouplingKind, CouplingModel, coupling_exact, coupling_set, momentum_grid
+from .dynamics import ChainConfig, EvolutionResult, IntegrationError, Schedule, evolve_chain
+from .spin_oracle import dense_evolve
 
 __all__ = [
     "__version__",
+    "Schedule",
+    "ChainConfig",
     "CouplingKind",
     "CouplingModel",
-    "correlation_length",
-    "cos_multiple_expansion",
-    "cos_sum",
-    "cos_sum_exact",
-    "cos_sum_series",
-    "coupling_exact",
-    "coupling_series",
-    "coupling_set",
-    "coupling_sum",
-    "coupling_thermo",
-    "coupling_truncated",
-    "identity_residuals",
-    "momentum_grid",
-    "period_sign",
-    "power_sum",
-    "power_sum_exact",
-    "sin_product_expansion",
-    "ChainConfig",
     "EvolutionResult",
     "IntegrationError",
-    "ModeResult",
-    "ModeState",
-    "Schedule",
-    "bogoliubov_angle",
-    "cd_drive_exact",
-    "cd_drive_from_couplings",
-    "cd_drive_thermo",
-    "dispersion_ground_energy",
-    "drive_function",
     "evolve_chain",
-    "evolve_mode",
-    "ground_amplitudes",
-    "ground_state_probability",
-    "multi_spin_term",
-    "cd_hamiltonian",
+    "coupling_exact",
+    "coupling_set",
+    "momentum_grid",
     "dense_evolve",
-    "ising_hamiltonian",
-    "parity_ground_state",
-    "parity_operator",
-    "pauli_string",
-    "sector_ground_energy",
 ]

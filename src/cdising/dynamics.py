@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -47,7 +47,7 @@ class Schedule:
     Args:
         g0: initial field.
         gf: final field.
-        duration: total ramp time, > 0 (dimensionless, hbar = 1).
+        duration: total ramp time in [1e-100, 1e100] (dimensionless, hbar = 1).
     """
 
     g0: float
@@ -55,10 +55,12 @@ class Schedule:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError("schedule duration must be positive")
-        if self.g0 < 0 or self.gf < 0:
-            raise ValueError("fields must be nonnegative")
+        for name, value in (("g0", self.g0), ("gf", self.gf)):
+            if not 0 <= value < math.inf:
+                raise ValueError(f"schedule {name} must be finite and nonnegative, got {value}")
+        # rate() divides by duration**3, which this range keeps a finite normal float
+        if not 1e-100 <= self.duration <= 1e100:
+            raise ValueError(f"schedule duration must lie in [1e-100, 1e100], got {self.duration}")
 
     def value(self, t: float) -> float:
         """Field at time t, 0 <= t <= duration."""
@@ -72,6 +74,13 @@ class Schedule:
         if not 0 <= t <= self.duration:
             raise ValueError(f"time {t} outside [0, {self.duration}]")
         return 6.0 * (self.gf - self.g0) * t * (self.duration - t) / self.duration**3
+
+
+def check_tolerances(rel_tol: float, abs_tol: float) -> None:
+    """Raise ValueError, naming the tolerance, unless both are finite and positive."""
+    for name, value in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -88,28 +97,9 @@ class ChainConfig:
     def __post_init__(self) -> None:
         if self.n < 2 or self.n % 2:
             raise ValueError(f"chain length must be even and >= 2, got {self.n}")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("solver tolerances must be positive")
+        check_tolerances(self.rel_tol, self.abs_tol)
         if self.trace_points < 0 or self.trace_points == 1:
             raise ValueError("trace needs at least 2 samples (0 disables it)")
-
-
-@dataclass
-class ModeState:
-    """Amplitudes (v, u) of one fermionic mode pair at momentum k."""
-
-    k: float
-    v: complex
-    u: complex
-
-
-@dataclass
-class ModeResult:
-    """Final mode state plus integrator diagnostics."""
-
-    state: ModeState
-    norm_drift: float
-    steps: int
 
 
 @dataclass
@@ -117,8 +107,9 @@ class EvolutionResult:
     """Outcome of a chain evolution.
 
     p_gs is the squared overlap with the target ground state at the final
-    field; trace optionally samples the instantaneous overlap along the
-    ramp as (t, g(t), probability) triples. steps counts the accepted
+    field, prod over modes of |d_g|^2 (see ground_state_probability); trace
+    optionally samples the same overlap with the instantaneous ground state
+    along the ramp as (t, g(t), probability) triples. steps counts the accepted
     steps of the one adiabatic-frame integration that carries every mode;
     it is not a sum over modes, and it does not depend on the samples.
     norm_drift is the largest |d_g|^2 + |d_e|^2 - 1 (ground and excited
@@ -129,20 +120,6 @@ class EvolutionResult:
     trace: list[tuple[float, float, float]] | None
     norm_drift: float
     steps: int
-
-
-def bogoliubov_angle(k, g):
-    """Mixing angle of the mode-pair ground state, in [0, pi].
-
-    k and g may be scalars or arrays that broadcast together.
-    """
-    return np.arctan2(np.sin(k), g - np.cos(k))
-
-
-def ground_amplitudes(k, g):
-    """Ground-state amplitudes (u, v) of mode k at field g, both >= 0."""
-    half = 0.5 * bogoliubov_angle(k, g)
-    return np.cos(half), np.sin(half)
 
 
 def cd_drive_exact(k, g: float):
@@ -219,12 +196,11 @@ def drive_function(model: CouplingModel, n: int) -> Callable:
     return partial(cd_drive_from_couplings, model=model, n=n)
 
 
-def _integrate(
-    ks: np.ndarray, y0: np.ndarray, times: np.ndarray, config: ChainConfig
-) -> tuple[np.ndarray, float, int]:
-    # Integrates the modes ks in the adiabatic interaction frame, over the
-    # stacked state [d_g..., d_e..., phi...]: ground and excited amplitudes
-    # in the instantaneous eigenbasis, stripped of the dynamical phase phi.
+def _integrate(config: ChainConfig, times: np.ndarray) -> tuple[np.ndarray, float, int]:
+    # Integrates every grid mode from its ground state at g0, in the
+    # adiabatic interaction frame, over the stacked state
+    # [d_g..., d_e..., phi...]: ground and excited amplitudes in the
+    # instantaneous eigenbasis, stripped of the dynamical phase phi.
     # The exact drive cancels the rotation of the basis, so only the
     # residual r = 2 gdot (q - q_exact) couples the two:
     #   d_g' = r exp(-2i phi) d_e,  d_e' = -r exp(2i phi) d_g,  phi' = 2 eps_k(g)
@@ -233,6 +209,7 @@ def _integrate(
     # of any mode at any accepted step, and the accepted steps.
     schedule = config.schedule
     drive = drive_function(config.coupling, config.n)
+    ks = momentum_grid(config.n)
     cos_k = np.cos(ks)
     half = len(ks)
 
@@ -246,6 +223,7 @@ def _integrate(
         return np.concatenate((coupling.conj() * y[half : 2 * half], -coupling * y[:half], gap))
 
     t1 = schedule.duration
+    y0 = np.concatenate((np.ones(half), np.zeros(2 * half))).astype(complex)
     sol = solve_ivp(
         rhs, (0.0, t1), y0, method="DOP853", rtol=config.rel_tol, atol=config.abs_tol, dense_output=True
     )
@@ -255,75 +233,14 @@ def _integrate(
     return sol.sol(times).T, float(np.max(np.abs(norms - 1.0))), sol.t.size - 1
 
 
-def _lab_states(ks: np.ndarray, samples: np.ndarray, g) -> np.ndarray:
-    # Lab amplitudes [v..., u...] of frame states [d_g..., d_e..., phi...]
-    # in the last axis, at field g (which broadcasts against the rest):
-    # c_g = d_g exp(i phi) on the ground state (v0, u0), c_e = d_e exp(-i phi)
-    # on the excited state (u0, -v0).
-    half = len(ks)
-    turn = np.exp(1j * samples[..., 2 * half :].real)
-    c_g, c_e = samples[..., :half] * turn, samples[..., half : 2 * half] * turn.conj()
-    u0, v0 = ground_amplitudes(ks, g)
-    return np.concatenate((c_g * v0 + c_e * u0, c_g * u0 - c_e * v0), axis=-1)
+def ground_state_probability(frames: np.ndarray) -> np.ndarray:
+    """Ground-state probability of adiabatic-frame samples: prod over modes of |d_g|^2.
 
-
-def _probability(ks: np.ndarray, states: np.ndarray, g) -> np.ndarray:
-    # Product over modes of |<ground mode at g|state mode>|^2 for stacked
-    # states [v..., u...] in the last axis; g broadcasts against the rest.
-    u0, v0 = ground_amplitudes(ks, g)
-    half = len(ks)
-    return np.prod(np.abs(u0 * states[..., half:] + v0 * states[..., :half]) ** 2, axis=-1)
-
-
-def evolve_mode(
-    k: float,
-    config: ChainConfig,
-    initial: tuple[complex, complex] | None = None,
-) -> ModeResult:
-    """Integrate one mode over the full ramp.
-
-    Args:
-        k: quasi-momentum (a grid value of config.n).
-        config: chain configuration; trace_points is ignored here.
-        initial: optional starting amplitudes (v, u); defaults to the
-            mode ground state at the initial field.
-
-    Returns:
-        Final amplitudes (v, u) with the observed norm drift and step count.
+    frames stacks [d_g..., d_e..., phi...] in its last axis. d_g is the
+    amplitude on the mode ground state at the sample's own field, so the
+    product is the squared overlap with the chain ground state there.
     """
-    schedule = config.schedule
-    if initial is None:
-        d_g, d_e = 1.0, 0.0
-    else:
-        # project onto the eigenbasis at g0: ground (v0, u0), excited (u0, -v0)
-        u0, v0 = ground_amplitudes(k, schedule.g0)
-        d_g, d_e = v0 * initial[0] + u0 * initial[1], u0 * initial[0] - v0 * initial[1]
-    ks = np.array([k])
-    times = np.array([0.0, schedule.duration])
-    samples, drift, steps = _integrate(ks, np.array([d_g, d_e, 0.0], dtype=complex), times, config)
-    v, u = _lab_states(ks, samples[-1], schedule.gf)
-    return ModeResult(ModeState(k, v, u), drift, steps)
-
-
-def ground_state_probability(states: Sequence[ModeState], g: float, n: int) -> float:
-    """Squared overlap of a product of mode states with the ground state at g.
-
-    Args:
-        states: one ModeState per grid momentum of the n-chain, in grid order.
-        g: target field.
-        n: even chain length.
-
-    Returns:
-        Product over modes of |<ground mode|state mode>|^2.
-    """
-    ks = momentum_grid(n)
-    if len(states) != len(ks):
-        raise ValueError(f"need {len(ks)} mode states, got {len(states)}")
-    for k, state in zip(ks, states):
-        if abs(state.k - k) > 1e-12:
-            raise ValueError(f"mode at k={state.k} does not match grid value {k}")
-    stacked = np.array([state.v for state in states] + [state.u for state in states])
-    return float(_probability(ks, stacked, g))
+    return np.prod(np.abs(frames[..., : frames.shape[-1] // 3]) ** 2, axis=-1)
 
 
 def evolve_chain(config: ChainConfig) -> EvolutionResult:
@@ -340,20 +257,15 @@ def evolve_chain(config: ChainConfig) -> EvolutionResult:
     The integration does not depend on the process it runs in, so
     identical configs give bit-identical results.
     """
-    ks = momentum_grid(config.n)
-    half = len(ks)
     schedule = config.schedule
     times = np.linspace(0.0, schedule.duration, max(config.trace_points, 2))
-    y0 = np.concatenate((np.ones(half), np.zeros(2 * half))).astype(complex)
-    samples, drift, steps = _integrate(ks, y0, times, config)
-    # the last sample sits at the target field itself, not at its rounded ramp value
-    fields = np.array([schedule.value(float(t)) for t in times[:-1]] + [schedule.gf])[:, None]
-    # prod |d_g|^2, evaluated as ground_state_probability does on the lab
-    # state, so that a chain and its modes from evolve_mode agree to the bit
-    probs = _probability(ks, _lab_states(ks, samples, fields), fields)
+    samples, drift, steps = _integrate(config, times)
+    probs = ground_state_probability(samples)
     if not config.trace_points:
         return EvolutionResult(float(probs[-1]), None, drift, steps)
-    trace = [(float(t), float(g), float(p)) for t, g, p in zip(times, fields[:, 0], probs)]
+    # the last sample sits at the target field itself, not at its rounded ramp value
+    fields = [schedule.value(float(t)) for t in times[:-1]] + [schedule.gf]
+    trace = [(float(t), float(g), float(p)) for t, g, p in zip(times, fields, probs)]
     return EvolutionResult(trace[-1][2], trace, drift, steps)
 
 

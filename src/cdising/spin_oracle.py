@@ -20,7 +20,7 @@ from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .coefficients import CouplingModel, coupling_set
-from .dynamics import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, IntegrationError, Schedule
+from .dynamics import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, IntegrationError, Schedule, check_tolerances
 
 MAX_SPINS = 10
 
@@ -198,6 +198,7 @@ def dense_evolve(
     never leaves that sector, so only its 2^(n-1) amplitudes are carried.
     """
     _check_size(n)
+    check_tolerances(rel_tol, abs_tol)
     sector = _even_sector(n)
     dim = sector.size
     hx = _bond_sum(n, sector)

@@ -22,23 +22,22 @@ from cdising import (
     CouplingKind,
     CouplingModel,
     Schedule,
-    cd_drive_exact,
-    cd_drive_from_couplings,
-    cd_drive_thermo,
+    coupling_exact,
+    evolve_chain,
+    momentum_grid,
+)
+from cdising.coefficients import (
     cos_multiple_expansion,
     cos_sum,
     cos_sum_exact,
-    coupling_exact,
     coupling_sum,
-    dispersion_ground_energy,
-    evolve_chain,
     identity_residuals,
-    momentum_grid,
     power_sum,
     power_sum_exact,
-    sector_ground_energy,
     sin_product_expansion,
 )
+from cdising.dynamics import cd_drive_exact, cd_drive_from_couplings, cd_drive_thermo, dispersion_ground_energy
+from cdising.spin_oracle import sector_ground_energy
 from cdising.experiments import (
     run_oracle_comparison,
     run_size_sweep,

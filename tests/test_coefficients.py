@@ -7,22 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from cdising import (
-    CouplingKind,
-    CouplingModel,
+from cdising import CouplingKind, CouplingModel, coupling_exact, coupling_set, momentum_grid
+from cdising.coefficients import (
     correlation_length,
     cos_multiple_expansion,
     cos_sum,
     cos_sum_exact,
     cos_sum_series,
-    coupling_exact,
     coupling_series,
-    coupling_set,
     coupling_sum,
     coupling_thermo,
     coupling_truncated,
     identity_residuals,
-    momentum_grid,
     period_sign,
     power_sum,
     power_sum_exact,

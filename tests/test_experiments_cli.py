@@ -8,19 +8,10 @@ import math
 
 import pytest
 
-from cdising import (
-    CouplingKind,
-    CouplingModel,
-    cd_drive_exact,
-    cd_drive_from_couplings,
-    cd_drive_thermo,
-    cos_multiple_expansion,
-    dense_evolve,
-    momentum_grid,
-)
-from cdising import experiments
+from cdising import ChainConfig, CouplingKind, CouplingModel, dense_evolve, experiments, momentum_grid
 from cdising.cli import _COMMANDS, main
-from cdising.dynamics import ChainConfig
+from cdising.coefficients import cos_multiple_expansion
+from cdising.dynamics import cd_drive_exact, cd_drive_from_couplings, cd_drive_thermo
 from cdising.experiments import (
     Check,
     RunManifest,
@@ -170,6 +161,25 @@ def test_cli_bad_arguments_exit_2(capsys):
         main(["coeffs", "--no-such-flag"])
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["evolve", "--n", "20", "--coupling", "thermo", "--abs-tol", "inf"], "abs_tol"),
+        (["evolve", "--n", "4", "--rel-tol", "nan"], "rel_tol"),
+        (["evolve", "--n", "4", "--g0", "nan"], "g0"),
+        (["evolve", "--n", "4", "--gf", "inf"], "gf"),
+        (["evolve", "--n", "4", "--t-final", "1e-120"], "duration"),
+        (["evolve", "--n", "4", "--t-final", "1e200"], "duration"),
+        (["trace", "--n", "4", "--t-final", "nan"], "duration"),
+        (["oracle", "--n", "4", "--abs-tol", "-1"], "abs_tol"),
+    ],
+)
+def test_cli_rejects_bad_ramp_and_tolerances_naming_the_parameter(argv, name, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
 
 
 def test_cli_unwritable_path_exits_3(capsys):

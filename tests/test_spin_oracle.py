@@ -7,14 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from cdising import (
-    CouplingKind,
-    CouplingModel,
-    Schedule,
+from cdising import ChainConfig, CouplingKind, CouplingModel, Schedule, dense_evolve, evolve_chain
+from cdising.dynamics import dispersion_ground_energy
+from cdising.spin_oracle import (
     cd_hamiltonian,
-    dense_evolve,
-    dispersion_ground_energy,
-    evolve_chain,
     ising_hamiltonian,
     multi_spin_term,
     parity_ground_state,
@@ -22,7 +18,6 @@ from cdising import (
     pauli_string,
     sector_ground_energy,
 )
-from cdising.dynamics import ChainConfig
 from cdising.spin_oracle import _even_sector, _ising, _multi_spin
 
 EXACT = CouplingModel(CouplingKind.EXACT)
@@ -168,6 +163,13 @@ def test_dense_truncated_small_chain():
     dense = dense_evolve(2, ramp, bare)
     fermionic = evolve_chain(ChainConfig(2, ramp, bare)).p_gs
     assert abs(dense - fermionic) <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_dense_evolve_rejects_bad_tolerances(name, bad):
+    with pytest.raises(ValueError, match=name):
+        dense_evolve(4, Schedule(5.0, 0.0, 1.0), EXACT, **{name: bad})
 
 
 def test_dense_size_validation():
