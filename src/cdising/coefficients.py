@@ -8,7 +8,10 @@ machinery needed to cross-check all of them.
 
 Every function here is a pure function of its arguments. Fields are
 dimensionless; chains are periodic with even length; the momentum grid is the
-positive half of the even-parity sector.
+positive half of the even-parity sector. Each coupling, grid sum and sign
+takes its range m (power_sum its order) as a scalar or an array, the way the
+drive kernels take k: one closed form per coefficient, which coupling_set
+calls once on the array of ranges.
 """
 
 from __future__ import annotations
@@ -30,10 +33,22 @@ def _check_chain_length(n: int) -> None:
         raise ValueError(f"chain length must be even and >= 2, got {n}")
 
 
-def _check_range_index(m: int, n: int) -> None:
-    # The closed forms hold for 0 <= m <= n-1 only; m = n is provably wrong.
-    if not 0 <= m <= n - 1:
-        raise ValueError(f"range index m={m} outside [0, {n - 1}]")
+def _check_ranges(m, low: float, high: float, name: str = "range index m") -> None:
+    # m is a scalar or an array; every entry must lie in [low, high]. On the
+    # short arrays used here a list's min and max cost a fraction of numpy's.
+    lo = hi = m
+    if isinstance(m, np.ndarray):
+        entries = m.ravel().tolist()
+        lo, hi = min(entries), max(entries)
+    if lo < low or hi > high:
+        raise ValueError(f"{name}={lo if lo < low else hi} outside [{low}, {high}]")
+
+
+def _check_field(g: float) -> float:
+    if not 0 <= g < math.inf:
+        raise ValueError(f"field g must be finite and nonnegative, got {g}")
+    # a float base keeps an integer field off numpy's integer power
+    return float(g)
 
 
 def momentum_grid(n: int) -> np.ndarray:
@@ -49,56 +64,51 @@ def momentum_grid(n: int) -> np.ndarray:
     return np.pi * (2.0 * np.arange(n // 2) + 1.0) / n
 
 
-def coupling_exact(m: int, g: float, n: int) -> float:
+def coupling_exact(m, g: float, n: int):
     """Closed-form coupling strength of the (m+1)-spin counterdiabatic term.
 
     Args:
-        m: interaction range, 0 <= m <= n-1 (m = 0 is identically zero).
-        g: transverse field, g >= 0.
+        m: interaction range, 0 <= m <= n-1 (m = 0 is identically zero);
+            a scalar or an array, like every range and order in this module.
+        g: transverse field, finite and g >= 0.
         n: even chain length.
 
     Returns:
-        The coupling, evaluated through the cancellation-free rearrangement
-        for g <= 1 and through the field-inversion duality for g > 1.
+        The coupling, of the shape of m. It is evaluated at x = min(g, 1/g),
+        where no power exceeds 1, and divided by g^2 above g = 1 (the
+        field-inversion duality); 0**0 == 1 keeps the g -> 0+ limit.
     """
     _check_chain_length(n)
-    _check_range_index(m, n)
-    if g < 0:
-        raise ValueError("field must be nonnegative")
-    if m == 0:
-        return 0.0
-    if g == 1.0:
-        return 0.125
-    if g > 1.0:
-        return coupling_exact(m, 1.0 / g, n) / (g * g)
-    # 0 <= g < 1: all exponents nonnegative, no overflow, no 0/0 at g = 0
-    # (0**0 == 1.0 keeps the g -> 0+ limit).
-    return (g ** (m - 1) + g ** (n - m - 1)) / (8.0 * (1.0 + g**n))
+    # the closed form holds for 0 <= m <= n-1 only; m = n is provably wrong
+    _check_ranges(m, 0, n - 1)
+    g = _check_field(g)
+    x = g if g <= 1.0 else 1.0 / g
+    # abs() keeps m = 0 off 0**-1; the (m != 0) factor then zeroes it
+    value = (x ** abs(m - 1) + x ** (n - m - 1)) / (8.0 * (1.0 + x**n)) / max(1.0, g * g)
+    return value * (m != 0)
 
 
-def coupling_sum(m: int, g: float, n: int) -> float:
+def coupling_sum(m, g: float, n: int):
     """Brute-force momentum sum behind coupling_exact.
 
-    Plain left-to-right accumulation of sin(k)sin(mk)/(g^2 - 2g cos k + 1)
-    over the momentum grid, divided by 2n. Accepts any integer m and any
-    real g; the denominator never vanishes on the grid.
+    sin(mk) sin(k)/(g^2 - 2g cos k + 1) summed by numpy over the momentum
+    grid, divided by 2n. Accepts any integer m and any real g; the
+    denominator never vanishes on the grid.
     """
-    total = 0.0
-    for k in momentum_grid(n):
-        total += math.sin(k) * math.sin(m * k) / (g * g - 2.0 * g * math.cos(k) + 1.0)
-    return total / (2.0 * n)
+    ks = momentum_grid(n)
+    weights = np.sin(ks) / (g * g - 2.0 * g * np.cos(ks) + 1.0)
+    return (np.sin(np.multiply.outer(m, ks)) * weights).sum(axis=-1) / (2.0 * n)
 
 
-def cos_sum_exact(m: int, g: float, n: int) -> float:
+def cos_sum_exact(m, g: float, n: int):
     """Closed form of the companion cosine sum (see cos_sum).
 
     The g = 1 value is the analytic limit (n - 2m)/16, hard-coded rather
     than nudged; g > 1 is rearranged to avoid overflowing g**n.
     """
     _check_chain_length(n)
-    _check_range_index(m, n)
-    if g < 0:
-        raise ValueError("field must be nonnegative")
+    _check_ranges(m, 0, n - 1)
+    g = _check_field(g)
     if g == 1.0:
         return (n - 2 * m) / 16.0
     if g > 1.0:
@@ -107,39 +117,30 @@ def cos_sum_exact(m: int, g: float, n: int) -> float:
     return (g ** (n - m) - g**m) / (4.0 * (g**n + 1.0) * (g * g - 1.0)) + 0.0
 
 
-def cos_sum(m: int, g: float, n: int) -> float:
-    """Brute-force sum of cos(mk)/(g^2 - 2g cos k + 1) over the grid, / 2n."""
-    total = 0.0
-    for k in momentum_grid(n):
-        total += math.cos(m * k) / (g * g - 2.0 * g * math.cos(k) + 1.0)
-    return total / (2.0 * n)
+def cos_sum(m, g: float, n: int):
+    """Brute-force sum of cos(mk)/(g^2 - 2g cos k + 1) over the grid, / 2n (numpy)."""
+    ks = momentum_grid(n)
+    denom = g * g - 2.0 * g * np.cos(ks) + 1.0
+    return (np.cos(np.multiply.outer(m, ks)) / denom).sum(axis=-1) / (2.0 * n)
 
 
-def coupling_thermo(m: int, g: float) -> float:
+def coupling_thermo(m, g: float):
     """Thermodynamic-limit approximation to coupling_exact.
 
     g**(m-1)/8 below the critical field, g**(-m-1)/8 at or above it; the
     two branches agree at g = 1. Uses the 0**0 == 1 convention at g = 0.
     """
-    if m < 1:
-        raise ValueError(f"range index m={m} must be >= 1")
-    if g < 0:
-        raise ValueError("field must be nonnegative")
-    if g < 1.0:
-        return g ** (m - 1) / 8.0
-    return g ** (-m - 1) / 8.0
+    _check_ranges(m, 1, math.inf)
+    g = _check_field(g)
+    return (g ** (m - 1) if g < 1.0 else g ** (-m - 1)) / 8.0
 
 
-def coupling_truncated(m: int, g: float, n: int, m_max: int) -> float:
+def coupling_truncated(m, g: float, n: int, m_max: int):
     """Exact coupling for m <= m_max, zero beyond the truncation range."""
     _check_chain_length(n)
-    if not 1 <= m <= n // 2:
-        raise ValueError(f"range index m={m} outside [1, {n // 2}]")
-    if not 0 <= m_max <= n // 2:
-        raise ValueError(f"truncation range {m_max} outside [0, {n // 2}]")
-    if m > m_max:
-        return 0.0
-    return coupling_exact(m, g, n)
+    _check_ranges(m, 1, n // 2)
+    _check_ranges(m_max, 0, n // 2, "truncation range m_max")
+    return coupling_exact(m, g, n) * (m <= m_max)
 
 
 def correlation_length(g: float) -> float:
@@ -155,14 +156,14 @@ def correlation_length(g: float) -> float:
     return 1.0 / abs(math.log(g))
 
 
-def period_sign(m: int, n: int) -> int:
+def period_sign(m, n: int):
     """Sign of the grid average of cos(mk): zero unless n divides m.
 
     Summing cos(mk) over the full momentum grid leaves (-1)**(m/n) times
     n/2 when m is a multiple of n and nothing otherwise; this returns the
-    sign factor (0, +1 or -1).
+    sign factor (0, +1 or -1), of the shape of m.
     """
-    return 0 if m % n else (-1) ** abs(m // n)
+    return (m % n == 0) * (1 - 2 * (m // n % 2))
 
 
 def sin_product_expansion(m: int) -> list[int]:
@@ -208,17 +209,11 @@ def cos_multiple_expansion(m: int) -> list[int]:
     return [int(t) for t in out]
 
 
-def power_sum(order: int, x: float, n: int) -> float:
-    """Brute-force sum of sin(k/2)**(2*order)/(sin(k/2)^2 + sinh(x/2)^2)."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    _check_chain_length(n)
-    shift = math.sinh(0.5 * x) ** 2
-    total = 0.0
-    for k in momentum_grid(n):
-        s2 = math.sin(0.5 * k) ** 2
-        total += s2**order / (s2 + shift)
-    return total
+def power_sum(order, x: float, n: int):
+    """Brute-force sum of sin(k/2)**(2*order)/(sin(k/2)^2 + sinh(x/2)^2), by numpy."""
+    _check_ranges(order, 0, math.inf, "order")
+    s2 = np.sin(0.5 * momentum_grid(n)) ** 2
+    return (s2 ** np.asarray(order)[..., None] / (s2 + math.sinh(0.5 * x) ** 2)).sum(axis=-1)
 
 
 def power_sum_exact(order: int, x: float, n: int) -> float:
@@ -346,44 +341,39 @@ def identity_residuals(g: float, n: int) -> dict[str, float]:
     denom = g * g - 2.0 * g * cos_k + 1.0
     coef_cos = (g * g + 1.0) / (2.0 * g)
     coef_sin2 = ((g * g - 1.0) / (2.0 * g)) ** 2
-    worst = {
-        "cos_cos": 0.0,
-        "cos_sin2": 0.0,
-        "sin_sin_cos": 0.0,
-        "coupling_step": 0.0,
-        "aux_step": 0.0,
+    # one row per range m, one column per momentum
+    ms = np.arange(n - 1)
+    cos_mk = np.cos(np.multiply.outer(ms, ks))
+    sin_mk = np.sin(np.multiply.outer(ms, ks))
+    h = coupling_exact(ms, g, n)
+    f = cos_sum_exact(ms, g, n)
+    d0 = period_sign(ms, n)
+    dm1 = period_sign(ms - 1, n)
+    dp1 = period_sign(ms + 1, n)
+    delta = ms == 0
+    sides = {
+        "cos_cos": (
+            (cos_mk * cos_k / denom).sum(axis=-1) / (2.0 * n),
+            coef_cos * f - d0 / (8.0 * g),
+        ),
+        "cos_sin2": (
+            (cos_mk * sin_k * sin_k / denom).sum(axis=-1) / (2.0 * n),
+            -coef_sin2 * f + (g * g + 1.0) / (16.0 * g * g) * d0 + (dm1 + dp1) / (16.0 * g),
+        ),
+        "sin_sin_cos": (
+            (sin_mk * sin_k * cos_k / denom).sum(axis=-1) / (2.0 * n),
+            coef_cos * h - (dm1 - dp1) / (16.0 * g),
+        ),
+        "coupling_step": (
+            coupling_sum(ms + 1, g, n),
+            coef_cos * h - coef_sin2 * f + (g * g + 1.0) / (16.0 * g * g) * delta,
+        ),
+        "aux_step": (cos_sum(ms + 1, g, n), coef_cos * f - h - delta / (8.0 * g)),
     }
-
-    def update(name: str, lhs: float, rhs: float) -> None:
-        residual = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-        if residual > worst[name]:
-            worst[name] = residual
-
-    for m in range(n - 1):
-        cos_mk = np.cos(m * ks)
-        sin_mk = np.sin(m * ks)
-        h = coupling_exact(m, g, n)
-        f = cos_sum_exact(m, g, n)
-        d0 = period_sign(m, n)
-        dm1 = period_sign(m - 1, n)
-        dp1 = period_sign(m + 1, n)
-
-        lhs = float(np.sum(cos_mk * cos_k / denom)) / (2.0 * n)
-        update("cos_cos", lhs, coef_cos * f - d0 / (8.0 * g))
-
-        lhs = float(np.sum(cos_mk * sin_k * sin_k / denom)) / (2.0 * n)
-        rhs = -coef_sin2 * f + (g * g + 1.0) / (16.0 * g * g) * d0 + (dm1 + dp1) / (16.0 * g)
-        update("cos_sin2", lhs, rhs)
-
-        lhs = float(np.sum(sin_mk * sin_k * cos_k / denom)) / (2.0 * n)
-        update("sin_sin_cos", lhs, coef_cos * h - (dm1 - dp1) / (16.0 * g))
-
-        delta = 1.0 if m == 0 else 0.0
-        rhs = coef_cos * h - coef_sin2 * f + (g * g + 1.0) / (16.0 * g * g) * delta
-        update("coupling_step", coupling_sum(m + 1, g, n), rhs)
-
-        rhs = coef_cos * f - h - delta / (8.0 * g)
-        update("aux_step", cos_sum(m + 1, g, n), rhs)
+    worst = {}
+    for name, (lhs, rhs) in sides.items():
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        worst[name] = float(np.max(np.abs(lhs - rhs) / scale))
     return worst
 
 
@@ -421,32 +411,20 @@ def coupling_set(model: CouplingModel, g: float, n: int) -> np.ndarray:
 
     Args:
         model: coupling family (and truncation cap where applicable).
-        g: field, g >= 0.
+        g: field, finite and g >= 0 for every family.
         n: even chain length.
 
     Returns:
-        Array of n/2 coupling values indexed by m - 1.
+        Array of n/2 coupling values indexed by m - 1, from the family's
+        own function called once on the array of ranges.
     """
     _check_chain_length(n)
+    _check_field(g)
     ms = np.arange(1, n // 2 + 1)
     if model.kind is CouplingKind.DIRECT_SUM:
-        # coupling_sum for every m at once
-        ks = momentum_grid(n)
-        weights = np.sin(ks) / (g * g - 2.0 * g * np.cos(ks) + 1.0)
-        return (np.sin(np.multiply.outer(ms, ks)) * weights).sum(axis=-1) / (2.0 * n)
-    if g < 0:
-        raise ValueError("field must be nonnegative")
-    g = float(g)
+        return coupling_sum(ms, g, n)
     if model.kind is CouplingKind.THERMODYNAMIC:
-        # coupling_thermo for every m at once
-        return (g ** (ms - 1) if g < 1.0 else g ** (-ms - 1)) / 8.0
-    # coupling_exact for every m at once, through its duality above g = 1
-    # (at g = 1 every term is exact and gives 1/8)
-    x = g if g <= 1.0 else 1.0 / g
-    values = (x ** (ms - 1) + x ** (n - ms - 1)) / (8.0 * (1.0 + x**n)) / max(1.0, g * g)
+        return coupling_thermo(ms, g)
     if model.kind is CouplingKind.TRUNCATED:
-        assert model.m_max is not None
-        if model.m_max > n // 2:
-            raise ValueError(f"truncation range {model.m_max} outside [0, {n // 2}]")
-        values[ms > model.m_max] = 0.0
-    return values
+        return coupling_truncated(ms, g, n, model.m_max)
+    return coupling_exact(ms, g, n)

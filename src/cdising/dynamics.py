@@ -45,8 +45,8 @@ class Schedule:
     """Cubic field ramp g(t) with vanishing rate at both ends.
 
     Args:
-        g0: initial field.
-        gf: final field.
+        g0: initial field in [0, 1e100].
+        gf: final field in [0, 1e100].
         duration: total ramp time in [1e-100, 1e100] (dimensionless, hbar = 1).
     """
 
@@ -55,9 +55,10 @@ class Schedule:
     duration: float
 
     def __post_init__(self) -> None:
+        # the drive and the gap square the field, which this bound keeps finite
         for name, value in (("g0", self.g0), ("gf", self.gf)):
-            if not 0 <= value < math.inf:
-                raise ValueError(f"schedule {name} must be finite and nonnegative, got {value}")
+            if not 0 <= value <= 1e100:
+                raise ValueError(f"schedule {name} must lie in [0, 1e100], got {value}")
         # rate() divides by duration**3, which this range keeps a finite normal float
         if not 1e-100 <= self.duration <= 1e100:
             raise ValueError(f"schedule duration must lie in [1e-100, 1e100], got {self.duration}")
@@ -273,7 +274,4 @@ def dispersion_ground_energy(n: int, g: float) -> float:
     """Free-fermion ground energy of the even-parity sector at field g."""
     if g < 0:
         raise ValueError("field must be nonnegative")
-    total = 0.0
-    for k in momentum_grid(n):
-        total += math.sqrt(g * g - 2.0 * g * math.cos(k) + 1.0)
-    return -2.0 * total
+    return -2.0 * float(np.sqrt(g * g - 2.0 * g * np.cos(momentum_grid(n)) + 1.0).sum())

@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from multiprocessing import Pool
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -270,6 +270,14 @@ def _chebyshev_shifted(count: int) -> list[list[int]]:
     return polys
 
 
+def _keep_worst(
+    worst: tuple[float, str], residuals: np.ndarray, scope: Callable[[int], str]
+) -> tuple[float, str]:
+    # the larger of worst and the first largest residual, located by scope(index)
+    at = int(np.argmax(residuals))
+    return (float(residuals[at]), scope(at)) if residuals[at] > worst[0] else worst
+
+
 def run_verification(
     n_values: Sequence[int] = (2, 4, 8, 16, 64, 200),
     g_values: Sequence[float] | None = None,
@@ -294,68 +302,53 @@ def run_verification(
     tol = 1e-12
     checks: list[Check] = []
 
-    def rel(a: float, b: float) -> float:
-        return abs(a - b) / max(1.0, abs(a), abs(b))
+    def rel(a, b):
+        return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
-    # closed forms against brute-force sums, plus duality; worst trackers
-    # start below zero so the reported location is always a real grid point
-    worst_h = worst_f = worst_dual = (-1.0, "")
+    # closed forms against brute-force sums, duality, reduction identities
+    # and power sums, each one array over m (or order) per (n, g); worst
+    # trackers start below zero so the reported location is always a real
+    # grid point.
+    # The power-sum recurrence runs on brute values, which stay O(n) at
+    # every order; the closed form alternates in powers of sinh^2(x/2) and
+    # cancels catastrophically once that shift exceeds 1 (g below
+    # 3 - 2*sqrt(2)), so there the comparison stops at order 4.
+    worst_h = worst_f = worst_dual = worst_id = worst_w = worst_rec = (-1.0, "")
     for n in n_values:
+        ms = np.arange(n)
         for g in g_values:
-            for m in range(n):
-                value = coupling_exact(m, g, n)
-                if corrupt and m == 1 and g == g_values[-1] and n == n_values[-1]:
-                    value += 1e-6
-                r = rel(value, coupling_sum(m, g, n))
-                if r > worst_h[0]:
-                    worst_h = (r, f"m={m} g={g} n={n}")
-                r = rel(cos_sum_exact(m, g, n), cos_sum(m, g, n))
-                if r > worst_f[0]:
-                    worst_f = (r, f"m={m} g={g} n={n}")
-                if g > 0:
-                    r = rel(g * coupling_exact(m, g, n), coupling_exact(m, 1.0 / g, n) / g)
-                    if r > worst_dual[0]:
-                        worst_dual = (r, f"m={m} g={g} n={n}")
-    checks.append(Check("coupling closed vs sum", worst_h[1], worst_h[0], tol))
-    checks.append(Check("cosine sum closed vs sum", worst_f[1], worst_f[0], tol))
-    checks.append(Check("field-inversion duality", worst_dual[1], worst_dual[0], tol))
-
-    # reduction identities and recurrences
-    worst = (-1.0, "")
-    for n in n_values:
-        for g in g_values:
+            where = f"g={g} n={n}"
+            h = coupling_exact(ms, g, n)
+            bump = 1e-6 * (ms == 1) if corrupt and (g, n) == (g_values[-1], n_values[-1]) else 0.0
+            r = rel(h + bump, coupling_sum(ms, g, n))
+            worst_h = _keep_worst(worst_h, r, lambda m: f"m={m} {where}")
+            r = rel(cos_sum_exact(ms, g, n), cos_sum(ms, g, n))
+            worst_f = _keep_worst(worst_f, r, lambda m: f"m={m} {where}")
             if g <= 0:
                 continue
-            for name, residual in identity_residuals(g, n).items():
-                if residual > worst[0]:
-                    worst = (residual, f"{name} g={g} n={n}")
-    checks.append(Check("reduction identities", worst[1], worst[0], tol))
-
-    # power sums: closed form vs brute force, and the half-integer recurrence.
-    # The recurrence runs on brute values, which stay O(n) at every order;
-    # the closed form alternates in powers of sinh^2(x/2) and cancels
-    # catastrophically once that shift exceeds 1 (g below 3 - 2*sqrt(2)),
-    # so there the comparison stops at order 4.
-    worst_w = worst_rec = (-1.0, "")
-    for n in n_values:
-        for g in g_values:
-            if g <= 0 or g == 1.0:
+            r = rel(g * h, coupling_exact(ms, 1.0 / g, n) / g)
+            worst_dual = _keep_worst(worst_dual, r, lambda m: f"m={m} {where}")
+            identities = identity_residuals(g, n)
+            names = list(identities)
+            r = np.array(list(identities.values()))
+            worst_id = _keep_worst(worst_id, r, lambda i: f"{names[i]} {where}")
+            if g == 1.0:
                 continue
             x = math.log(g)
             shift = math.sinh(0.5 * x) ** 2
-            brute = [power_sum(order, x, n) for order in range(n + 1)]
-            closed_orders = n if shift <= 1.0 else min(n, 4)
-            for order in range(closed_orders + 1):
-                r = rel(power_sum_exact(order, x, n), brute[order])
-                if r > worst_w[0]:
-                    worst_w = (r, f"order={order} g={g} n={n}")
-            c = 0.5
-            for order in range(n):
-                step = n * c - brute[order] * shift
-                c = c * (2 * order + 1) / (2 * (order + 1))
-                r = rel(brute[order + 1], step)
-                if r > worst_rec[0]:
-                    worst_rec = (r, f"order={order} g={g} n={n}")
+            brute = power_sum(np.arange(n + 1), x, n)
+            cap = n if shift <= 1.0 else min(n, 4)
+            closed = [power_sum_exact(order, x, n) for order in range(cap + 1)]
+            r = rel(np.array(closed), brute[: cap + 1])
+            worst_w = _keep_worst(worst_w, r, lambda order: f"order={order} {where}")
+            # central-binomial weights binom(2s, s)/2**(2s+1), s = 0 .. n-1
+            weights = 0.5 * np.cumprod(np.r_[1.0, (2.0 * ms[:-1] + 1.0) / (2.0 * ms[1:])])
+            r = rel(brute[1:], n * weights - brute[:-1] * shift)
+            worst_rec = _keep_worst(worst_rec, r, lambda order: f"order={order} {where}")
+    checks.append(Check("coupling closed vs sum", worst_h[1], worst_h[0], tol))
+    checks.append(Check("cosine sum closed vs sum", worst_f[1], worst_f[0], tol))
+    checks.append(Check("field-inversion duality", worst_dual[1], worst_dual[0], tol))
+    checks.append(Check("reduction identities", worst_id[1], worst_id[0], tol))
     checks.append(Check("power sum closed vs sum", worst_w[1], worst_w[0], tol))
     checks.append(Check("power sum recurrence", worst_rec[1], worst_rec[0], tol))
 
@@ -407,16 +400,11 @@ def run_verification(
                 (cd_drive_exact(ks, g), CouplingModel(CouplingKind.EXACT)),
                 (cd_drive_thermo(ks, g, n), CouplingModel(CouplingKind.THERMODYNAMIC)),
             )
-            residuals = []
-            for closed, model in pairs:
-                summed = cd_drive_from_couplings(ks, g, model, n)
-                scale = np.maximum(1.0, np.maximum(np.abs(closed), np.abs(summed)))
-                residuals.append(np.abs(closed - summed) / scale)
-            r = np.column_stack(residuals).ravel()
-            at = int(np.argmax(r))
-            if r[at] > worst[0]:
-                kind = ("exact", "thermo")[at % 2]
-                worst = (float(r[at]), f"{kind} drive k={ks[at // 2]:.3f} g={g} n={n}")
+            r = np.column_stack(
+                [rel(closed, cd_drive_from_couplings(ks, g, model, n)) for closed, model in pairs]
+            ).ravel()
+            scope = lambda i: f"{('exact', 'thermo')[i % 2]} drive k={ks[i // 2]:.3f} g={g} n={n}"
+            worst = _keep_worst(worst, r, scope)
     checks.append(Check("drive resummation", worst[1], worst[0], tol))
 
     # dense spin oracle against the fermionic pipeline

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -425,6 +426,12 @@ def test_coupling_set_matches_scalar_couplings(n):
         coupling_set(CouplingModel(CouplingKind.EXACT), -0.1, n)
     with pytest.raises(ValueError):
         coupling_set(CouplingModel(CouplingKind.TRUNCATED, n // 2 + 1), 0.5, n)
+    # one field check ahead of the dispatch, the same for every family
+    kinds = (CouplingKind.EXACT, CouplingKind.THERMODYNAMIC, CouplingKind.DIRECT_SUM)
+    for model in [CouplingModel(kind) for kind in kinds] + [CouplingModel(CouplingKind.TRUNCATED, 1)]:
+        for bad in (math.nan, math.inf, -0.1):
+            with pytest.raises(ValueError, match="field g must be finite and nonnegative"):
+                coupling_set(model, bad, n)
 
 
 def test_coupling_model_validation_and_labels():
@@ -441,3 +448,51 @@ def test_coupling_maximum_sits_below_critical_field():
     for n, m in ((8, 2), (20, 5)):
         values = [coupling_exact(m, g, n) for g in grid]
         assert grid[int(np.argmax(values))] < 1.0
+
+
+def _assert_within_ulps(values, expected, ulps=4):
+    # numpy's array power and the scalar pow may round apart by an ulp or two
+    expected = np.asarray(expected, dtype=float)
+    assert values.shape == expected.shape
+    assert np.all(np.abs(values - expected) <= ulps * np.spacing(np.abs(expected)))
+
+
+@pytest.mark.parametrize("n", [2, 8, 200])
+@pytest.mark.parametrize("g", [0.0, 0.3, 1.0, 1.7, 5.0])
+def test_array_ranges_match_scalar_calls(n, g):
+    # every range from the m = 0 edge to m = n - 1, one call against n calls
+    ms = np.arange(n)
+    half = np.arange(1, n // 2 + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # 0**-1 at m = 0, g = 0 must not warn
+        cases = [
+            (coupling_exact(ms, g, n), [coupling_exact(m, g, n) for m in range(n)]),
+            (coupling_sum(ms, g, n), [coupling_sum(m, g, n) for m in range(n)]),
+            (cos_sum_exact(ms, g, n), [cos_sum_exact(m, g, n) for m in range(n)]),
+            (cos_sum(ms, g, n), [cos_sum(m, g, n) for m in range(n)]),
+            (coupling_thermo(ms[1:], g), [coupling_thermo(m, g) for m in range(1, n)]),
+        ]
+        for cap in (0, 1, n // 2):
+            values = coupling_truncated(half, g, n, cap)
+            cases.append((values, [coupling_truncated(m, g, n, cap) for m in range(1, n // 2 + 1)]))
+        if g > 0:
+            orders = np.arange(n + 1)
+            x = math.log(g)
+            cases.append((power_sum(orders, x, n), [power_sum(order, x, n) for order in range(n + 1)]))
+        for values, expected in cases:
+            _assert_within_ulps(values, expected)
+    signs = np.arange(-n, 3 * n + 1)
+    assert np.array_equal(period_sign(signs, n), [period_sign(int(m), n) for m in signs])
+
+
+def test_array_ranges_are_validated_entry_by_entry():
+    with pytest.raises(ValueError, match="range index m=8"):
+        coupling_exact(np.array([0, 3, 8]), 0.5, 8)
+    with pytest.raises(ValueError, match="range index m=-1"):
+        cos_sum_exact(np.array([-1, 3]), 0.5, 8)
+    with pytest.raises(ValueError, match="range index m=0"):
+        coupling_thermo(np.arange(3), 0.5)
+    with pytest.raises(ValueError, match="range index m=5"):
+        coupling_truncated(np.arange(1, 6), 0.5, 8, 2)
+    with pytest.raises(ValueError, match="order=-1"):
+        power_sum(np.array([2, -1]), 0.5, 8)

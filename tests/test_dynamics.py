@@ -76,6 +76,9 @@ def test_schedule_validation():
         # rate() divides by duration**3, which underflows or overflows here
         (5.0, 0.0, 1e-120, "duration"),
         (5.0, 0.0, 1e200, "duration"),
+        # the drive squares the field, which overflows here
+        (1e200, 0.0, 1.0, "g0"),
+        (5.0, 1e200, 1.0, "gf"),
     ],
 )
 def test_schedule_rejects_nonfinite_fields_and_unrepresentable_durations(g0, gf, duration, name):
@@ -87,6 +90,14 @@ def test_schedule_duration_range_edges_give_finite_rates():
     for duration in (1e-100, 1e100):
         ramp = Schedule(5.0, 0.0, duration)
         assert math.isfinite(ramp.rate(0.5 * duration)) and ramp.rate(0.5 * duration) < 0
+
+
+def test_schedule_field_bound_runs_every_family_clean():
+    # RuntimeWarnings fail the suite, so an overflowing g*g would show here
+    for model in (EXACT, CouplingModel(CouplingKind.THERMODYNAMIC),
+                  CouplingModel(CouplingKind.TRUNCATED, 1), CouplingModel(CouplingKind.DIRECT_SUM)):
+        result = evolve_chain(ChainConfig(4, Schedule(1e100, 0.0, 1.0), model))
+        assert 0.0 <= result.p_gs <= 1.0 + 1e-12
 
 
 def test_chain_config_validation():
@@ -279,3 +290,11 @@ def test_dispersion_ground_energy():
     assert math.isclose(dispersion_ground_energy(4, 0.0), -4.0, rel_tol=1e-15)
     with pytest.raises(ValueError):
         dispersion_ground_energy(4, -1.0)
+
+
+def test_dispersion_ground_energy_matches_mode_loop():
+    # the numpy sum against an exactly rounded sum of the mode energies
+    for n in (8, 200):
+        for g in (0.3, 1.0, 1.7):
+            modes = [math.sqrt(g * g - 2.0 * g * math.cos(k) + 1.0) for k in momentum_grid(n)]
+            assert math.isclose(dispersion_ground_energy(n, g), -2.0 * math.fsum(modes), rel_tol=1e-14)

@@ -113,6 +113,7 @@ def test_run_verification_clean_and_corrupt():
     corrupted = run_verification([2, 4], [0.5, 2.0], oracle_sizes=[], corrupt=True)
     failed = [check for check in corrupted if not check.passed]
     assert [check.name for check in failed] == ["coupling closed vs sum"]
+    assert failed[0].scope == "m=1 g=2.0 n=4"
 
 
 def test_verification_report_format():
@@ -174,6 +175,10 @@ def test_cli_bad_arguments_exit_2(capsys):
         (["evolve", "--n", "4", "--t-final", "1e200"], "duration"),
         (["trace", "--n", "4", "--t-final", "nan"], "duration"),
         (["oracle", "--n", "4", "--abs-tol", "-1"], "abs_tol"),
+        (["evolve", "--n", "4", "--g0", "1e200"], "g0"),
+        (["coeffs", "--n", "4", "--g0", "nan"], "field g"),
+        (["coeffs", "--n", "4", "--g0", "inf"], "field g"),
+        (["coeffs", "--n", "4", "--g0", "-1", "--coupling", "direct"], "field g"),
     ],
 )
 def test_cli_rejects_bad_ramp_and_tolerances_naming_the_parameter(argv, name, capsys):
