@@ -34,7 +34,6 @@ from .dynamics import (
     Schedule,
     evolve_chain,
 )
-from .spin_oracle import MAX_SPINS
 
 
 def _int_list(text: str) -> list[int]:
@@ -75,8 +74,8 @@ _M_MAX = _Param("m_max", int, None, "truncation range for --coupling truncated")
 _JOBS = _Param("jobs", int, 1, "worker processes")
 
 
-def _coupling(default: str) -> _Param:
-    return _Param("coupling", str, default, "coupling model", tuple(k.value for k in CouplingKind))
+def _coupling(default: str, kinds: tuple[CouplingKind, ...] = tuple(CouplingKind)) -> _Param:
+    return _Param("coupling", str, default, "coupling model", tuple(k.value for k in kinds))
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -124,7 +123,7 @@ def _model(p: dict) -> CouplingModel:
 
 def _save(command: str, p: dict, columns: tuple[str, ...], rows) -> None:
     params = {key: value for key, value in p.items() if key not in ("out", "jobs")}
-    experiments.save_csv(p["out"], experiments.RunManifest(command, params), columns, rows)
+    experiments.save_csv(p["out"], command, params, columns, rows)
 
 
 def cmd_coeffs(p: dict) -> int:
@@ -161,10 +160,7 @@ def cmd_trace(p: dict) -> int:
 
 
 def cmd_verify(p: dict) -> int:
-    oracle_sizes = [n for n in p["n"] if n <= MAX_SPINS]
-    checks = experiments.run_verification(
-        p["n"], p["g_grid"], oracle_sizes, p["self_test_corrupt"]
-    )
+    checks = experiments.run_verification(p["n"], p["g_grid"], p["self_test_corrupt"])
     ok = experiments.verification_report(checks, sys.stdout)
     if p["out"] is not None:
         rows = [
@@ -214,7 +210,9 @@ _COMMANDS: dict[str, tuple[Callable[[dict], int], str, tuple[_Param, ...]]] = {
         "final probability over chain lengths and ramp durations",
         (_Param("n", _int_list, list(range(10, 201, 10)), _N_LIST_HELP),
          _Param("t_final", _float_list, [1.0, 10.0, 100.0], "comma-separated ramp durations"),
-         _coupling("thermo"), *_RAMP, *_TOLERANCES, _JOBS),
+         # no --m-max here, so no truncated model either
+         _coupling("thermo", tuple(k for k in CouplingKind if k is not CouplingKind.TRUNCATED)),
+         *_RAMP, *_TOLERANCES, _JOBS),
     ),
     "trace": (
         cmd_trace,

@@ -77,13 +77,6 @@ class Schedule:
         return 6.0 * (self.gf - self.g0) * t * (self.duration - t) / self.duration**3
 
 
-def check_tolerances(rel_tol: float, abs_tol: float) -> None:
-    """Raise ValueError, naming the tolerance, unless both are finite and positive."""
-    for name, value in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
 @dataclass(frozen=True)
 class ChainConfig:
     """One chain evolution: length, ramp, coupling model, solver knobs."""
@@ -98,7 +91,9 @@ class ChainConfig:
     def __post_init__(self) -> None:
         if self.n < 2 or self.n % 2:
             raise ValueError(f"chain length must be even and >= 2, got {self.n}")
-        check_tolerances(self.rel_tol, self.abs_tol)
+        for name, value in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.trace_points < 0 or self.trace_points == 1:
             raise ValueError("trace needs at least 2 samples (0 disables it)")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import datetime
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Callable, Iterable, Sequence, TextIO
 
@@ -50,64 +50,35 @@ from .dynamics import (
 from .spin_oracle import MAX_SPINS, dense_evolve, sector_ground_energy
 
 
-@dataclass
-class RunManifest:
-    """Provenance header serialized into every output file."""
-
-    command: str
-    params: dict[str, object]
-    version: str = __version__
-    timestamp: str = field(
-        default_factory=lambda: datetime.datetime.now(datetime.timezone.utc).isoformat()
-    )
-
-    def lines(self) -> list[str]:
-        out = [
-            f"# command = {self.command}",
-            f"# version = cdising {self.version}",
-            f"# timestamp = {self.timestamp}",
-        ]
-        for key in sorted(self.params):
-            out.append(f"# {key} = {self.params[key]}")
-        return out
-
-
-def _format_cell(value: object) -> str:
-    # repr round-trips floats exactly and never prints fewer than the
-    # significant digits the value carries
-    if isinstance(value, float):
-        # float() first: numpy scalars pass the isinstance check but
-        # repr as np.float64(...)
-        return repr(float(value))
-    return str(value)
-
-
-def write_csv(
-    stream: TextIO,
-    manifest: RunManifest,
-    columns: Sequence[str],
-    rows: Iterable[Sequence[object]],
-) -> None:
-    """Write manifest comments, a header row and data rows with LF endings."""
-    for line in manifest.lines():
-        stream.write(line + "\n")
-    stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(_format_cell(cell) for cell in row) + "\n")
-
-
 def save_csv(
     path: str | None,
-    manifest: RunManifest,
+    command: str,
+    params: dict[str, object],
     columns: Sequence[str],
     rows: Iterable[Sequence[object]],
 ) -> None:
-    """write_csv to a path, or to stdout when path is None."""
+    """Write a run as CSV with LF endings, to path or to stdout when path is None.
+
+    The file opens with the manifest: "# key = value" comment lines for the
+    command, the package version, a UTC timestamp and each parameter in key
+    order. The header row and the data rows follow; floats are written by
+    repr, which round-trips them exactly.
+    """
+    lines = [f"# command = {command}", f"# version = cdising {__version__}"]
+    lines.append(f"# timestamp = {datetime.datetime.now(datetime.timezone.utc).isoformat()}")
+    lines += [f"# {key} = {params[key]}" for key in sorted(params)]
+    lines.append(",".join(columns))
+    # float() first: numpy scalars pass the isinstance check but repr as np.float64(...)
+    lines += [
+        ",".join(repr(float(cell)) if isinstance(cell, float) else str(cell) for cell in row)
+        for row in rows
+    ]
+    text = "\n".join(lines) + "\n"
     if path is None:
-        write_csv(sys.stdout, manifest, columns, rows)
+        sys.stdout.write(text)
         return
     with open(path, "w", encoding="ascii", newline="") as stream:
-        write_csv(stream, manifest, columns, rows)
+        stream.write(text)
 
 
 def run_coeffs(n: int, g: float, model: CouplingModel) -> list[tuple[int, float]]:
@@ -230,8 +201,9 @@ def run_oracle_comparison(
     schedule = Schedule(g0, gf, t_final)
     rows = []
     for model in models:
-        dense = dense_evolve(n, schedule, model, rel_tol, abs_tol)
-        fermionic = evolve_chain(ChainConfig(n, schedule, model, rel_tol, abs_tol)).p_gs
+        config = ChainConfig(n, schedule, model, rel_tol, abs_tol)
+        dense = dense_evolve(config)
+        fermionic = evolve_chain(config).p_gs
         rows.append((model.label(), dense, fermionic, abs(dense - fermionic)))
     return rows
 
@@ -270,132 +242,75 @@ def _chebyshev_shifted(count: int) -> list[list[int]]:
     return polys
 
 
-def _keep_worst(
-    worst: tuple[float, str], residuals: np.ndarray, scope: Callable[[int], str]
-) -> tuple[float, str]:
-    # the larger of worst and the first largest residual, located by scope(index)
-    at = int(np.argmax(residuals))
-    return (float(residuals[at]), scope(at)) if residuals[at] > worst[0] else worst
+# every verification check, in report order, with the largest residual it passes at
+CHECKS = {
+    "coupling closed vs sum": 1e-12,
+    "cosine sum closed vs sum": 1e-12,
+    "field-inversion duality": 1e-12,
+    "reduction identities": 1e-12,
+    "power sum closed vs sum": 1e-12,
+    "power sum recurrence": 1e-12,
+    "expansion Chebyshev identity": 0.5,
+    "expansion reconstruction": 1e-10,
+    "drive resummation": 1e-12,
+    "dense ground energies": 1e-10,
+    "dense vs fermionic evolution": 1e-6,
+}
 
 
 def run_verification(
     n_values: Sequence[int] = (2, 4, 8, 16, 64, 200),
     g_values: Sequence[float] | None = None,
-    oracle_sizes: Sequence[int] = (2, 4, 8),
     corrupt: bool = False,
 ) -> list[Check]:
     """Full identity and cross-pipeline verification suite.
 
     Args:
-        n_values: chain lengths for the coefficient checks.
+        n_values: chain lengths for the coefficient checks; the dense
+            spin-oracle checks run at each of them up to MAX_SPINS.
         g_values: fields; defaults to a grid over [0.05, 5] plus {0, 1}.
-        oracle_sizes: lengths (<= 10, possibly empty) for the dense
-            spin-oracle equivalence runs.
         corrupt: self-test switch; perturbs one closed-form coupling so
             the suite must report a failure.
 
     Returns:
-        One Check per verification family, worst case over the grid.
+        One Check per entry of CHECKS that the grid reaches, worst case
+        over the grid, in CHECKS order; a check with no grid point in
+        reach (the duality at g = 0 alone, say) is left out.
     """
     if g_values is None:
         g_values = _default_verify_grid()
-    tol = 1e-12
-    checks: list[Check] = []
+    for name, values in (("n_values", n_values), ("g_values", g_values)):
+        if len(values) == 0:
+            raise ValueError(f"{name} must list at least one value")
+    worst: dict[str, tuple[float, str]] = {}
+
+    def keep(name: str, residuals, scope: Callable[[int], str]) -> None:
+        # the first largest residual, located by scope(index), replaces the
+        # check's worst so far only when strictly larger
+        residuals = np.atleast_1d(residuals)
+        at = int(np.argmax(residuals))
+        if name not in worst or residuals[at] > worst[name][0]:
+            worst[name] = (float(residuals[at]), scope(at))
 
     def rel(a, b):
         return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
-    # closed forms against brute-force sums, duality, reduction identities
-    # and power sums, each one array over m (or order) per (n, g); worst
-    # trackers start below zero so the reported location is always a real
-    # grid point.
+    # closed forms against brute-force sums, duality, reduction identities,
+    # power sums and drive resummations, each one array over m (or order,
+    # or momentum) per (n, g).
     # The power-sum recurrence runs on brute values, which stay O(n) at
     # every order; the closed form alternates in powers of sinh^2(x/2) and
     # cancels catastrophically once that shift exceeds 1 (g below
     # 3 - 2*sqrt(2)), so there the comparison stops at order 4.
-    worst_h = worst_f = worst_dual = worst_id = worst_w = worst_rec = (-1.0, "")
     for n in n_values:
         ms = np.arange(n)
-        for g in g_values:
-            where = f"g={g} n={n}"
-            h = coupling_exact(ms, g, n)
-            bump = 1e-6 * (ms == 1) if corrupt and (g, n) == (g_values[-1], n_values[-1]) else 0.0
-            r = rel(h + bump, coupling_sum(ms, g, n))
-            worst_h = _keep_worst(worst_h, r, lambda m: f"m={m} {where}")
-            r = rel(cos_sum_exact(ms, g, n), cos_sum(ms, g, n))
-            worst_f = _keep_worst(worst_f, r, lambda m: f"m={m} {where}")
-            if g <= 0:
-                continue
-            r = rel(g * h, coupling_exact(ms, 1.0 / g, n) / g)
-            worst_dual = _keep_worst(worst_dual, r, lambda m: f"m={m} {where}")
-            identities = identity_residuals(g, n)
-            names = list(identities)
-            r = np.array(list(identities.values()))
-            worst_id = _keep_worst(worst_id, r, lambda i: f"{names[i]} {where}")
-            if g == 1.0:
-                continue
-            x = math.log(g)
-            shift = math.sinh(0.5 * x) ** 2
-            brute = power_sum(np.arange(n + 1), x, n)
-            cap = n if shift <= 1.0 else min(n, 4)
-            closed = [power_sum_exact(order, x, n) for order in range(cap + 1)]
-            r = rel(np.array(closed), brute[: cap + 1])
-            worst_w = _keep_worst(worst_w, r, lambda order: f"order={order} {where}")
-            # central-binomial weights binom(2s, s)/2**(2s+1), s = 0 .. n-1
-            weights = 0.5 * np.cumprod(np.r_[1.0, (2.0 * ms[:-1] + 1.0) / (2.0 * ms[1:])])
-            r = rel(brute[1:], n * weights - brute[:-1] * shift)
-            worst_rec = _keep_worst(worst_rec, r, lambda order: f"order={order} {where}")
-    checks.append(Check("coupling closed vs sum", worst_h[1], worst_h[0], tol))
-    checks.append(Check("cosine sum closed vs sum", worst_f[1], worst_f[0], tol))
-    checks.append(Check("field-inversion duality", worst_dual[1], worst_dual[0], tol))
-    checks.append(Check("reduction identities", worst_id[1], worst_id[0], tol))
-    checks.append(Check("power sum closed vs sum", worst_w[1], worst_w[0], tol))
-    checks.append(Check("power sum recurrence", worst_rec[1], worst_rec[0], tol))
-
-    # expansions cross-checked exactly against the Chebyshev route:
-    # cos(mk) = T_m(1 - 2 sin^2(k/2)), and the sine product is half the
-    # difference of the neighboring cosine expansions
-    worst = (-1.0, "")
-    cheb = _chebyshev_shifted(65)
-    for m in range(65):
-        b = cos_multiple_expansion(m)
-        diff = max(abs(x - y) for x, y in zip(b + [0] * 66, cheb[m] + [0] * 66))
-        if diff > worst[0]:
-            worst = (float(diff), f"cos expansion m={m}")
-        if m == 0:
-            continue
-        a = sin_product_expansion(m)
-        low = cheb[m - 1] + [0] * 66
-        high = cheb[m + 1] + [0] * 66
-        diff = max(abs(2 * a[s] - (low[s + 1] - high[s + 1])) for s in range(m + 1))
-        if diff > worst[0]:
-            worst = (float(diff), f"sin expansion m={m}")
-    checks.append(Check("expansion Chebyshev identity", worst[1], worst[0], 0.5))
-
-    # and a small-order float reconstruction to tie them to actual angles;
-    # the alternating terms cancel to ~4^m eps near k = pi, so this family
-    # gets the expansion tolerance, not the identity one
-    worst = (-1.0, "")
-    for m in range(7):
-        for k in np.linspace(0.1, math.pi - 0.1, 7):
-            s2 = math.sin(0.5 * k) ** 2
-            rebuilt = sum(c * s2 ** (s + 1) for s, c in enumerate(sin_product_expansion(m)))
-            r = abs(rebuilt - math.sin(k) * math.sin(m * k))
-            if r > worst[0]:
-                worst = (r, f"sin expansion m={m} k={k:.3f}")
-            rebuilt = sum(c * s2**s for s, c in enumerate(cos_multiple_expansion(m)))
-            r = abs(rebuilt - math.cos(m * k))
-            if r > worst[0]:
-                worst = (r, f"cos expansion m={m} k={k:.3f}")
-    checks.append(Check("expansion reconstruction", worst[1], worst[0], 1e-10))
-
-    # drive resummations against the literal coupling sums, each kernel
-    # called once per (n, g) on the whole momentum grid; the residuals sit
-    # k by k, exact before thermo, which is the order the worst is kept in
-    worst = (-1.0, "")
-    for n in n_values:
         ks = momentum_grid(n)
         for g in g_values:
+            where = f"g={g} n={n}"
+            at_m = lambda m: f"m={m} {where}"
+            at_order = lambda order: f"order={order} {where}"
+            # each drive kernel once on the whole momentum grid; the
+            # residuals sit k by k, exact before thermo
             pairs = (
                 (cd_drive_exact(ks, g), CouplingModel(CouplingKind.EXACT)),
                 (cd_drive_thermo(ks, g, n), CouplingModel(CouplingKind.THERMODYNAMIC)),
@@ -403,28 +318,77 @@ def run_verification(
             r = np.column_stack(
                 [rel(closed, cd_drive_from_couplings(ks, g, model, n)) for closed, model in pairs]
             ).ravel()
-            scope = lambda i: f"{('exact', 'thermo')[i % 2]} drive k={ks[i // 2]:.3f} g={g} n={n}"
-            worst = _keep_worst(worst, r, scope)
-    checks.append(Check("drive resummation", worst[1], worst[0], tol))
+            keep(
+                "drive resummation", r,
+                lambda i: f"{('exact', 'thermo')[i % 2]} drive k={ks[i // 2]:.3f} {where}",
+            )
+            h = coupling_exact(ms, g, n)
+            bump = 1e-6 * (ms == 1) if corrupt and (g, n) == (g_values[-1], n_values[-1]) else 0.0
+            keep("coupling closed vs sum", rel(h + bump, coupling_sum(ms, g, n)), at_m)
+            keep("cosine sum closed vs sum", rel(cos_sum_exact(ms, g, n), cos_sum(ms, g, n)), at_m)
+            if g <= 0:
+                continue
+            keep("field-inversion duality", rel(g * h, coupling_exact(ms, 1.0 / g, n) / g), at_m)
+            identities = identity_residuals(g, n)
+            names = list(identities)
+            keep("reduction identities", list(identities.values()), lambda i: f"{names[i]} {where}")
+            if g == 1.0:
+                continue
+            x = math.log(g)
+            shift = math.sinh(0.5 * x) ** 2
+            brute = power_sum(np.arange(n + 1), x, n)
+            cap = n if shift <= 1.0 else min(n, 4)
+            closed = [power_sum_exact(order, x, n) for order in range(cap + 1)]
+            keep("power sum closed vs sum", rel(np.array(closed), brute[: cap + 1]), at_order)
+            # central-binomial weights binom(2s, s)/2**(2s+1), s = 0 .. n-1
+            weights = 0.5 * np.cumprod(np.r_[1.0, (2.0 * ms[:-1] + 1.0) / (2.0 * ms[1:])])
+            keep("power sum recurrence", rel(brute[1:], n * weights - brute[:-1] * shift), at_order)
+
+    # expansions cross-checked exactly against the Chebyshev route:
+    # cos(mk) = T_m(1 - 2 sin^2(k/2)), and the sine product is half the
+    # difference of the neighboring cosine expansions
+    cheb = _chebyshev_shifted(65)
+    for m in range(65):
+        b = cos_multiple_expansion(m)
+        diff = max(abs(x - y) for x, y in zip(b + [0] * 66, cheb[m] + [0] * 66))
+        keep("expansion Chebyshev identity", float(diff), lambda _: f"cos expansion m={m}")
+        if m == 0:
+            continue
+        a = sin_product_expansion(m)
+        low = cheb[m - 1] + [0] * 66
+        high = cheb[m + 1] + [0] * 66
+        diff = max(abs(2 * a[s] - (low[s + 1] - high[s + 1])) for s in range(m + 1))
+        keep("expansion Chebyshev identity", float(diff), lambda _: f"sin expansion m={m}")
+
+    # and a small-order float reconstruction to tie them to actual angles;
+    # the alternating terms cancel to ~4^m eps near k = pi, so this family
+    # gets the expansion tolerance, not the identity one
+    for m in range(7):
+        for k in np.linspace(0.1, math.pi - 0.1, 7):
+            s2 = math.sin(0.5 * k) ** 2
+            rebuilt = sum(c * s2 ** (s + 1) for s, c in enumerate(sin_product_expansion(m)))
+            r = abs(rebuilt - math.sin(k) * math.sin(m * k))
+            keep("expansion reconstruction", r, lambda _: f"sin expansion m={m} k={k:.3f}")
+            rebuilt = sum(c * s2**s for s, c in enumerate(cos_multiple_expansion(m)))
+            r = abs(rebuilt - math.cos(m * k))
+            keep("expansion reconstruction", r, lambda _: f"cos expansion m={m} k={k:.3f}")
 
     # dense spin oracle against the fermionic pipeline
-    worst_p = (-1.0, "")
-    worst_e = (-1.0, "")
-    for n in oracle_sizes:
+    for n in n_values:
         if n > MAX_SPINS:
-            raise ValueError(f"oracle sizes must be <= {MAX_SPINS}")
+            continue
         for g in (0.0, 0.5, 1.0, 2.0):
             r = abs(sector_ground_energy(n, g) - dispersion_ground_energy(n, g))
-            if r > worst_e[0]:
-                worst_e = (r, f"g={g} n={n}")
-        rows = run_oracle_comparison(n, [CouplingModel(CouplingKind.EXACT)], t_final=1.0)
-        for label, _, _, diff in rows:
-            if diff > worst_p[0]:
-                worst_p = (diff, f"{label} n={n} t_final=1")
-    if oracle_sizes:
-        checks.append(Check("dense ground energies", worst_e[1], worst_e[0], 1e-10))
-        checks.append(Check("dense vs fermionic evolution", worst_p[1], worst_p[0], 1e-6))
-    return checks
+            keep("dense ground energies", r, lambda _: f"g={g} n={n}")
+        for label, _, _, diff in run_oracle_comparison(
+            n, [CouplingModel(CouplingKind.EXACT)], t_final=1.0
+        ):
+            keep("dense vs fermionic evolution", diff, lambda _: f"{label} n={n} t_final=1")
+    return [
+        Check(name, worst[name][1], worst[name][0], threshold)
+        for name, threshold in CHECKS.items()
+        if name in worst
+    ]
 
 
 def verification_report(checks: Sequence[Check], stream: TextIO) -> bool:

@@ -20,7 +20,7 @@ from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .coefficients import CouplingModel, coupling_set
-from .dynamics import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, IntegrationError, Schedule, check_tolerances
+from .dynamics import ChainConfig, IntegrationError
 
 MAX_SPINS = 10
 
@@ -182,27 +182,26 @@ def sector_ground_energy(n: int, g: float) -> float:
     return float(np.linalg.eigvalsh(_real_block(n, g, _even_sector(n)))[0])
 
 
-def dense_evolve(
-    n: int,
-    schedule: Schedule,
-    model: CouplingModel,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-) -> float:
-    """Schrodinger evolution of n spins; squared overlap with the target state.
+def dense_evolve(config: ChainConfig) -> float:
+    """Schrodinger evolution of config.n spins; squared overlap with the target state.
 
     Starts from the positive-parity ground state at the initial field,
     integrates under chain Hamiltonian plus counterdiabatic term with the
-    same adaptive integrator contract as the mode evolution, and projects
-    onto the positive-parity ground state at the final field. The state
-    never leaves that sector, so only its 2^(n-1) amplitudes are carried.
+    config's ramp, coupling model and tolerances, and projects onto the
+    positive-parity ground state at the final field. The state never
+    leaves that sector, so only its 2^(n-1) amplitudes are carried. Only
+    the final overlap is computed, so the config must not ask for a trace.
     """
+    n, schedule, model = config.n, config.schedule, config.coupling
     _check_size(n)
-    check_tolerances(rel_tol, abs_tol)
+    if config.trace_points:
+        raise ValueError(f"dense_evolve computes no trace, got trace_points={config.trace_points}")
     sector = _even_sector(n)
     dim = sector.size
     hx = _bond_sum(n, sector)
-    z = _field_sum(n, sector).diagonal()
+    # H + g n I: a global phase apart from H, so the overlap is unchanged,
+    # while the weight near the all-up state no longer turns at a rate ~ g n
+    z_shifted = _field_sum(n, sector).diagonal() - n
     stacked = sparse.vstack(_weighted_cd_terms(n, sector), format="csr")
     duration = schedule.duration
 
@@ -210,14 +209,16 @@ def dense_evolve(
         tc = min(max(t, 0.0), duration)
         g = schedule.value(tc)
         gp = schedule.rate(tc)
-        h_state = -(hx @ state) - g * (z * state)
+        h_state = -(hx @ state) - g * (z_shifted * state)
         if gp != 0.0:
             values = coupling_set(model, g, n)
             h_state -= gp * (values @ (stacked @ state).reshape(-1, dim))
         return -1j * h_state
 
     start = parity_ground_state(n, schedule.g0)[sector]
-    sol = solve_ivp(rhs, (0.0, duration), start, method="DOP853", rtol=rel_tol, atol=abs_tol)
+    sol = solve_ivp(
+        rhs, (0.0, duration), start, method="DOP853", rtol=config.rel_tol, atol=config.abs_tol
+    )
     if not sol.success:
         raise IntegrationError(f"dense run (n={n}, {model.label()}): {sol.message}")
     target = parity_ground_state(n, schedule.gf)[sector]

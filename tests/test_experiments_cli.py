@@ -8,13 +8,12 @@ import math
 
 import pytest
 
-from cdising import ChainConfig, CouplingKind, CouplingModel, dense_evolve, experiments, momentum_grid
+from cdising import ChainConfig, CouplingKind, CouplingModel, experiments, momentum_grid
 from cdising.cli import _COMMANDS, main
 from cdising.coefficients import cos_multiple_expansion
 from cdising.dynamics import cd_drive_exact, cd_drive_from_couplings, cd_drive_thermo
 from cdising.experiments import (
     Check,
-    RunManifest,
     _chebyshev_shifted,
     run_coeffs,
     run_size_sweep,
@@ -23,7 +22,6 @@ from cdising.experiments import (
     run_verification,
     save_csv,
     verification_report,
-    write_csv,
 )
 
 EXACT = CouplingModel(CouplingKind.EXACT)
@@ -34,9 +32,9 @@ def data_rows(text: str) -> list[str]:
     return lines[1:]  # drop the header row
 
 
-def test_manifest_lines():
-    manifest = RunManifest("demo", {"n": 4, "g0": 1.5})
-    lines = manifest.lines()
+def test_manifest_lines(capsys):
+    save_csv(None, "demo", {"n": 4, "g0": 1.5}, ("x",), [])
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "# command = demo"
     assert lines[1].startswith("# version = cdising ")
     assert lines[2].startswith("# timestamp = ")
@@ -44,11 +42,9 @@ def test_manifest_lines():
     assert lines[4] == "# n = 4"
 
 
-def test_write_csv_layout_and_float_repr():
-    stream = io.StringIO()
-    manifest = RunManifest("demo", {"n": 2})
-    write_csv(stream, manifest, ("a", "b"), [(1, 1.0 / 3.0), (2, 0.05)])
-    lines = stream.getvalue().splitlines()
+def test_write_csv_layout_and_float_repr(capsys):
+    save_csv(None, "demo", {"n": 2}, ("a", "b"), [(1, 1.0 / 3.0), (2, 0.05)])
+    lines = capsys.readouterr().out.splitlines()
     header_at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
     assert lines[header_at] == "a,b"
     assert lines[header_at + 1] == "1,0.3333333333333333"
@@ -58,12 +54,11 @@ def test_write_csv_layout_and_float_repr():
 
 
 def test_save_csv_stdout_and_file(tmp_path, capsys):
-    manifest = RunManifest("demo", {})
-    save_csv(None, manifest, ("x",), [(1,)])
+    save_csv(None, "demo", {}, ("x",), [(1,)])
     out = capsys.readouterr().out
     assert "# command = demo" in out and out.endswith("1\n")
     path = tmp_path / "out.csv"
-    save_csv(str(path), manifest, ("x",), [(1,)])
+    save_csv(str(path), "demo", {}, ("x",), [(1,)])
     raw = path.read_bytes()
     assert b"\r" not in raw
     assert raw.endswith(b"x\n1\n")
@@ -105,15 +100,51 @@ def test_run_trace_small():
 
 
 def test_run_verification_clean_and_corrupt():
-    checks = run_verification([2, 4], [0.5, 2.0], oracle_sizes=[2])
+    checks = run_verification([2, 4], [0.5, 2.0])
     assert all(check.passed for check in checks)
-    names = {check.name for check in checks}
-    assert "coupling closed vs sum" in names
-    assert "dense vs fermionic evolution" in names
-    corrupted = run_verification([2, 4], [0.5, 2.0], oracle_sizes=[], corrupt=True)
+    assert [(check.name, check.threshold) for check in checks] == [
+        ("coupling closed vs sum", 1e-12),
+        ("cosine sum closed vs sum", 1e-12),
+        ("field-inversion duality", 1e-12),
+        ("reduction identities", 1e-12),
+        ("power sum closed vs sum", 1e-12),
+        ("power sum recurrence", 1e-12),
+        ("expansion Chebyshev identity", 0.5),
+        ("expansion reconstruction", 1e-10),
+        ("drive resummation", 1e-12),
+        ("dense ground energies", 1e-10),
+        ("dense vs fermionic evolution", 1e-6),
+    ]
+    corrupted = run_verification([2, 4], [0.5, 2.0], corrupt=True)
     failed = [check for check in corrupted if not check.passed]
     assert [check.name for check in failed] == ["coupling closed vs sum"]
     assert failed[0].scope == "m=1 g=2.0 n=4"
+
+
+def test_run_verification_reports_only_the_checks_it_evaluated():
+    # at g = 0 alone the duality, the reduction identities and both power-sum
+    # checks have no grid point; they are left out, not passed at -1
+    checks = run_verification([4], [0.0])
+    assert [check.name for check in checks] == [
+        "coupling closed vs sum",
+        "cosine sum closed vs sum",
+        "expansion Chebyshev identity",
+        "expansion reconstruction",
+        "drive resummation",
+        "dense ground energies",
+        "dense vs fermionic evolution",
+    ]
+    assert all(check.passed and check.residual >= 0 and check.scope for check in checks)
+
+
+@pytest.mark.parametrize(
+    "argv, name", [(["verify", "--n", ""], "n_values"), (["verify", "--g-grid", ""], "g_values")]
+)
+def test_cli_verify_rejects_an_empty_grid(argv, name, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and name in captured.err
+    assert captured.out == ""
 
 
 def test_verification_report_format():
@@ -346,6 +377,18 @@ def test_cli_rejects_flags_the_command_does_not_read(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_cli_sweep_size_offers_no_truncated_coupling(capsys):
+    # sweep-size has no --m-max, so a truncated model could never run
+    with pytest.raises(SystemExit) as raised:
+        main(["sweep-size", "--n", "4", "--t-final", "1", "--coupling", "truncated"])
+    assert raised.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'truncated'" in err
+    offered = err.split("choose from")[1]
+    assert all(kind in offered for kind in ("exact", "direct", "thermo"))
+    assert "truncated" not in offered
+
+
 def _argv_from_manifest(text: str) -> list[str]:
     # every "# key = value" line after command/version/timestamp is a flag;
     # lists print as [a, b], None means unset, switches print as True/False
@@ -452,7 +495,7 @@ def test_verify_drive_resummation_matches_the_per_momentum_scan():
                     r = abs(closed - summed) / max(1.0, abs(closed), abs(summed))
                     if r > worst[0]:
                         worst = (r, f"{kind} drive k={k:.3f} g={g} n={n}")
-    checks = run_verification(n_values, g_values, oracle_sizes=[])
+    checks = run_verification(n_values, g_values)
     check = next(check for check in checks if check.name == "drive resummation")
     assert (check.residual, check.scope) == (float(worst[0]), worst[1])
 
@@ -473,7 +516,6 @@ def test_cli_verify_runs_the_dense_checks_up_to_max_spins(capsys):
         (run_size_sweep, "sweep-size"),
         (run_trace, "trace"),
         (experiments.run_oracle_comparison, "oracle"),
-        (dense_evolve, "oracle"),
         (ChainConfig, "evolve"),
     ],
 )

@@ -147,29 +147,37 @@ def test_parity_ground_state_zero_field_is_uniform_even():
 def test_dense_evolution_matches_fermionic_pipeline():
     ramp = Schedule(5.0, 0.0, 1.0)
     for n in (2, 4):
-        dense = dense_evolve(n, ramp, EXACT)
-        fermionic = evolve_chain(ChainConfig(n, ramp, EXACT)).p_gs
+        config = ChainConfig(n, ramp, EXACT)
+        dense = dense_evolve(config)
+        fermionic = evolve_chain(config).p_gs
         assert abs(dense - fermionic) <= 1e-8
 
 
 def test_dense_exact_drive_prepares_ground_state():
-    p = dense_evolve(4, Schedule(5.0, 0.0, 10.0), EXACT)
+    p = dense_evolve(ChainConfig(4, Schedule(5.0, 0.0, 10.0), EXACT))
     assert abs(p - 1.0) <= 1e-6
 
 
 def test_dense_truncated_small_chain():
     ramp = Schedule(5.0, 0.0, 10.0)
     bare = CouplingModel(CouplingKind.TRUNCATED, 0)
-    dense = dense_evolve(2, ramp, bare)
-    fermionic = evolve_chain(ChainConfig(2, ramp, bare)).p_gs
+    config = ChainConfig(2, ramp, bare)
+    dense = dense_evolve(config)
+    fermionic = evolve_chain(config).p_gs
     assert abs(dense - fermionic) <= 1e-8
 
 
 @pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
 def test_dense_evolve_rejects_bad_tolerances(name, bad):
+    # the config carries the check, so no dense run starts with a bad tolerance
     with pytest.raises(ValueError, match=name):
-        dense_evolve(4, Schedule(5.0, 0.0, 1.0), EXACT, **{name: bad})
+        dense_evolve(ChainConfig(4, Schedule(5.0, 0.0, 1.0), EXACT, **{name: bad}))
+
+
+def test_dense_evolve_rejects_a_trace():
+    with pytest.raises(ValueError, match="trace_points"):
+        dense_evolve(ChainConfig(4, Schedule(5.0, 0.0, 1.0), EXACT, trace_points=5))
 
 
 def test_dense_size_validation():
@@ -178,7 +186,7 @@ def test_dense_size_validation():
     with pytest.raises(ValueError):
         parity_ground_state(12, 1.0)
     with pytest.raises(ValueError):
-        dense_evolve(12, Schedule(5.0, 0.0, 1.0), EXACT)
+        dense_evolve(ChainConfig(12, Schedule(5.0, 0.0, 1.0), EXACT))
 
 
 def literal(n, factors):
@@ -237,11 +245,15 @@ def test_pauli_string_expands_general_factors():
 
 @pytest.mark.parametrize(
     "n, kind, t_final",
-    [(8, CouplingKind.DIRECT_SUM, 10.0), (10, CouplingKind.EXACT, 1.0)],
+    [
+        (8, CouplingKind.DIRECT_SUM, 10.0),
+        (10, CouplingKind.EXACT, 1.0),
+        (10, CouplingKind.THERMODYNAMIC, 10.0),
+    ],
 )
 def test_dense_evolve_default_tolerance_is_converged(n, kind, t_final):
     ramp = Schedule(5.0, 0.0, t_final)
     model = CouplingModel(kind)
-    default = dense_evolve(n, ramp, model)
-    tight = dense_evolve(n, ramp, model, rel_tol=1e-13, abs_tol=1e-15)
-    assert abs(default - tight) <= 1e-8
+    default = dense_evolve(ChainConfig(n, ramp, model))
+    tight = dense_evolve(ChainConfig(n, ramp, model, rel_tol=1e-13, abs_tol=1e-15))
+    assert abs(default - tight) <= 1e-9
