@@ -108,6 +108,12 @@ def _resolve(args: argparse.Namespace) -> dict[str, object]:
         value = getattr(args, param.name)
         if value is None and param.name in config:
             value = param.parse(config[param.name])
+            # the check argparse makes on the flag
+            if param.choices is not None and value not in param.choices:
+                raise ValueError(
+                    f"{args.config}: invalid {param.name} {value!r} for {args.command}"
+                    f" (choose from {', '.join(param.choices)})"
+                )
         resolved[param.name] = param.default if value is None else value
     return resolved
 

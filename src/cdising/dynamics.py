@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -108,6 +107,8 @@ class EvolutionResult:
     along the ramp as (t, g(t), probability) triples. steps counts the accepted
     steps of the one adiabatic-frame integration that carries every mode;
     it is not a sum over modes, and it does not depend on the samples.
+    nfev counts that integration's RHS evaluations; a traced run makes 3
+    more per step than a final-only one, for the interpolant it samples.
     norm_drift is the largest |d_g|^2 + |d_e|^2 - 1 (ground and excited
     amplitudes of one mode) over every mode and accepted step.
     """
@@ -116,6 +117,59 @@ class EvolutionResult:
     trace: list[tuple[float, float, float]] | None
     norm_drift: float
     steps: int
+    nfev: int
+
+
+def _exact_kernel(k) -> Callable:
+    quarter_sin, cos_k = 0.25 * np.sin(k), np.cos(k)
+    return lambda g: quarter_sin / ((g * g + 1.0) - 2.0 * g * cos_k)
+
+
+def _thermo_kernel(k, n: int) -> Callable:
+    quarter_sin, half_sin, cos_k = 0.25 * np.sin(k), np.sin(0.5 * n * k), np.cos(k)
+
+    def drive(g: float):
+        if g < 1.0:
+            scale = g ** (n // 2 - 1) / 8.0 * (g * g - 1.0)
+        else:
+            scale = -(g ** (-(n // 2)) / (8.0 * g)) * (g * g - 1.0)
+        # the exact drive's denominator, written identically so both agree at g = 1
+        return (quarter_sin + scale * half_sin) / ((g * g + 1.0) - 2.0 * g * cos_k)
+
+    return drive
+
+
+def _truncated_kernel(k, n: int, m_max: int) -> Callable:
+    # Geometric resummation of 2 sum_{m<=m_max} h_m sin(mk) for
+    # 0 <= m_max < n/2; equals the literal sum to rounding.
+    phase = np.exp(1j * k)
+    turn = np.exp(1j * m_max * k)
+
+    def drive(g: float):
+        if g > 1.0:
+            return drive(1.0 / g) / (g * g)
+        # with w = 1/(1 - g e^{ik}): head = Im((e^{ik} - g^m e^{ik(m+1)}) w),
+        # tail = Im((e^{ikm} - g^m) conj(w))
+        power = g**m_max
+        w = 1.0 / (1.0 - g * phase)
+        head = ((phase - power * phase * turn) * w).imag
+        tail = ((turn - power) * w.conj()).imag
+        return (head + g ** (n - 1 - m_max) * tail) / (4.0 * (1.0 + g**n))
+
+    return drive
+
+
+def _coupling_sum_kernel(k, model: CouplingModel, n: int) -> Callable:
+    # 2 * sum over ranges m < n/2 of h_m sin(km), plus the half-weight
+    # longest-range term h_{n/2} sin(kn/2)
+    sines = np.sin(np.multiply.outer(k, np.arange(1, n // 2 + 1)))
+
+    def drive(g: float):
+        weights = 2.0 * coupling_set(model, g, n)
+        weights[-1] *= 0.5
+        return (sines * weights).sum(axis=-1)
+
+    return drive
 
 
 def cd_drive_exact(k, g: float):
@@ -123,7 +177,7 @@ def cd_drive_exact(k, g: float):
 
     Like every drive kernel here, k is a scalar or an array of momenta.
     """
-    return 0.25 * np.sin(k) / ((g * g + 1.0) - 2.0 * g * np.cos(k))
+    return _exact_kernel(k)(g)
 
 
 def cd_drive_thermo(k, g: float, n: int):
@@ -133,12 +187,7 @@ def cd_drive_thermo(k, g: float, n: int):
     in n away from the critical field; ferromagnetic branch below g = 1,
     paramagnetic branch at and above it.
     """
-    if g < 1.0:
-        scale = g ** (n // 2 - 1) / 8.0 * (g * g - 1.0)
-    else:
-        scale = -(g ** (-(n // 2)) / (8.0 * g)) * (g * g - 1.0)
-    # the exact drive's denominator, written identically so both agree at g = 1
-    return (0.25 * np.sin(k) + scale * np.sin(0.5 * n * k)) / ((g * g + 1.0) - 2.0 * g * np.cos(k))
+    return _thermo_kernel(k, n)(g)
 
 
 def cd_drive_from_couplings(k, g: float, model: CouplingModel, n: int):
@@ -148,51 +197,34 @@ def cd_drive_from_couplings(k, g: float, model: CouplingModel, n: int):
     longest-range term h_{n/2} sin(kn/2). The coupling set is built once
     per call, whatever the number of momenta.
     """
-    weights = 2.0 * coupling_set(model, g, n)
-    weights[-1] *= 0.5
-    return (np.sin(np.multiply.outer(k, np.arange(1, n // 2 + 1))) * weights).sum(axis=-1)
+    return _coupling_sum_kernel(k, model, n)(g)
 
 
-def _cd_drive_truncated(k, g: float, n: int, m_max: int):
-    # Geometric resummation of 2 sum_{m<=m_max} h_m sin(mk) for
-    # 0 <= m_max < n/2; equals the literal sum to rounding.
-    if g > 1.0:
-        return _cd_drive_truncated(k, 1.0 / g, n, m_max) / (g * g)
-    # with w = 1/(1 - g e^{ik}): head = Im((e^{ik} - g^m e^{ik(m+1)}) w),
-    # tail = Im((e^{ikm} - g^m) conj(w))
-    phase = np.exp(1j * k)
-    turn = np.exp(1j * m_max * k)
-    power = g**m_max
-    w = 1.0 / (1.0 - g * phase)
-    head = ((phase - power * phase * turn) * w).imag
-    tail = ((turn - power) * w.conj()).imag
-    return (head + g ** (n - 1 - m_max) * tail) / (4.0 * (1.0 + g**n))
+def drive_function(model: CouplingModel, n: int, k) -> Callable:
+    """Drive factor kernel g -> q(k, g) at fixed momenta k for the given coupling model.
 
-
-def drive_function(model: CouplingModel, n: int) -> Callable:
-    """Drive factor kernel q(k, g) for the given coupling model.
-
-    The exact and thermodynamic families use their closed resummations;
-    the truncated family uses a geometric closed form (the exact kernel
-    itself at full range, which carries identical couplings); the
-    direct-sum family evaluates the literal coupling sum. Every kernel
-    takes a scalar or an array of momenta and a scalar field.
+    k is a scalar or an array of momenta; its trig factors are computed
+    here, once per chain and not in every RHS evaluation, and the kernel
+    takes a scalar field. The exact and thermodynamic families use their
+    closed resummations; the truncated family uses a geometric closed form
+    (the exact kernel itself at full range, which carries identical
+    couplings); the direct-sum family evaluates the literal coupling sum.
     """
     if model.kind is CouplingKind.EXACT:
-        return cd_drive_exact
+        return _exact_kernel(k)
     if model.kind is CouplingKind.THERMODYNAMIC:
-        return partial(cd_drive_thermo, n=n)
+        return _thermo_kernel(k, n)
     if model.kind is CouplingKind.TRUNCATED:
         assert model.m_max is not None
         if model.m_max > n // 2:
             raise ValueError(f"truncation range {model.m_max} outside [0, {n // 2}]")
         if model.m_max == n // 2:
-            return cd_drive_exact
-        return partial(_cd_drive_truncated, n=n, m_max=model.m_max)
-    return partial(cd_drive_from_couplings, model=model, n=n)
+            return _exact_kernel(k)
+        return _truncated_kernel(k, n, model.m_max)
+    return _coupling_sum_kernel(k, model, n)
 
 
-def _integrate(config: ChainConfig, times: np.ndarray) -> tuple[np.ndarray, float, int]:
+def _integrate(config: ChainConfig, samples: np.ndarray) -> tuple[np.ndarray, float, int, int]:
     # Integrates every grid mode from its ground state at g0, in the
     # adiabatic interaction frame, over the stacked state
     # [d_g..., d_e..., phi...]: ground and excited amplitudes in the
@@ -200,12 +232,16 @@ def _integrate(config: ChainConfig, times: np.ndarray) -> tuple[np.ndarray, floa
     # The exact drive cancels the rotation of the basis, so only the
     # residual r = 2 gdot (q - q_exact) couples the two:
     #   d_g' = r exp(-2i phi) d_e,  d_e' = -r exp(2i phi) d_g,  phi' = 2 eps_k(g)
-    # with eps_k = sqrt(g^2 - 2g cos k + 1). One dense-output solve; returns
-    # the state at every sample time (one row each), the largest norm drift
-    # of any mode at any accepted step, and the accepted steps.
+    # with eps_k = sqrt(g^2 - 2g cos k + 1). One solve; DOP853 builds its
+    # interpolant (3 more RHS evaluations per step) only when there are
+    # samples to read from it. Returns the state at each sample time and
+    # then the final state of the last accepted step (one row each), the
+    # largest norm drift of any mode at any accepted step, the accepted
+    # steps and the RHS evaluations.
     schedule = config.schedule
-    drive = drive_function(config.coupling, config.n)
     ks = momentum_grid(config.n)
+    drive = drive_function(config.coupling, config.n, ks)
+    exact = _exact_kernel(ks)
     cos_k = np.cos(ks)
     half = len(ks)
 
@@ -213,7 +249,7 @@ def _integrate(config: ChainConfig, times: np.ndarray) -> tuple[np.ndarray, floa
         # the solver may probe a rounding error beyond the span edges
         tc = min(max(t, 0.0), schedule.duration)
         g = schedule.value(tc)
-        coupling = 2.0 * schedule.rate(tc) * (drive(ks, g) - cd_drive_exact(ks, g))
+        coupling = 2.0 * schedule.rate(tc) * (drive(g) - exact(g))
         coupling = coupling * np.exp(2j * y[2 * half :].real)
         gap = np.sqrt((4.0 * g * g + 4.0) - 8.0 * g * cos_k)
         return np.concatenate((coupling.conj() * y[half : 2 * half], -coupling * y[:half], gap))
@@ -221,12 +257,16 @@ def _integrate(config: ChainConfig, times: np.ndarray) -> tuple[np.ndarray, floa
     t1 = schedule.duration
     y0 = np.concatenate((np.ones(half), np.zeros(2 * half))).astype(complex)
     sol = solve_ivp(
-        rhs, (0.0, t1), y0, method="DOP853", rtol=config.rel_tol, atol=config.abs_tol, dense_output=True
+        rhs, (0.0, t1), y0, method="DOP853", rtol=config.rel_tol, atol=config.abs_tol,
+        dense_output=samples.size > 0,
     )
     if not sol.success:
         raise IntegrationError(f"integration failed on [0, {t1:.6g}]: {sol.message}")
     norms = np.abs(sol.y[:half]) ** 2 + np.abs(sol.y[half : 2 * half]) ** 2
-    return sol.sol(times).T, float(np.max(np.abs(norms - 1.0))), sol.t.size - 1
+    frames = sol.y[:, -1:].T
+    if samples.size:
+        frames = np.concatenate((sol.sol(samples).T, frames))
+    return frames, float(np.max(np.abs(norms - 1.0))), sol.t.size - 1, sol.nfev
 
 
 def ground_state_probability(frames: np.ndarray) -> np.ndarray:
@@ -242,27 +282,28 @@ def ground_state_probability(frames: np.ndarray) -> np.ndarray:
 def evolve_chain(config: ChainConfig) -> EvolutionResult:
     """Evolve every mode of the chain and assemble ground-state probabilities.
 
-    All n/2 modes are integrated together as one vector ODE, in one
-    dense-output solve over the whole ramp. With trace_points = 0 only the
-    final probability is computed. With trace_points >= 2 the solution is
-    read at uniformly spaced sample times, and the instantaneous
-    probability against the ground state of the momentary field is
-    recorded at each; the steps, and so the final sample, are those of the
-    final-only run.
+    All n/2 modes are integrated together as one vector ODE, in one solve
+    over the whole ramp. With trace_points = 0 only the final probability
+    is computed, from the last accepted step. With trace_points >= 2 the
+    probability against the ground state of the momentary field is also
+    recorded at uniformly spaced sample times: the solve then keeps its
+    interpolant, which serves every sample but the last, and the last is
+    the final state itself. The steps, and so the final sample, are those
+    of the final-only run.
 
     The integration does not depend on the process it runs in, so
     identical configs give bit-identical results.
     """
     schedule = config.schedule
-    times = np.linspace(0.0, schedule.duration, max(config.trace_points, 2))
-    samples, drift, steps = _integrate(config, times)
-    probs = ground_state_probability(samples)
+    times = np.linspace(0.0, schedule.duration, config.trace_points)
+    frames, drift, steps, nfev = _integrate(config, times[:-1])
+    probs = ground_state_probability(frames)
     if not config.trace_points:
-        return EvolutionResult(float(probs[-1]), None, drift, steps)
+        return EvolutionResult(float(probs[-1]), None, drift, steps, nfev)
     # the last sample sits at the target field itself, not at its rounded ramp value
     fields = [schedule.value(float(t)) for t in times[:-1]] + [schedule.gf]
     trace = [(float(t), float(g), float(p)) for t, g, p in zip(times, fields, probs)]
-    return EvolutionResult(trace[-1][2], trace, drift, steps)
+    return EvolutionResult(trace[-1][2], trace, drift, steps, nfev)
 
 
 def dispersion_ground_energy(n: int, g: float) -> float:

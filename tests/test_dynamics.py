@@ -17,7 +17,7 @@ from cdising import (
     evolve_chain,
     momentum_grid,
 )
-from cdising.coefficients import coupling_sum
+from cdising.coefficients import coupling_set, coupling_sum
 from cdising.dynamics import (
     cd_drive_exact,
     cd_drive_from_couplings,
@@ -143,13 +143,13 @@ def test_cd_drive_thermo_reduces_to_exact_at_critical_field():
 def test_truncated_drive_matches_literal_sum():
     n = 10
     for m_max in (1, 2, 4):
-        drive = drive_function(CouplingModel(CouplingKind.TRUNCATED, m_max), n)
-        for g in (0.4, 1.0, 2.2):
-            for k in momentum_grid(n):
+        for k in momentum_grid(n):
+            drive = drive_function(CouplingModel(CouplingKind.TRUNCATED, m_max), n, k)
+            for g in (0.4, 1.0, 2.2):
                 literal = 2.0 * sum(
                     coupling_exact(m, g, n) * math.sin(m * k) for m in range(1, m_max + 1)
                 )
-                assert abs(drive(k, g) - literal) < 1e-12
+                assert abs(drive(g) - literal) < 1e-12
 
 
 def test_drive_kernels_accept_arrays_and_scalars():
@@ -158,17 +158,18 @@ def test_drive_kernels_accept_arrays_and_scalars():
     models = [EXACT, THERMO, CouplingModel(CouplingKind.DIRECT_SUM)]
     models += [CouplingModel(CouplingKind.TRUNCATED, m) for m in range(n // 2 + 1)]
     for model in models:
-        drive = drive_function(model, n)
+        drive = drive_function(model, n, ks)
+        scalars = [drive_function(model, n, k) for k in ks]
         for g in (0.0, 0.4, 1.0, 2.2):
-            batch = drive(ks, g)
+            batch = drive(g)
             assert batch.shape == ks.shape
-            for k, value in zip(ks, batch):
-                assert abs(drive(k, g) - value) <= 1e-15
+            for scalar, value in zip(scalars, batch):
+                assert abs(scalar(g) - value) <= 1e-15
     # the direct kernel against the literal per-momentum coupling sum
-    direct = drive_function(CouplingModel(CouplingKind.DIRECT_SUM), n)
+    direct = drive_function(CouplingModel(CouplingKind.DIRECT_SUM), n, ks)
     for g in (0.0, 0.4, 1.0, 2.2):
         h = [coupling_sum(m, g, n) for m in range(1, n // 2 + 1)]
-        batch = direct(ks, g)
+        batch = direct(g)
         for k, value in zip(ks, batch):
             literal = 0.0
             for m in range(1, n // 2):
@@ -179,13 +180,69 @@ def test_drive_kernels_accept_arrays_and_scalars():
 
 def test_truncated_drive_endpoints():
     n = 8
-    zero = drive_function(CouplingModel(CouplingKind.TRUNCATED, 0), n)
-    full = drive_function(CouplingModel(CouplingKind.TRUNCATED, n // 2), n)
     for k in momentum_grid(n):
-        assert zero(k, 0.7) == 0.0
-        assert full(k, 0.7) == cd_drive_exact(k, 0.7)
+        zero = drive_function(CouplingModel(CouplingKind.TRUNCATED, 0), n, k)
+        full = drive_function(CouplingModel(CouplingKind.TRUNCATED, n // 2), n, k)
+        assert zero(0.7) == 0.0
+        assert full(0.7) == cd_drive_exact(k, 0.7)
     with pytest.raises(ValueError):
-        drive_function(CouplingModel(CouplingKind.TRUNCATED, n // 2 + 1), n)
+        drive_function(CouplingModel(CouplingKind.TRUNCATED, n // 2 + 1), n, momentum_grid(n))
+
+
+# The drive kernels as written before their momentum factors were taken once
+# per chain: every trig call inside the kernel, every operation in the same
+# order. The per-chain kernels must reproduce them bit for bit, so the chain
+# integrations (which feed these values to an adaptive solver) do too.
+def _literal_exact(k, g):
+    return 0.25 * np.sin(k) / ((g * g + 1.0) - 2.0 * g * np.cos(k))
+
+
+def _literal_thermo(k, g, n):
+    if g < 1.0:
+        scale = g ** (n // 2 - 1) / 8.0 * (g * g - 1.0)
+    else:
+        scale = -(g ** (-(n // 2)) / (8.0 * g)) * (g * g - 1.0)
+    return (0.25 * np.sin(k) + scale * np.sin(0.5 * n * k)) / ((g * g + 1.0) - 2.0 * g * np.cos(k))
+
+
+def _literal_truncated(k, g, n, m_max):
+    if m_max == n // 2:
+        return _literal_exact(k, g)
+    if g > 1.0:
+        return _literal_truncated(k, 1.0 / g, n, m_max) / (g * g)
+    phase = np.exp(1j * k)
+    turn = np.exp(1j * m_max * k)
+    power = g**m_max
+    w = 1.0 / (1.0 - g * phase)
+    head = ((phase - power * phase * turn) * w).imag
+    tail = ((turn - power) * w.conj()).imag
+    return (head + g ** (n - 1 - m_max) * tail) / (4.0 * (1.0 + g**n))
+
+
+def _literal_direct(k, g, n):
+    weights = 2.0 * coupling_set(CouplingModel(CouplingKind.DIRECT_SUM), g, n)
+    weights[-1] *= 0.5
+    return (np.sin(np.multiply.outer(k, np.arange(1, n // 2 + 1))) * weights).sum(axis=-1)
+
+
+@pytest.mark.parametrize("n", [2, 20, 200])
+def test_per_chain_kernels_match_literal_kernels_bitwise(n):
+    ks = momentum_grid(n)
+    literal = {
+        EXACT: _literal_exact,
+        THERMO: lambda k, g: _literal_thermo(k, g, n),
+        CouplingModel(CouplingKind.DIRECT_SUM): lambda k, g: _literal_direct(k, g, n),
+    }
+    for m_max in sorted({0, 1, n // 4, n // 2}):
+        model = CouplingModel(CouplingKind.TRUNCATED, m_max)
+        literal[model] = lambda k, g, m_max=m_max: _literal_truncated(k, g, n, m_max)
+    for model, reference in literal.items():
+        drive = drive_function(model, n, ks)
+        for g in (0.0, 0.3, 1.0, 1.7, 5.0):
+            q = drive(g)
+            assert np.array_equal(q, reference(ks, g)), (model.label(), g)
+            # the residual the chain RHS integrates
+            assert np.array_equal(q - cd_drive_exact(ks, g), reference(ks, g) - _literal_exact(ks, g))
 
 
 def test_constant_schedule_keeps_ground_state():
@@ -276,8 +333,11 @@ def test_traced_and_direct_evolution_agree():
     ramp = Schedule(4.0, 0.0, 1.0)
     direct = evolve_chain(ChainConfig(4, ramp, THERMO))
     traced = evolve_chain(ChainConfig(4, ramp, THERMO, trace_points=5))
-    # one dense-output solve: the samples read the interpolant, never the steps
+    # the same solve either way: the traced run also reads its final state
+    # from the last accepted step, and its samples read the interpolant,
+    # which costs DOP853's 3 extra stages per step and moves no step
     assert traced.p_gs == direct.p_gs and traced.steps == direct.steps
+    assert traced.nfev - direct.nfev == 3 * direct.steps
 
 
 def test_integration_error_is_a_runtime_error():

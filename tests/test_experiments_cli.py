@@ -6,9 +6,11 @@ import inspect
 import io
 import math
 
+import numpy as np
 import pytest
+import scipy
 
-from cdising import ChainConfig, CouplingKind, CouplingModel, experiments, momentum_grid
+from cdising import ChainConfig, CouplingKind, CouplingModel, __version__, experiments, momentum_grid
 from cdising.cli import _COMMANDS, main
 from cdising.coefficients import cos_multiple_expansion
 from cdising.dynamics import cd_drive_exact, cd_drive_from_couplings, cd_drive_thermo
@@ -36,7 +38,7 @@ def test_manifest_lines(capsys):
     save_csv(None, "demo", {"n": 4, "g0": 1.5}, ("x",), [])
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "# command = demo"
-    assert lines[1].startswith("# version = cdising ")
+    assert lines[1] == f"# version = cdising {__version__} numpy {np.__version__} scipy {scipy.__version__}"
     assert lines[2].startswith("# timestamp = ")
     assert lines[3] == "# g0 = 1.5"
     assert lines[4] == "# n = 4"
@@ -351,6 +353,17 @@ def test_cli_config_file_rejects_keys_the_command_does_not_read(command, line, t
     err = capsys.readouterr().err
     key = line.split("=")[0].strip()
     assert err.startswith("error:") and repr(key) in err
+
+
+@pytest.mark.parametrize("value", ["truncated", "bogus"])
+def test_cli_config_file_values_obey_the_flag_choices(value, tmp_path, capsys):
+    # sweep-size offers exact|direct|thermo, from a flag or a config entry alike
+    config = tmp_path / "run.conf"
+    config.write_text(f"n = 4\ncoupling = {value}\n")
+    assert main(["sweep-size", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "coupling" in err and repr(value) in err and "exact, direct, thermo" in err
 
 
 @pytest.mark.parametrize(

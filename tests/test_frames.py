@@ -51,14 +51,14 @@ def lab_frame_states(config: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
     ks = momentum_grid(config.n)
     half = len(ks)
     schedule = config.schedule
-    drive = drive_function(config.coupling, config.n)
+    drive = drive_function(config.coupling, config.n, ks)
     cos_k, sin_k = np.cos(ks), np.sin(ks)
 
     def rhs(t, y):
         tc = min(max(t, 0.0), schedule.duration)
         g = schedule.value(tc)
         a = g - cos_k
-        b = -sin_k - 1j * (schedule.rate(tc) * drive(ks, g))
+        b = -sin_k - 1j * (schedule.rate(tc) * drive(g))
         v, u = y[:half], y[half:]
         return -2j * np.concatenate((a * v + b * u, b.conj() * v - a * u))
 
