@@ -20,6 +20,7 @@ from scipy.integrate import solve_ivp
 from .coefficients import (
     CouplingKind,
     CouplingModel,
+    _check_ranges,
     coupling_set,
     momentum_grid,
 )
@@ -62,18 +63,25 @@ class Schedule:
         if not 1e-100 <= self.duration <= 1e100:
             raise ValueError(f"schedule duration must lie in [1e-100, 1e100], got {self.duration}")
 
-    def value(self, t: float) -> float:
-        """Field at time t, 0 <= t <= duration."""
+    def _check(self, t: float) -> None:
         if not 0 <= t <= self.duration:
             raise ValueError(f"time {t} outside [0, {self.duration}]")
-        x = t / self.duration
-        return self.g0 + (self.gf - self.g0) * (3.0 - 2.0 * x) * x * x
+
+    def value(self, t: float) -> float:
+        """Field at time t, 0 <= t <= duration."""
+        self._check(t)
+        return self._ramp(t)[0]
 
     def rate(self, t: float) -> float:
         """Analytic time derivative of the field at time t."""
-        if not 0 <= t <= self.duration:
-            raise ValueError(f"time {t} outside [0, {self.duration}]")
-        return 6.0 * (self.gf - self.g0) * t * (self.duration - t) / self.duration**3
+        self._check(t)
+        return self._ramp(t)[1]
+
+    def _ramp(self, t: float) -> tuple[float, float]:
+        # (g, gdot) at a time the caller has already clamped to [0, duration]
+        x = t / self.duration
+        g = self.g0 + (self.gf - self.g0) * (3.0 - 2.0 * x) * x * x
+        return g, 6.0 * (self.gf - self.g0) * t * (self.duration - t) / self.duration**3
 
 
 @dataclass(frozen=True)
@@ -90,6 +98,8 @@ class ChainConfig:
     def __post_init__(self) -> None:
         if self.n < 2 or self.n % 2:
             raise ValueError(f"chain length must be even and >= 2, got {self.n}")
+        if self.coupling.kind is CouplingKind.TRUNCATED:
+            _check_ranges(self.coupling.m_max, 0, self.n // 2, "truncation range m_max")
         for name, value in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
@@ -120,48 +130,35 @@ class EvolutionResult:
     nfev: int
 
 
+def _denominator(g: float, cos_k):
+    # g^2 - 2g cos k + 1, a quarter of the squared mode gap: every drive
+    # kernel divides by it, and the chain RHS computes it once per field
+    return (g * g + 1.0) - 2.0 * g * cos_k
+
+
+# Drive kernels take a scalar field g and its denominator den at the
+# momenta they were built for, which fix their trig factors once.
 def _exact_kernel(k) -> Callable:
-    quarter_sin, cos_k = 0.25 * np.sin(k), np.cos(k)
-    return lambda g: quarter_sin / ((g * g + 1.0) - 2.0 * g * cos_k)
+    quarter_sin = 0.25 * np.sin(k)
+    return lambda g, den: quarter_sin / den
 
 
 def _thermo_kernel(k, n: int) -> Callable:
-    quarter_sin, half_sin, cos_k = 0.25 * np.sin(k), np.sin(0.5 * n * k), np.cos(k)
+    quarter_sin, half_sin = 0.25 * np.sin(k), np.sin(0.5 * n * k)
 
-    def drive(g: float):
+    def drive(g: float, den):
         if g < 1.0:
             scale = g ** (n // 2 - 1) / 8.0 * (g * g - 1.0)
         else:
             scale = -(g ** (-(n // 2)) / (8.0 * g)) * (g * g - 1.0)
-        # the exact drive's denominator, written identically so both agree at g = 1
-        return (quarter_sin + scale * half_sin) / ((g * g + 1.0) - 2.0 * g * cos_k)
-
-    return drive
-
-
-def _truncated_kernel(k, n: int, m_max: int) -> Callable:
-    # Geometric resummation of 2 sum_{m<=m_max} h_m sin(mk) for
-    # 0 <= m_max < n/2; equals the literal sum to rounding.
-    phase = np.exp(1j * k)
-    turn = np.exp(1j * m_max * k)
-
-    def drive(g: float):
-        if g > 1.0:
-            return drive(1.0 / g) / (g * g)
-        # with w = 1/(1 - g e^{ik}): head = Im((e^{ik} - g^m e^{ik(m+1)}) w),
-        # tail = Im((e^{ikm} - g^m) conj(w))
-        power = g**m_max
-        w = 1.0 / (1.0 - g * phase)
-        head = ((phase - power * phase * turn) * w).imag
-        tail = ((turn - power) * w.conj()).imag
-        return (head + g ** (n - 1 - m_max) * tail) / (4.0 * (1.0 + g**n))
+        return (quarter_sin + scale * half_sin) / den
 
     return drive
 
 
 def _coupling_sum_kernel(k, model: CouplingModel, n: int) -> Callable:
     # 2 * sum over ranges m < n/2 of h_m sin(km), plus the half-weight
-    # longest-range term h_{n/2} sin(kn/2)
+    # longest-range term h_{n/2} sin(kn/2); needs no denominator
     sines = np.sin(np.multiply.outer(k, np.arange(1, n // 2 + 1)))
 
     def drive(g: float):
@@ -172,12 +169,28 @@ def _coupling_sum_kernel(k, model: CouplingModel, n: int) -> Callable:
     return drive
 
 
+def _truncated_residual(k, n: int, m_max: int) -> Callable:
+    # Minus the exact drive's tail, ranges m_max < m <= n/2. On the grid,
+    # range n - m carries the same sin(mk), so the tail is one geometric
+    # sum of u^(m-1) sin(mk) over m_max < m < n - m_max, u = min(g, 1/g);
+    # above g = 1 the couplings' 1/g^2 turns its den(u) into den(g).
+    m = m_max
+    sin_m, sin_next = np.sin(m * k), np.sin((m + 1) * k)
+
+    def residual(g: float, den):
+        u = g if g <= 1.0 else 1.0 / g
+        weight_m, weight_next = u ** (m + 1) + u ** (n - m - 1), u**m + u ** (n - m)
+        return (weight_m * sin_m - weight_next * sin_next) / (4.0 * (1.0 + u**n) * den)
+
+    return residual
+
+
 def cd_drive_exact(k, g: float):
     """Momentum-space drive factor resummed from the exact couplings.
 
     Like every drive kernel here, k is a scalar or an array of momenta.
     """
-    return _exact_kernel(k)(g)
+    return _exact_kernel(k)(g, _denominator(g, np.cos(k)))
 
 
 def cd_drive_thermo(k, g: float, n: int):
@@ -185,9 +198,10 @@ def cd_drive_thermo(k, g: float, n: int):
 
     Exact drive plus a finite-size correction that is exponentially small
     in n away from the critical field; ferromagnetic branch below g = 1,
-    paramagnetic branch at and above it.
+    paramagnetic branch at and above it. It shares the exact drive's
+    denominator, so both agree at g = 1.
     """
-    return _thermo_kernel(k, n)(g)
+    return _thermo_kernel(k, n)(g, _denominator(g, np.cos(k)))
 
 
 def cd_drive_from_couplings(k, g: float, model: CouplingModel, n: int):
@@ -201,27 +215,29 @@ def cd_drive_from_couplings(k, g: float, model: CouplingModel, n: int):
 
 
 def drive_function(model: CouplingModel, n: int, k) -> Callable:
-    """Drive factor kernel g -> q(k, g) at fixed momenta k for the given coupling model.
+    """Residual kernel (g, den) -> q_model(k, g) - q_exact(k, g) at fixed momenta k.
 
-    k is a scalar or an array of momenta; its trig factors are computed
-    here, once per chain and not in every RHS evaluation, and the kernel
-    takes a scalar field. The exact and thermodynamic families use their
-    closed resummations; the truncated family uses a geometric closed form
-    (the exact kernel itself at full range, which carries identical
-    couplings); the direct-sum family evaluates the literal coupling sum.
+    This is the drive the adiabatic-frame RHS integrates. k is a scalar or
+    an array of momenta; its trig factors are computed here, once per chain
+    and not in every RHS evaluation. The kernel takes a scalar field g and
+    den = g^2 - 2g cos k + 1 at those momenta, which the caller computes
+    once per field. The residual is 0.0 for the exact family and for
+    truncation at full range (m_max = n/2), whose couplings are the exact
+    ones; the truncated family below full range has a real closed form
+    (minus the tail of a geometric sum); the thermodynamic and direct-sum
+    families subtract the exact drive from their own. The caller validates
+    m_max (see ChainConfig).
     """
-    if model.kind is CouplingKind.EXACT:
-        return _exact_kernel(k)
+    if model.kind is CouplingKind.TRUNCATED and model.m_max < n // 2:
+        return _truncated_residual(k, n, model.m_max)
+    if model.kind in (CouplingKind.EXACT, CouplingKind.TRUNCATED):
+        return lambda g, den: 0.0
+    exact = _exact_kernel(k)
     if model.kind is CouplingKind.THERMODYNAMIC:
-        return _thermo_kernel(k, n)
-    if model.kind is CouplingKind.TRUNCATED:
-        assert model.m_max is not None
-        if model.m_max > n // 2:
-            raise ValueError(f"truncation range {model.m_max} outside [0, {n // 2}]")
-        if model.m_max == n // 2:
-            return _exact_kernel(k)
-        return _truncated_kernel(k, n, model.m_max)
-    return _coupling_sum_kernel(k, model, n)
+        thermo = _thermo_kernel(k, n)
+        return lambda g, den: thermo(g, den) - exact(g, den)
+    total = _coupling_sum_kernel(k, model, n)
+    return lambda g, den: total(g) - exact(g, den)
 
 
 def _integrate(config: ChainConfig, samples: np.ndarray) -> tuple[np.ndarray, float, int, int]:
@@ -232,29 +248,28 @@ def _integrate(config: ChainConfig, samples: np.ndarray) -> tuple[np.ndarray, fl
     # The exact drive cancels the rotation of the basis, so only the
     # residual r = 2 gdot (q - q_exact) couples the two:
     #   d_g' = r exp(-2i phi) d_e,  d_e' = -r exp(2i phi) d_g,  phi' = 2 eps_k(g)
-    # with eps_k = sqrt(g^2 - 2g cos k + 1). One solve; DOP853 builds its
-    # interpolant (3 more RHS evaluations per step) only when there are
-    # samples to read from it. Returns the state at each sample time and
+    # with eps_k = sqrt(den), den = g^2 - 2g cos k + 1. Each RHS evaluation
+    # takes the ramp, den and the residual kernel of drive_function once.
+    # One solve; DOP853 builds its interpolant (3 more RHS evaluations per
+    # step) only when there are samples to read from it. Returns the state at each sample time and
     # then the final state of the last accepted step (one row each), the
     # largest norm drift of any mode at any accepted step, the accepted
     # steps and the RHS evaluations.
     schedule = config.schedule
     ks = momentum_grid(config.n)
-    drive = drive_function(config.coupling, config.n, ks)
-    exact = _exact_kernel(ks)
+    residual = drive_function(config.coupling, config.n, ks)
     cos_k = np.cos(ks)
     half = len(ks)
+    ramp, t1 = schedule._ramp, schedule.duration
 
     def rhs(t, y):
         # the solver may probe a rounding error beyond the span edges
-        tc = min(max(t, 0.0), schedule.duration)
-        g = schedule.value(tc)
-        coupling = 2.0 * schedule.rate(tc) * (drive(g) - exact(g))
-        coupling = coupling * np.exp(2j * y[2 * half :].real)
-        gap = np.sqrt((4.0 * g * g + 4.0) - 8.0 * g * cos_k)
+        g, gdot = ramp(min(max(t, 0.0), t1))
+        den = _denominator(g, cos_k)
+        coupling = 2.0 * gdot * residual(g, den) * np.exp(2j * y[2 * half :].real)
+        gap = 2.0 * np.sqrt(den)
         return np.concatenate((coupling.conj() * y[half : 2 * half], -coupling * y[:half], gap))
 
-    t1 = schedule.duration
     y0 = np.concatenate((np.ones(half), np.zeros(2 * half))).astype(complex)
     sol = solve_ivp(
         rhs, (0.0, t1), y0, method="DOP853", rtol=config.rel_tol, atol=config.abs_tol,

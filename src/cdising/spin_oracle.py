@@ -203,12 +203,10 @@ def dense_evolve(config: ChainConfig) -> float:
     # while the weight near the all-up state no longer turns at a rate ~ g n
     z_shifted = _field_sum(n, sector).diagonal() - n
     stacked = sparse.vstack(_weighted_cd_terms(n, sector), format="csr")
-    duration = schedule.duration
+    ramp, duration = schedule._ramp, schedule.duration
 
     def rhs(t, state):
-        tc = min(max(t, 0.0), duration)
-        g = schedule.value(tc)
-        gp = schedule.rate(tc)
+        g, gp = ramp(min(max(t, 0.0), duration))
         h_state = -(hx @ state) - g * (z_shifted * state)
         if gp != 0.0:
             values = coupling_set(model, g, n)

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cdising import (
     ChainConfig,
@@ -64,6 +67,20 @@ def test_schedule_validation():
         ramp.rate(-0.1)
 
 
+def test_schedule_ramp_pair_is_value_and_rate_bitwise():
+    # the unchecked pair the RHS functions read, against the checked API and
+    # the ramp's literal expressions, on a grid that includes t = 0 and t = T
+    for ramp in (Schedule(5.0, 0.0, 2.0), Schedule(0.2, 3.0, 7.0), Schedule(1.0, 1.0, 3.0)):
+        g0, gf, duration = ramp.g0, ramp.gf, ramp.duration
+        for t in [*np.linspace(0.0, duration, 17).tolist(), duration / 3.0]:
+            x = t / duration
+            literal = (g0 + (gf - g0) * (3.0 - 2.0 * x) * x * x,
+                       6.0 * (gf - g0) * t * (duration - t) / duration**3)
+            pair = [value.hex() for value in ramp._ramp(t)]
+            assert pair == [ramp.value(t).hex(), ramp.rate(t).hex()]
+            assert pair == [value.hex() for value in literal]
+
+
 @pytest.mark.parametrize(
     "g0, gf, duration, name",
     [
@@ -112,6 +129,10 @@ def test_chain_config_validation():
         ChainConfig(4, ramp, EXACT, trace_points=1)
     with pytest.raises(ValueError):
         ChainConfig(4, ramp, EXACT, trace_points=-3)
+    # the truncation range is checked once, here, with the coefficients' message
+    with pytest.raises(ValueError, match=r"^truncation range m_max=3 outside \[0, 2\]$"):
+        ChainConfig(4, ramp, CouplingModel(CouplingKind.TRUNCATED, 3))
+    ChainConfig(4, ramp, CouplingModel(CouplingKind.TRUNCATED, 2))
 
 
 def test_cd_drive_exact_values():
@@ -140,36 +161,50 @@ def test_cd_drive_thermo_reduces_to_exact_at_critical_field():
         assert cd_drive_thermo(k, 1.0, 12) == cd_drive_exact(k, 1.0)
 
 
+def _den(k, g):
+    # the denominator g^2 - 2g cos k + 1 of every drive kernel, as the chain
+    # RHS computes it once per field
+    return (g * g + 1.0) - 2.0 * g * np.cos(k)
+
+
+def _residual(model, n, k, g):
+    return drive_function(model, n, k)(g, _den(k, g))
+
+
+def _truncated(m_max):
+    return CouplingModel(CouplingKind.TRUNCATED, m_max)
+
+
 def test_truncated_drive_matches_literal_sum():
+    # the drive the residual stands for, q = q_exact + residual
     n = 10
     for m_max in (1, 2, 4):
         for k in momentum_grid(n):
-            drive = drive_function(CouplingModel(CouplingKind.TRUNCATED, m_max), n, k)
             for g in (0.4, 1.0, 2.2):
                 literal = 2.0 * sum(
                     coupling_exact(m, g, n) * math.sin(m * k) for m in range(1, m_max + 1)
                 )
-                assert abs(drive(g) - literal) < 1e-12
+                q = cd_drive_exact(k, g) + _residual(_truncated(m_max), n, k, g)
+                assert abs(q - literal) < 1e-12
 
 
 def test_drive_kernels_accept_arrays_and_scalars():
     n = 10
     ks = momentum_grid(n)
     models = [EXACT, THERMO, CouplingModel(CouplingKind.DIRECT_SUM)]
-    models += [CouplingModel(CouplingKind.TRUNCATED, m) for m in range(n // 2 + 1)]
+    models += [_truncated(m) for m in range(n // 2 + 1)]
     for model in models:
         drive = drive_function(model, n, ks)
         scalars = [drive_function(model, n, k) for k in ks]
         for g in (0.0, 0.4, 1.0, 2.2):
-            batch = drive(g)
-            assert batch.shape == ks.shape
-            for scalar, value in zip(scalars, batch):
-                assert abs(scalar(g) - value) <= 1e-15
-    # the direct kernel against the literal per-momentum coupling sum
-    direct = drive_function(CouplingModel(CouplingKind.DIRECT_SUM), n, ks)
+            # the exact residual is the scalar 0.0, which broadcasts
+            batch = np.broadcast_to(drive(g, _den(ks, g)), ks.shape)
+            for k, scalar, value in zip(ks, scalars, batch):
+                assert abs(scalar(g, _den(k, g)) - value) <= 1e-15
+    # the direct family's drive against the literal per-momentum coupling sum
     for g in (0.0, 0.4, 1.0, 2.2):
         h = [coupling_sum(m, g, n) for m in range(1, n // 2 + 1)]
-        batch = direct(g)
+        batch = cd_drive_from_couplings(ks, g, CouplingModel(CouplingKind.DIRECT_SUM), n)
         for k, value in zip(ks, batch):
             literal = 0.0
             for m in range(1, n // 2):
@@ -179,20 +214,20 @@ def test_drive_kernels_accept_arrays_and_scalars():
 
 
 def test_truncated_drive_endpoints():
+    # m_max = 0 keeps no coupling, so its residual is minus the exact drive;
+    # the full range keeps the exact couplings, so its residual is 0
     n = 8
     for k in momentum_grid(n):
-        zero = drive_function(CouplingModel(CouplingKind.TRUNCATED, 0), n, k)
-        full = drive_function(CouplingModel(CouplingKind.TRUNCATED, n // 2), n, k)
-        assert zero(0.7) == 0.0
-        assert full(0.7) == cd_drive_exact(k, 0.7)
-    with pytest.raises(ValueError):
-        drive_function(CouplingModel(CouplingKind.TRUNCATED, n // 2 + 1), n, momentum_grid(n))
+        exact = cd_drive_exact(k, 0.7)
+        assert abs(_residual(_truncated(0), n, k, 0.7) + exact) <= 4 * np.spacing(exact)
+        assert _residual(_truncated(n // 2), n, k, 0.7) == 0.0
 
 
 # The drive kernels as written before their momentum factors were taken once
 # per chain: every trig call inside the kernel, every operation in the same
-# order. The per-chain kernels must reproduce them bit for bit, so the chain
-# integrations (which feed these values to an adaptive solver) do too.
+# order. The residual kernels must reproduce their differences bit for bit,
+# so the chain integrations (which feed these values to an adaptive solver)
+# do too.
 def _literal_exact(k, g):
     return 0.25 * np.sin(k) / ((g * g + 1.0) - 2.0 * g * np.cos(k))
 
@@ -205,9 +240,16 @@ def _literal_thermo(k, g, n):
     return (0.25 * np.sin(k) + scale * np.sin(0.5 * n * k)) / ((g * g + 1.0) - 2.0 * g * np.cos(k))
 
 
+def _literal_direct(k, g, n):
+    weights = 2.0 * coupling_set(CouplingModel(CouplingKind.DIRECT_SUM), g, n)
+    weights[-1] *= 0.5
+    return (np.sin(np.multiply.outer(k, np.arange(1, n // 2 + 1))) * weights).sum(axis=-1)
+
+
+# The complex geometric resummation of the truncated drive that the chain
+# RHS used before the real closed form of its residual; kept as the
+# accuracy comparison for that form.
 def _literal_truncated(k, g, n, m_max):
-    if m_max == n // 2:
-        return _literal_exact(k, g)
     if g > 1.0:
         return _literal_truncated(k, 1.0 / g, n, m_max) / (g * g)
     phase = np.exp(1j * k)
@@ -219,10 +261,13 @@ def _literal_truncated(k, g, n, m_max):
     return (head + g ** (n - 1 - m_max) * tail) / (4.0 * (1.0 + g**n))
 
 
-def _literal_direct(k, g, n):
-    weights = 2.0 * coupling_set(CouplingModel(CouplingKind.DIRECT_SUM), g, n)
+def _literal_tail(k, g, n, m_max):
+    # truncated minus exact drive: minus the exact couplings beyond m_max,
+    # summed literally (the range n/2 at half weight)
+    ms = np.arange(m_max + 1, n // 2 + 1)
+    weights = 2.0 * coupling_exact(ms, g, n)
     weights[-1] *= 0.5
-    return (np.sin(np.multiply.outer(k, np.arange(1, n // 2 + 1))) * weights).sum(axis=-1)
+    return -(np.sin(np.multiply.outer(k, ms)) * weights).sum(axis=-1)
 
 
 @pytest.mark.parametrize("n", [2, 20, 200])
@@ -232,17 +277,84 @@ def test_per_chain_kernels_match_literal_kernels_bitwise(n):
         EXACT: _literal_exact,
         THERMO: lambda k, g: _literal_thermo(k, g, n),
         CouplingModel(CouplingKind.DIRECT_SUM): lambda k, g: _literal_direct(k, g, n),
+        _truncated(n // 2): _literal_exact,
     }
-    for m_max in sorted({0, 1, n // 4, n // 2}):
-        model = CouplingModel(CouplingKind.TRUNCATED, m_max)
-        literal[model] = lambda k, g, m_max=m_max: _literal_truncated(k, g, n, m_max)
-    for model, reference in literal.items():
-        drive = drive_function(model, n, ks)
-        for g in (0.0, 0.3, 1.0, 1.7, 5.0):
-            q = drive(g)
-            assert np.array_equal(q, reference(ks, g)), (model.label(), g)
-            # the residual the chain RHS integrates
-            assert np.array_equal(q - cd_drive_exact(ks, g), reference(ks, g) - _literal_exact(ks, g))
+    for g in (0.0, 0.3, 1.0, 1.7, 5.0):
+        assert np.array_equal(cd_drive_exact(ks, g), _literal_exact(ks, g))
+        assert np.array_equal(cd_drive_thermo(ks, g, n), _literal_thermo(ks, g, n))
+        for model, reference in literal.items():
+            residual = np.broadcast_to(_residual(model, n, ks, g), ks.shape)
+            assert np.array_equal(residual, reference(ks, g) - _literal_exact(ks, g)), (model, g)
+        # below full range: the closed form against the literal coupling tail,
+        # absolute below unit scale and relative above it
+        scale = np.maximum(1.0, np.abs(_literal_exact(ks, g)))
+        for m_max in sorted({0, min(1, n // 2 - 1), n // 4, n // 2 - 1}):
+            error = np.abs(_residual(_truncated(m_max), n, ks, g) - _literal_tail(ks, g, n, m_max))
+            assert np.all(error <= 1e-12 * scale), (m_max, g)
+
+
+@pytest.mark.parametrize("m_max", [3, 500, 999])
+@pytest.mark.parametrize("g", [0.999999, 1.000001])
+def test_truncated_residual_near_critical_field_against_mpmath(m_max, g):
+    # n = 2000 with a slowly decaying tail: the closed form must be no less
+    # accurate than the complex resummation minus the exact drive (what the
+    # chain RHS integrated before). The reference is the literal tail at the
+    # exact grid momenta in 30 digits; errors are relative to the larger of
+    # |q_exact| and |residual|, the scale the RHS works at.
+    n = 2000
+    index = np.r_[0:4, 100 : n // 2 : 100, n // 2 - 4 : n // 2]
+    ks = momentum_grid(n)[index]
+    closed = _residual(_truncated(m_max), n, ks, g)
+    resummed = _literal_truncated(ks, g, n, m_max) - _literal_exact(ks, g)
+    worst = {"closed": 0.0, "resummed": 0.0}
+    with mpmath.workdps(30):
+        field = mpmath.mpf(g)
+        u = min(field, 1 / field)
+        coupling = [(u ** (m - 1) + u ** (n - m - 1)) / (8 * (1 + u**n)) / max(1, field**2)
+                    for m in range(n // 2 + 1)]
+        for i, j in enumerate(index):
+            k = mpmath.pi * (2 * int(j) + 1) / n
+            tail = mpmath.fsum(2 * coupling[m] * mpmath.sin(m * k) for m in range(m_max + 1, n // 2))
+            reference = -(tail + coupling[n // 2] * mpmath.sin(n * k / 2))
+            scale = max(abs(reference), abs(mpmath.sin(k) / (4 * (field**2 + 1 - 2 * field * mpmath.cos(k)))))
+            worst["closed"] = max(worst["closed"], float(abs(closed[i] - reference) / scale))
+            worst["resummed"] = max(worst["resummed"], float(abs(resummed[i] - reference) / scale))
+    assert worst["closed"] <= worst["resummed"], worst
+    assert worst["closed"] < 1e-10, worst
+
+
+@pytest.mark.parametrize("n", [2, 20, 200])
+def test_truncated_residual_edge_fields(n):
+    # RuntimeWarnings fail the suite, so an overflow or 0/0 would show here
+    ks = momentum_grid(n)
+    for g in (0.0, 1e-150, 1.0, 1e100):
+        for m_max in sorted({0, n // 2 - 1, n // 2}):
+            assert np.all(np.isfinite(_residual(_truncated(m_max), n, ks, g))), (m_max, g)
+        exact = _literal_exact(ks, g)
+        assert np.all(np.abs(_residual(_truncated(0), n, ks, g) + exact) <= 4 * np.spacing(exact)), g
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    chain=st.integers(1, 100).flatmap(
+        lambda half: st.tuples(st.just(2 * half), st.integers(0, half - 1))
+    ),
+    g=st.floats(0.0, 6.0),
+)
+@example(chain=(2, 0), g=0.0)
+@example(chain=(200, 99), g=1.0)
+# near the worst case of a 4,000-draw scan: small k next to g = 1
+@example(chain=(198, 11), g=1.000000251771798)
+def test_truncated_residual_matches_literal_tail(chain, g):
+    # At small k next to g = 1 the shared denominator loses digits to
+    # cancellation: up to about 1.6e-12 of q_exact at n <= 200, the same
+    # as the complex resummation minus the exact drive. The literal tail
+    # divides by no denominator.
+    n, m_max = chain
+    ks = momentum_grid(n)
+    scale = np.maximum(1.0, np.abs(_literal_exact(ks, g)))
+    error = np.abs(_residual(_truncated(m_max), n, ks, g) - _literal_tail(ks, g, n, m_max))
+    assert np.all(error <= 4e-12 * scale)
 
 
 def test_constant_schedule_keeps_ground_state():

@@ -186,6 +186,17 @@ def test_cli_reruns_are_byte_identical(tmp_path):
     assert data_rows(first.read_text()) == data_rows(second.read_text())
 
 
+def test_cli_truncation_range_beyond_half_chain_exits_2_with_one_message(capsys):
+    # ChainConfig checks m_max for every pipeline, with the message coeffs gives
+    errors = {}
+    for command in ("coeffs", "oracle", "evolve", "trace"):
+        argv = [command, "--n", "4", "--coupling", "truncated", "--m-max", "3"]
+        assert main(argv) == 2, command
+        errors[command] = capsys.readouterr().err
+    assert errors["oracle"] == "error: truncation range m_max=3 outside [0, 2]\n"
+    assert set(errors.values()) == {errors["oracle"]}
+
+
 def test_cli_bad_arguments_exit_2(capsys):
     assert main(["coeffs", "--n", "3"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -21,7 +21,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from cdising import ChainConfig, CouplingKind, CouplingModel, Schedule, evolve_chain, momentum_grid
-from cdising.dynamics import drive_function
+from cdising.dynamics import cd_drive_exact, drive_function
 
 THERMO = CouplingModel(CouplingKind.THERMODYNAMIC)
 TIGHT = {"rel_tol": 1e-13, "abs_tol": 1e-15}
@@ -46,19 +46,20 @@ def lab_frame_states(config: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
 
     i d/dt (v, u) = 2 [[a, b], [conj(b), -a]] (v, u), with a = g - cos k and
     b = -sin k - i gdot q(k, g), for every mode at once, from the ground
-    state at g0.
+    state at g0. The drive q is the exact one plus the model's residual.
     """
     ks = momentum_grid(config.n)
     half = len(ks)
     schedule = config.schedule
-    drive = drive_function(config.coupling, config.n, ks)
+    residual = drive_function(config.coupling, config.n, ks)
     cos_k, sin_k = np.cos(ks), np.sin(ks)
 
     def rhs(t, y):
         tc = min(max(t, 0.0), schedule.duration)
         g = schedule.value(tc)
         a = g - cos_k
-        b = -sin_k - 1j * (schedule.rate(tc) * drive(g))
+        q = cd_drive_exact(ks, g) + residual(g, (g * g + 1.0) - 2.0 * g * cos_k)
+        b = -sin_k - 1j * (schedule.rate(tc) * q)
         v, u = y[:half], y[half:]
         return -2j * np.concatenate((a * v + b * u, b.conj() * v - a * u))
 
