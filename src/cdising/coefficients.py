@@ -4,7 +4,8 @@ Closed-form evaluation of the multi-spin coupling strengths that make a
 transverse-field Ising chain follow its instantaneous eigenstates exactly,
 together with the slower brute-force momentum sums they must reproduce, the
 thermodynamic and truncated approximations, and the trigonometric-sum
-machinery needed to cross-check all of them.
+machinery that the verification battery cross-checks them with. The
+double-series route to the same couplings is a reference in the tests.
 
 Every function here is a pure function of its arguments. Fields are
 dimensionless; chains are periodic with even length; the momentum grid is the
@@ -143,19 +144,6 @@ def coupling_truncated(m, g: float, n: int, m_max: int):
     return coupling_exact(m, g, n) * (m <= m_max)
 
 
-def correlation_length(g: float) -> float:
-    """Correlation length 1/|ln g| of the infinite chain.
-
-    Raises ZeroDivisionError at the critical field g = 1, where the length
-    diverges, and ValueError for nonpositive fields.
-    """
-    if g <= 0:
-        raise ValueError("field must be positive")
-    if g == 1.0:
-        raise ZeroDivisionError("correlation length diverges at g = 1")
-    return 1.0 / abs(math.log(g))
-
-
 def period_sign(m, n: int):
     """Sign of the grid average of cos(mk): zero unless n divides m.
 
@@ -238,80 +226,6 @@ def power_sum_exact(order: int, x: float, n: int) -> float:
         acc += c * (-shift) ** (order - s - 1)
         c = c * (2 * s + 1) / (2 * (s + 1))
     return total + n * acc
-
-
-def _series_weight_update(c: float, s: int) -> float:
-    # binom(2s,s)/2**(2s+1) stepped from s-1 to s.
-    return c * (2 * s - 1) / (2 * s)
-
-
-def coupling_series(m: int, g: float, n: int) -> float:
-    """Coupling strength via the double-series route.
-
-    Alternative evaluation that carries the chain-length dependence in
-    closed form while keeping the range dependence as an explicit
-    alternating series; must agree with coupling_exact up to accumulated
-    rounding. Ill-conditioned near g = 1 (negative powers of (g-1)^2/4g),
-    hence the stricter domain.
-
-    Args:
-        m: interaction range, 1 <= m <= min(n-1, 64).
-        g: positive field, g != 1.
-        n: even chain length.
-    """
-    _check_chain_length(n)
-    if not 1 <= m <= min(n - 1, EXPANSION_MAX_ORDER):
-        raise ValueError(f"range index m={m} outside [1, {min(n - 1, EXPANSION_MAX_ORDER)}]")
-    if g <= 0 or g == 1.0:
-        raise ValueError("field must be positive and away from the critical point")
-    a = sin_product_expansion(m)
-    y = (g - 1.0) ** 2 / (4.0 * g)
-    if g > 1.0:
-        gn = g ** (-n)
-        edge = (1.0 + g * gn) / ((g + 1.0) * (1.0 + gn))
-    else:
-        edge = (g**n + g) / ((g + 1.0) * (g**n + 1.0))
-    inner = edge
-    c = 0.5
-    ypow = 1.0
-    yinv = 1.0 / y
-    total = 0.0
-    for j in range(m + 1):
-        if j > 0:
-            c = _series_weight_update(c, j)
-            inner += c * (-yinv) ** j
-            ypow *= y
-        total += (-1) ** j * a[j] * ypow * inner
-    return total / (8.0 * g)
-
-
-def cos_sum_series(m: int, g: float, n: int) -> float:
-    """Companion cosine sum via the double-series route (see coupling_series)."""
-    _check_chain_length(n)
-    if not 1 <= m <= min(n - 1, EXPANSION_MAX_ORDER):
-        raise ValueError(f"range index m={m} outside [1, {min(n - 1, EXPANSION_MAX_ORDER)}]")
-    if g <= 0 or g == 1.0:
-        raise ValueError("field must be positive and away from the critical point")
-    b = cos_multiple_expansion(m)
-    y = (g - 1.0) ** 2 / (4.0 * g)
-    if g > 1.0:
-        gn = g ** (-n)
-        edge = 2.0 * g / (g * g - 1.0) * (1.0 - gn) / (1.0 + gn)
-    else:
-        edge = 2.0 * g / (g * g - 1.0) * (g**n - 1.0) / (g**n + 1.0)
-    c = 0.5
-    ypow = 1.0
-    yinv = 1.0 / y
-    acc = 0.0
-    total = 0.0
-    for j in range(m + 1):
-        if j > 0:
-            # append the s = j-1 term of the subtracted inner sum
-            acc += c * (-1) ** (j - 1) * yinv**j
-            c = c * (2 * j - 1) / (2 * j)
-            ypow *= y
-        total += (-1) ** j * b[j] * ypow * (edge - acc)
-    return total / (8.0 * g)
 
 
 def identity_residuals(g: float, n: int) -> dict[str, float]:

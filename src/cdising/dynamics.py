@@ -20,6 +20,7 @@ from scipy.integrate import solve_ivp
 from .coefficients import (
     CouplingKind,
     CouplingModel,
+    _check_chain_length,
     _check_ranges,
     coupling_set,
     momentum_grid,
@@ -96,8 +97,7 @@ class ChainConfig:
     trace_points: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 2 or self.n % 2:
-            raise ValueError(f"chain length must be even and >= 2, got {self.n}")
+        _check_chain_length(self.n)
         if self.coupling.kind is CouplingKind.TRUNCATED:
             _check_ranges(self.coupling.m_max, 0, self.n // 2, "truncation range m_max")
         for name, value in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):

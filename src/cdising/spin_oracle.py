@@ -5,31 +5,22 @@ literally, as sums of Pauli strings, and evolves the Schrodinger equation
 under them, to validate the free-fermion pipeline at small sizes. One
 sparse builder makes every operator from bit arithmetic on basis indices.
 Every term of the chain keeps the parity (an even number of down spins
-stays even), so the ground states and the evolution live in the
-positive-parity sector of dimension 2^(n-1); the public dense functions
-are full-space views of the same builder.
+stays even), so the oracle builds every operator on one basis, the
+positive-parity sector of dimension 2^(n-1), where the ground states and
+the evolution live. The one full-space view, multi_spin_term, stays
+because the benchmark tracer probes it.
 """
 
 from __future__ import annotations
-
-import itertools
-import math
 
 import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
 
-from .coefficients import CouplingModel, coupling_set
+from .coefficients import coupling_set
 from .dynamics import ChainConfig, IntegrationError
 
 MAX_SPINS = 10
-
-_PAULI = {
-    "i": np.eye(2, dtype=complex),
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 
 def _check_size(n: int) -> None:
@@ -98,34 +89,6 @@ def _weighted_cd_terms(n: int, basis: np.ndarray) -> list[sparse.csr_array]:
     ]
 
 
-def pauli_string(n: int, factors: dict[int, np.ndarray]) -> np.ndarray:
-    """Tensor product over n sites with the given single-site factors.
-
-    Each factor is expanded in the Pauli basis, A = sum_P tr(P A)/2 P, so a
-    Pauli factor gives one string and any other 2x2 matrix a sum of them.
-    """
-    expansions = [
-        [(site, label, c) for label, p in _PAULI.items() if (c := np.trace(p @ factor) / 2) != 0]
-        for site, factor in factors.items()
-    ]
-    total = sparse.csr_array((2**n, 2**n), dtype=complex)
-    for combo in itertools.product(*expansions):
-        string = {site: label for site, label, _ in combo}
-        total = total + math.prod(c for *_, c in combo) * _pauli(n, string, np.arange(2**n))
-    return total.toarray()
-
-
-def ising_hamiltonian(n: int, g: float) -> np.ndarray:
-    """Dense transverse-field Ising Hamiltonian with periodic bonds.
-
-    The bond sum runs over all n sites; for n = 2 the two bond terms act
-    on the same pair and are deliberately both kept, exactly as the sum
-    dictates.
-    """
-    _check_size(n)
-    return _ising(n, g, np.arange(2**n)).toarray()
-
-
 def multi_spin_term(n: int, m: int) -> np.ndarray:
     """Range-m counterdiabatic interaction: x-(z string)-y plus y-(z string)-x.
 
@@ -136,26 +99,6 @@ def multi_spin_term(n: int, m: int) -> np.ndarray:
     if not 1 <= m <= n // 2:
         raise ValueError(f"interaction range m={m} outside [1, {n // 2}]")
     return _multi_spin(n, m, np.arange(2**n)).toarray()
-
-
-def cd_hamiltonian(n: int, g: float, gdot: float, model: CouplingModel) -> np.ndarray:
-    """Dense counterdiabatic term at field g and ramp rate gdot.
-
-    Minus gdot times the coupling-weighted sum of multi_spin_term over
-    ranges 1 .. n/2, the longest range entering with half weight.
-    """
-    _check_size(n)
-    if gdot == 0.0:
-        return np.zeros((2**n, 2**n), dtype=complex)
-    values = coupling_set(model, g, n)
-    terms = _weighted_cd_terms(n, np.arange(2**n))
-    return (-gdot * sum(value * term for value, term in zip(values, terms))).toarray()
-
-
-def parity_operator(n: int) -> np.ndarray:
-    """Product of z operators over all sites (diagonal, entries +-1)."""
-    _check_size(n)
-    return _pauli(n, {site: "z" for site in range(n)}, np.arange(2**n)).toarray()
 
 
 def parity_ground_state(n: int, g: float) -> np.ndarray:

@@ -7,15 +7,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cdising import CouplingKind, CouplingModel, coupling_exact, coupling_set, momentum_grid
 from cdising.coefficients import (
-    correlation_length,
+    EXPANSION_MAX_ORDER,
+    _check_chain_length,
     cos_multiple_expansion,
     cos_sum,
     cos_sum_exact,
-    cos_sum_series,
-    coupling_series,
     coupling_sum,
     coupling_thermo,
     coupling_truncated,
@@ -90,12 +91,21 @@ def test_coupling_sum_zero_field():
     assert math.isclose(coupling_sum(1, 0.0, 4), 0.125, rel_tol=1e-14)
 
 
-def test_coupling_exact_duality():
-    for g in (0.2, 0.9, 1.5, 3.0):
-        for m in (1, 2, 5):
-            lhs = g * coupling_exact(m, g, 12)
-            rhs = coupling_exact(m, 1.0 / g, 12) / g
-            assert math.isclose(lhs, rhs, rel_tol=1e-13)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(g=st.floats(1e-6, 1e6), n=st.integers(1, 1000).map(lambda half: 2 * half))
+@example(g=0.2, n=12)
+@example(g=0.9, n=12)
+@example(g=1.5, n=12)
+@example(g=3.0, n=12)
+def test_coupling_exact_duality(g, n):
+    # g h(g) = h(1/g) / g for every range. A 1-ulp error in 1/g is raised to
+    # powers up to n/2, so the bound grows with n; the floor covers results
+    # that underflow to subnormals.
+    ms = np.arange(n)
+    lhs = g * coupling_exact(ms, g, n)
+    rhs = coupling_exact(ms, 1.0 / g, n) / g
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+    assert np.all(np.abs(lhs - rhs) <= 2 * n * 2.0**-52 * scale)
 
 
 def test_coupling_exact_large_field_no_overflow():
@@ -107,7 +117,7 @@ def test_coupling_exact_large_field_no_overflow():
 def test_coupling_exact_scaling_form():
     # the closed form depends on m and n only through exp(-m/xi), exp(-n/xi)
     g, n = 0.6, 12
-    xi = correlation_length(g)
+    xi = 1.0 / abs(math.log(g))  # the correlation length
     for m in (1, 3, 5):
         em = math.exp(-m / xi)
         en = math.exp(-n / xi)
@@ -224,16 +234,6 @@ def test_coupling_truncated():
         coupling_truncated(1, 0.7, 8, 5)  # cap beyond n/2
 
 
-def test_correlation_length():
-    assert math.isclose(correlation_length(math.e), 1.0, rel_tol=1e-15)
-    assert math.isclose(correlation_length(1.0 / math.e), 1.0, rel_tol=1e-15)
-    assert math.isclose(correlation_length(math.e**2), 0.5, rel_tol=1e-15)
-    with pytest.raises(ZeroDivisionError):
-        correlation_length(1.0)
-    with pytest.raises(ValueError):
-        correlation_length(0.0)
-
-
 def test_period_sign():
     assert period_sign(0, 4) == 1
     assert period_sign(4, 4) == -1
@@ -328,6 +328,85 @@ def test_power_sum_validates():
         power_sum_exact(1, 0.0, 4)
     with pytest.raises(ValueError):
         power_sum(-1, 1.0, 4)
+
+
+# The double-series route: a second evaluation of the couplings through the
+# sin(k/2) expansions, kept here as an independent reference for the closed
+# forms.
+
+
+def _series_weight_update(c: float, s: int) -> float:
+    # binom(2s,s)/2**(2s+1) stepped from s-1 to s.
+    return c * (2 * s - 1) / (2 * s)
+
+
+def coupling_series(m: int, g: float, n: int) -> float:
+    """Coupling strength via the double-series route.
+
+    Alternative evaluation that carries the chain-length dependence in
+    closed form while keeping the range dependence as an explicit
+    alternating series; must agree with coupling_exact up to accumulated
+    rounding. Ill-conditioned near g = 1 (negative powers of (g-1)^2/4g),
+    hence the stricter domain.
+
+    Args:
+        m: interaction range, 1 <= m <= min(n-1, 64).
+        g: positive field, g != 1.
+        n: even chain length.
+    """
+    _check_chain_length(n)
+    if not 1 <= m <= min(n - 1, EXPANSION_MAX_ORDER):
+        raise ValueError(f"range index m={m} outside [1, {min(n - 1, EXPANSION_MAX_ORDER)}]")
+    if g <= 0 or g == 1.0:
+        raise ValueError("field must be positive and away from the critical point")
+    a = sin_product_expansion(m)
+    y = (g - 1.0) ** 2 / (4.0 * g)
+    if g > 1.0:
+        gn = g ** (-n)
+        edge = (1.0 + g * gn) / ((g + 1.0) * (1.0 + gn))
+    else:
+        edge = (g**n + g) / ((g + 1.0) * (g**n + 1.0))
+    inner = edge
+    c = 0.5
+    ypow = 1.0
+    yinv = 1.0 / y
+    total = 0.0
+    for j in range(m + 1):
+        if j > 0:
+            c = _series_weight_update(c, j)
+            inner += c * (-yinv) ** j
+            ypow *= y
+        total += (-1) ** j * a[j] * ypow * inner
+    return total / (8.0 * g)
+
+
+def cos_sum_series(m: int, g: float, n: int) -> float:
+    """Companion cosine sum via the double-series route (see coupling_series)."""
+    _check_chain_length(n)
+    if not 1 <= m <= min(n - 1, EXPANSION_MAX_ORDER):
+        raise ValueError(f"range index m={m} outside [1, {min(n - 1, EXPANSION_MAX_ORDER)}]")
+    if g <= 0 or g == 1.0:
+        raise ValueError("field must be positive and away from the critical point")
+    b = cos_multiple_expansion(m)
+    y = (g - 1.0) ** 2 / (4.0 * g)
+    if g > 1.0:
+        gn = g ** (-n)
+        edge = 2.0 * g / (g * g - 1.0) * (1.0 - gn) / (1.0 + gn)
+    else:
+        edge = 2.0 * g / (g * g - 1.0) * (g**n - 1.0) / (g**n + 1.0)
+    c = 0.5
+    ypow = 1.0
+    yinv = 1.0 / y
+    acc = 0.0
+    total = 0.0
+    for j in range(m + 1):
+        if j > 0:
+            # append the s = j-1 term of the subtracted inner sum
+            acc += c * (-1) ** (j - 1) * yinv**j
+            c = c * (2 * j - 1) / (2 * j)
+            ypow *= y
+        total += (-1) ** j * b[j] * ypow * (edge - acc)
+    return total / (8.0 * g)
 
 
 def test_coupling_series_frozen_value():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -22,6 +23,12 @@ PUBLIC = {
     "dense_evolve",
 }
 
+SOURCE = Path(cdising.__file__).resolve().parent
+
+# public names kept without a caller in src: the benchmark tracer probes
+# spin_oracle.multi_spin_term, so it stays until that probe is dropped
+UNCALLED = {"spin_oracle.multi_spin_term"}
+
 
 def test_public_names_are_exactly_the_api():
     assert len(cdising.__all__) == len(PUBLIC) and set(cdising.__all__) == PUBLIC
@@ -41,3 +48,37 @@ def test_every_benchmark_probe_site_resolves(monkeypatch):
             if not hasattr(importlib.import_module(f"cdising.{module}"), attribute):
                 missing.append(site)
     assert tracing.PROBES and missing == []
+
+
+def test_every_public_name_is_used_or_exported():
+    # a module-level public function, class or constant must be used by name
+    # somewhere in src (strings and comments don't count) or be in __all__
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            # a read, not the assignment that defines the name
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused, kept = [], set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") or name in used or name in cdising.__all__:
+                    continue
+                site = f"{module}.{name}"
+                if site in UNCALLED:
+                    kept.add(site)
+                else:
+                    unused.append(site)
+    # an allowlist entry that is gone or has gained a caller is stale
+    assert unused == [] and kept == UNCALLED

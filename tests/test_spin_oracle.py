@@ -8,17 +8,10 @@ import numpy as np
 import pytest
 
 from cdising import ChainConfig, CouplingKind, CouplingModel, Schedule, dense_evolve, evolve_chain
+from cdising.coefficients import coupling_set
 from cdising.dynamics import dispersion_ground_energy
-from cdising.spin_oracle import (
-    cd_hamiltonian,
-    ising_hamiltonian,
-    multi_spin_term,
-    parity_ground_state,
-    parity_operator,
-    pauli_string,
-    sector_ground_energy,
-)
-from cdising.spin_oracle import _even_sector, _ising, _multi_spin
+from cdising.spin_oracle import multi_spin_term, parity_ground_state, sector_ground_energy
+from cdising.spin_oracle import _even_sector, _ising, _multi_spin, _pauli, _weighted_cd_terms
 
 EXACT = CouplingModel(CouplingKind.EXACT)
 
@@ -35,24 +28,39 @@ def kron_chain(*factors):
     return out
 
 
+def full(n):
+    # every basis state: the full 2^n space the literal operators act on
+    return np.arange(2**n)
+
+
+def ising_full(n, g):
+    return _ising(n, g, full(n)).toarray()
+
+
+def cd_full(n, g, gdot):
+    # the counterdiabatic term the oracle integrates, on the full space
+    terms = _weighted_cd_terms(n, full(n))
+    return (-gdot * sum(v * term for v, term in zip(coupling_set(EXACT, g, n), terms))).toarray()
+
+
 def test_pauli_string_single_site():
-    assert np.array_equal(pauli_string(2, {0: X}), np.kron(X, I2))
-    assert np.array_equal(pauli_string(2, {1: Z}), np.kron(I2, Z))
-    assert np.array_equal(pauli_string(2, {}), np.eye(4))
+    assert np.array_equal(_pauli(2, {0: "x"}, full(2)).toarray(), np.kron(X, I2))
+    assert np.array_equal(_pauli(2, {1: "z"}, full(2)).toarray(), np.kron(I2, Z))
+    assert np.array_equal(_pauli(2, {}, full(2)).toarray(), np.eye(4))
 
 
 def test_two_site_hamiltonian_spectrum():
     # both periodic bonds act on the same pair, so the bond weight is 2
-    h = ising_hamiltonian(2, 0.0)
+    h = ising_full(2, 0.0)
     assert np.allclose(h, -2.0 * np.kron(X, X))
     assert np.allclose(np.linalg.eigvalsh(h), [-2.0, -2.0, 2.0, 2.0])
 
 
 def test_hamiltonians_hermitian():
     for n, g in ((2, 0.5), (4, 1.0), (6, 2.0)):
-        h = ising_hamiltonian(n, g)
+        h = ising_full(n, g)
         assert np.max(np.abs(h - h.conj().T)) <= 1e-14
-    h1 = cd_hamiltonian(6, 0.8, 1.3, EXACT)
+    h1 = cd_full(6, 0.8, 1.3)
     assert np.max(np.abs(h1 - h1.conj().T)) <= 1e-14
 
 
@@ -103,22 +111,18 @@ def test_multi_spin_term_validates():
         multi_spin_term(12, 1)
 
 
-def test_cd_hamiltonian_zero_rate_vanishes():
-    assert np.all(cd_hamiltonian(4, 0.7, 0.0, EXACT) == 0.0)
-
-
 def test_parity_operator_diagonal():
-    p = parity_operator(2)
+    p = _pauli(2, {0: "z", 1: "z"}, full(2)).toarray()
     assert np.allclose(p, np.diag([1.0, -1.0, -1.0, 1.0]))
 
 
 def test_hamiltonians_commute_with_parity():
     rng = np.random.default_rng(7)
-    p = parity_operator(4)
+    p = parity(4)
     for _ in range(10):
         g = float(rng.uniform(0.0, 3.0))
         gdot = float(rng.uniform(-2.0, 2.0))
-        h = ising_hamiltonian(4, g) + cd_hamiltonian(4, g, gdot, EXACT)
+        h = ising_full(4, g) + cd_full(4, g, gdot)
         assert np.max(np.abs(h @ p - p @ h)) <= 1e-12
 
 
@@ -126,7 +130,7 @@ def test_parity_ground_state_properties():
     for n, g in ((2, 0.0), (4, 1.0), (6, 0.5)):
         state = parity_ground_state(n, g)
         assert abs(np.linalg.norm(state) - 1.0) <= 1e-10
-        assert np.allclose(parity_operator(n) @ state, state, atol=1e-12)
+        assert np.allclose(parity(n) @ state, state, atol=1e-12)
 
 
 def test_parity_ground_state_strong_field():
@@ -182,7 +186,7 @@ def test_dense_evolve_rejects_a_trace():
 
 def test_dense_size_validation():
     with pytest.raises(ValueError):
-        ising_hamiltonian(3, 1.0)
+        sector_ground_energy(3, 1.0)
     with pytest.raises(ValueError):
         parity_ground_state(12, 1.0)
     with pytest.raises(ValueError):
@@ -191,6 +195,10 @@ def test_dense_size_validation():
 
 def literal(n, factors):
     return kron_chain(*[factors.get(site, I2) for site in range(n)])
+
+
+def parity(n):
+    return literal(n, {site: Z for site in range(n)})
 
 
 def literal_ising(n, g):
@@ -224,23 +232,18 @@ def test_sector_operators_match_the_literal_kron_construction(n):
         built = _multi_spin(n, m, sector).toarray()
         assert np.max(np.abs(built - literal_multi_spin(n, m)[block])) <= 1e-15
         assert np.max(np.abs(multi_spin_term(n, m) - literal_multi_spin(n, m))) <= 1e-15
-    assert np.max(np.abs(ising_hamiltonian(n, 0.7) - literal_ising(n, 0.7))) <= 1e-15
-    assert np.array_equal(parity_operator(n), literal(n, {site: Z for site in range(n)}))
+    assert np.max(np.abs(ising_full(n, 0.7) - literal_ising(n, 0.7))) <= 1e-15
+    assert np.array_equal(_pauli(n, {site: "z" for site in range(n)}, full(n)).toarray(), parity(n))
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_literal_operators_commute_with_parity(n):
     # why the oracle may drop the odd sector: no term of the chain leaves it
-    p = parity_operator(n)
+    p = parity(n)
     for operator in [literal_ising(n, 1.3)] + [
         literal_multi_spin(n, m) for m in range(1, n // 2 + 1)
     ]:
         assert np.max(np.abs(operator @ p - p @ operator)) == 0.0
-
-
-def test_pauli_string_expands_general_factors():
-    a = np.array([[1.0, 2.0j], [3.0, 4.0]])
-    assert np.allclose(pauli_string(3, {0: a, 2: Y}), kron_chain(a, I2, Y), atol=1e-15)
 
 
 @pytest.mark.parametrize(
