@@ -127,6 +127,18 @@ def _model(p: dict) -> CouplingModel:
     return CouplingModel(kind, p["m_max"])
 
 
+def _chain(p: dict, n: int, t_final: float, model: CouplingModel, samples: int = 0) -> ChainConfig:
+    schedule = Schedule(p["g0"], p["gf"], t_final)
+    return ChainConfig(n, schedule, model, p["rel_tol"], p["abs_tol"], samples)
+
+
+def _grid(p: dict, name: str) -> list:
+    # a sweep list, sorted; an empty one would write a header-only file
+    if not p[name]:
+        raise ValueError(f"{name} must list at least one value")
+    return sorted(p[name])
+
+
 def _save(command: str, p: dict, columns: tuple[str, ...], rows) -> None:
     params = {key: value for key, value in p.items() if key not in ("out", "jobs")}
     experiments.save_csv(p["out"], command, params, columns, rows)
@@ -139,28 +151,25 @@ def cmd_coeffs(p: dict) -> int:
 
 
 def cmd_sweep_truncation(p: dict) -> int:
-    rows = experiments.run_truncation_sweep(
-        p["n"], p["t_final"], p["g0"], p["gf"], p["rel_tol"], p["abs_tol"], jobs=p["jobs"]
-    )
+    configs = [
+        _chain(p, n, p["t_final"], CouplingModel(CouplingKind.TRUNCATED, m_max))
+        for n in _grid(p, "n") for m_max in range(n // 2 + 1)
+    ]
+    rows = experiments.run_truncation_sweep(configs, p["jobs"])
     _save("sweep-truncation", p, ("n", "m_max", "p_gs"), rows)
     return 0
 
 
 def cmd_sweep_size(p: dict) -> int:
-    rows = experiments.run_size_sweep(
-        p["n"], p["t_final"], CouplingKind(p["coupling"]), p["g0"], p["gf"],
-        p["rel_tol"], p["abs_tol"], jobs=p["jobs"],
-    )
+    model = CouplingModel(CouplingKind(p["coupling"]))
+    configs = [_chain(p, n, t, model) for n in _grid(p, "n") for t in _grid(p, "t_final")]
+    rows = experiments.run_size_sweep(configs, p["jobs"])
     _save("sweep-size", p, ("n", "t_final", "p_gs"), rows)
     return 0
 
 
 def cmd_trace(p: dict) -> int:
-    model = _model(p)
-    rows = experiments.run_trace(
-        p["n"], p["t_final"], model.kind, p["samples"], p["g0"], p["gf"], model.m_max,
-        p["rel_tol"], p["abs_tol"],
-    )
+    rows = experiments.run_trace(_chain(p, p["n"], p["t_final"], _model(p), p["samples"]))
     _save("trace", p, ("t", "g", "p_instant"), rows)
     return 0
 
@@ -182,17 +191,14 @@ def cmd_oracle(p: dict) -> int:
         models = [CouplingModel(CouplingKind.TRUNCATED, m) for m in range(p["n"] // 2 + 1)]
     else:
         models = [_model(p)]
-    rows = experiments.run_oracle_comparison(
-        p["n"], models, p["t_final"], p["g0"], p["gf"], p["rel_tol"], p["abs_tol"]
-    )
+    rows = experiments.run_oracle_comparison([_chain(p, p["n"], p["t_final"], m) for m in models])
     _save("oracle", p, ("coupling", "p_dense", "p_fermion", "abs_diff"), rows)
     return 0
 
 
 def cmd_evolve(p: dict) -> int:
     model = _model(p)
-    schedule = Schedule(p["g0"], p["gf"], p["t_final"])
-    result = evolve_chain(ChainConfig(p["n"], schedule, model, p["rel_tol"], p["abs_tol"]))
+    result = evolve_chain(_chain(p, p["n"], p["t_final"], model))
     row = [(p["n"], p["t_final"], model.label(), result.p_gs, result.norm_drift, result.steps)]
     _save("evolve", p, ("n", "t_final", "coupling", "p_gs", "norm_drift", "steps"), row)
     return 0

@@ -27,9 +27,9 @@ from .coefficients import (
 )
 
 
-# Run defaults, declared once for ChainConfig, the experiment runners, the
-# dense oracle and the CLI: a ramp from DEFAULT_G0 to DEFAULT_GF over
-# DEFAULT_T_FINAL, integrated at the default tolerances.
+# Run defaults, declared once for ChainConfig (the tolerances), the CLI (all
+# five) and verify's dense check (the ramp ends): a ramp from DEFAULT_G0 to
+# DEFAULT_GF over DEFAULT_T_FINAL, integrated at the default tolerances.
 DEFAULT_G0 = 5.0
 DEFAULT_GF = 0.0
 DEFAULT_T_FINAL = 10.0
@@ -104,7 +104,9 @@ class ChainConfig:
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.trace_points < 0 or self.trace_points == 1:
-            raise ValueError("trace needs at least 2 samples (0 disables it)")
+            raise ValueError(
+                f"trace needs at least 2 samples (0 disables it), got {self.trace_points}"
+            )
 
 
 @dataclass

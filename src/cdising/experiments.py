@@ -1,9 +1,10 @@
 """Sweep runners and reproducible CSV output.
 
-Each runner turns a parameter grid into plain rows of Python numbers; the
-writer prepends a manifest (command, parameters, version, timestamp) as
-comment lines so every file is self-describing. Data rows are deterministic:
-identical parameters give byte-identical rows.
+Each runner turns the ChainConfigs it is given (the CLI builds them from
+its flags) into plain rows of Python numbers; the writer prepends a
+manifest (command, parameters, version, timestamp) as comment lines so
+every file is self-describing. Data rows are deterministic: identical
+parameters give byte-identical rows.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import scipy
 
 from . import __version__
 from .coefficients import (
+    EXPANSION_MAX_ORDER,
     CouplingKind,
     CouplingModel,
     cos_multiple_expansion,
@@ -35,11 +37,8 @@ from .coefficients import (
     sin_product_expansion,
 )
 from .dynamics import (
-    DEFAULT_ABS_TOL,
     DEFAULT_G0,
     DEFAULT_GF,
-    DEFAULT_REL_TOL,
-    DEFAULT_T_FINAL,
     ChainConfig,
     Schedule,
     cd_drive_exact,
@@ -105,108 +104,41 @@ def _final_probabilities(configs: Sequence[ChainConfig], jobs: int) -> list[floa
 
 
 def run_truncation_sweep(
-    n_values: Sequence[int],
-    t_final: float = DEFAULT_T_FINAL,
-    g0: float = DEFAULT_G0,
-    gf: float = DEFAULT_GF,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    m_grids: dict[int, Sequence[int]] | None = None,
-    jobs: int = 1,
+    configs: Sequence[ChainConfig], jobs: int = 1
 ) -> list[tuple[int, int, float]]:
-    """Final ground-state probability over truncation ranges.
+    """Final ground-state probability as rows (n, m_max, p_gs) in config order.
 
-    Args:
-        n_values: even chain lengths.
-        t_final, g0, gf: ramp parameters.
-        rel_tol, abs_tol: solver tolerances.
-        m_grids: optional per-length list of truncation ranges; defaults
-            to every m_max in [0, n/2].
-        jobs: worker processes, >= 1 (1 = serial; the rows are identical
-            either way, and no more workers start than there are rows).
-
-    Returns:
-        Rows (n, m_max, p_gs) sorted by (n, m_max).
+    jobs: worker processes, >= 1 (1 = serial; the rows are identical either
+    way, and no more workers start than there are configs).
     """
-    schedule = Schedule(g0, gf, t_final)
-    configs = [
-        ChainConfig(n, schedule, CouplingModel(CouplingKind.TRUNCATED, m_max), rel_tol, abs_tol)
-        for n in sorted(n_values)
-        for m_max in (sorted(m_grids[n]) if m_grids else range(n // 2 + 1))
-    ]
     probs = _final_probabilities(configs, jobs)
     return [(c.n, c.coupling.m_max, p) for c, p in zip(configs, probs)]
 
 
-def run_size_sweep(
-    n_values: Sequence[int],
-    t_values: Sequence[float] = (1.0, 10.0, 100.0),
-    kind: CouplingKind = CouplingKind.THERMODYNAMIC,
-    g0: float = DEFAULT_G0,
-    gf: float = DEFAULT_GF,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    jobs: int = 1,
-) -> list[tuple[int, float, float]]:
-    """Final ground-state probability over chain lengths and ramp times.
-
-    Returns rows (n, t_final, p_gs) sorted by (n, t_final).
-    """
-    model = CouplingModel(kind)
-    configs = [
-        ChainConfig(n, Schedule(g0, gf, t_final), model, rel_tol, abs_tol)
-        for n in sorted(n_values)
-        for t_final in sorted(t_values)
-    ]
+def run_size_sweep(configs: Sequence[ChainConfig], jobs: int = 1) -> list[tuple[int, float, float]]:
+    """Final ground-state probability as rows (n, t_final, p_gs) in config
+    order; jobs as in run_truncation_sweep."""
     probs = _final_probabilities(configs, jobs)
     return [(c.n, c.schedule.duration, p) for c, p in zip(configs, probs)]
 
 
-def run_trace(
-    n: int = 200,
-    t_final: float = DEFAULT_T_FINAL,
-    kind: CouplingKind = CouplingKind.THERMODYNAMIC,
-    samples: int = 500,
-    g0: float = DEFAULT_G0,
-    gf: float = DEFAULT_GF,
-    m_max: int | None = None,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-) -> list[tuple[float, float, float]]:
-    """Instantaneous ground-state probability along the ramp.
-
-    m_max is the truncation range of kind TRUNCATED and must be None for
-    every other kind. Returns rows (t, g, p_instant) at uniformly spaced
-    sample times.
-    """
-    if samples < 2:
+def run_trace(config: ChainConfig) -> list[tuple[float, float, float]]:
+    """Instantaneous ground-state probability along the ramp, as rows
+    (t, g, p_instant) at config.trace_points uniformly spaced times."""
+    if config.trace_points < 2:
         # ChainConfig reads trace_points = 0 as "no trace"
-        raise ValueError(f"trace needs at least 2 samples, got {samples}")
-    model = CouplingModel(kind, m_max)
-    config = ChainConfig(n, Schedule(g0, gf, t_final), model, rel_tol, abs_tol, samples)
+        raise ValueError(f"trace needs at least 2 samples, got {config.trace_points}")
     return evolve_chain(config).trace
 
 
-def run_oracle_comparison(
-    n: int,
-    models: Sequence[CouplingModel],
-    t_final: float = DEFAULT_T_FINAL,
-    g0: float = DEFAULT_G0,
-    gf: float = DEFAULT_GF,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-) -> list[tuple[str, float, float, float]]:
-    """Dense spin evolution against the fermionic pipeline, model by model.
-
-    Returns rows (model label, p dense, p fermionic, absolute difference).
-    """
-    schedule = Schedule(g0, gf, t_final)
+def run_oracle_comparison(configs: Sequence[ChainConfig]) -> list[tuple[str, float, float, float]]:
+    """Dense spin evolution against the fermionic pipeline, one row (model
+    label, p dense, p fermionic, absolute difference) per config."""
     rows = []
-    for model in models:
-        config = ChainConfig(n, schedule, model, rel_tol, abs_tol)
+    for config in configs:
         dense = dense_evolve(config)
         fermionic = evolve_chain(config).p_gs
-        rows.append((model.label(), dense, fermionic, abs(dense - fermionic)))
+        rows.append((config.coupling.label(), dense, fermionic, abs(dense - fermionic)))
     return rows
 
 
@@ -349,16 +281,17 @@ def run_verification(
     # expansions cross-checked exactly against the Chebyshev route:
     # cos(mk) = T_m(1 - 2 sin^2(k/2)), and the sine product is half the
     # difference of the neighboring cosine expansions
-    cheb = _chebyshev_shifted(65)
-    for m in range(65):
+    cheb = _chebyshev_shifted(EXPANSION_MAX_ORDER + 1)
+    pad = [0] * (EXPANSION_MAX_ORDER + 2)
+    for m in range(EXPANSION_MAX_ORDER + 1):
         b = cos_multiple_expansion(m)
-        diff = max(abs(x - y) for x, y in zip(b + [0] * 66, cheb[m] + [0] * 66))
+        diff = max(abs(x - y) for x, y in zip(b + pad, cheb[m] + pad))
         keep("expansion Chebyshev identity", float(diff), lambda _: f"cos expansion m={m}")
         if m == 0:
             continue
         a = sin_product_expansion(m)
-        low = cheb[m - 1] + [0] * 66
-        high = cheb[m + 1] + [0] * 66
+        low = cheb[m - 1] + pad
+        high = cheb[m + 1] + pad
         diff = max(abs(2 * a[s] - (low[s + 1] - high[s + 1])) for s in range(m + 1))
         keep("expansion Chebyshev identity", float(diff), lambda _: f"sin expansion m={m}")
 
@@ -376,15 +309,15 @@ def run_verification(
             keep("expansion reconstruction", r, lambda _: f"cos expansion m={m} k={k:.3f}")
 
     # dense spin oracle against the fermionic pipeline
+    ramp = Schedule(DEFAULT_G0, DEFAULT_GF, 1.0)
     for n in n_values:
         if n > MAX_SPINS:
             continue
         for g in (0.0, 0.5, 1.0, 2.0):
             r = abs(sector_ground_energy(n, g) - dispersion_ground_energy(n, g))
             keep("dense ground energies", r, lambda _: f"g={g} n={n}")
-        for label, _, _, diff in run_oracle_comparison(
-            n, [CouplingModel(CouplingKind.EXACT)], t_final=1.0
-        ):
+        config = ChainConfig(n, ramp, CouplingModel(CouplingKind.EXACT))
+        for label, _, _, diff in run_oracle_comparison([config]):
             keep("dense vs fermionic evolution", diff, lambda _: f"{label} n={n} t_final=1")
     return [
         Check(name, worst[name][1], worst[name][0], threshold)

@@ -64,9 +64,12 @@ def report(label: str, elapsed: float, failures: list[str], detail: str) -> None
     assert not failures, "; ".join(failures[:10])
 
 
+def config(n: int, model: CouplingModel, t_final: float, samples: int = 0) -> ChainConfig:
+    return ChainConfig(n, Schedule(5.0, 0.0, t_final), model, trace_points=samples)
+
+
 def prepare(n: int, model: CouplingModel, t_final: float):
-    schedule = Schedule(5.0, 0.0, t_final)
-    return evolve_chain(ChainConfig(n, schedule, model))
+    return evolve_chain(config(n, model, t_final))
 
 
 @lru_cache(maxsize=1)
@@ -79,17 +82,27 @@ def truncation_rows():
         100: sorted(set(range(0, 51, 2)) | {25}),
         200: sorted(set(range(0, 101, 4)) | {50}),
     }
-    return tuple(run_truncation_sweep(sorted(grids), m_grids=grids))
+    configs = [
+        config(n, CouplingModel(CouplingKind.TRUNCATED, m_max), 10.0)
+        for n in sorted(grids)
+        for m_max in grids[n]
+    ]
+    return tuple(run_truncation_sweep(configs))
 
 
 @lru_cache(maxsize=1)
 def size_rows():
-    return tuple(run_size_sweep([10, 30, 50, 100, 150, 200]))
+    configs = [
+        config(n, THERMO, t_final)
+        for n in (10, 30, 50, 100, 150, 200)
+        for t_final in (1.0, 10.0, 100.0)
+    ]
+    return tuple(run_size_sweep(configs))
 
 
 @lru_cache(maxsize=1)
 def reference_trace():
-    return tuple(run_trace())
+    return tuple(run_trace(config(200, THERMO, 10.0, samples=500)))
 
 
 def test_criterion_1_coefficient_identity_suite():
@@ -321,7 +334,8 @@ def test_criterion_6_oracle_equivalence():
         ]
         models += [CouplingModel(CouplingKind.TRUNCATED, m) for m in range(n // 2 + 1)]
         for t_final in (1.0, 10.0):
-            for label, _, _, diff in run_oracle_comparison(n, models, t_final=t_final):
+            configs = [config(n, model, t_final) for model in models]
+            for label, _, _, diff in run_oracle_comparison(configs):
                 worst_p = max(worst_p, diff)
                 if diff > 1e-6:
                     failures.append(f"dense vs fermionic {diff:.2e} at n={n} T={t_final} {label}")

@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 import scipy
 
-from cdising import ChainConfig, CouplingKind, CouplingModel, __version__, experiments, momentum_grid
+from cdising import (
+    ChainConfig,
+    CouplingKind,
+    CouplingModel,
+    Schedule,
+    __version__,
+    experiments,
+    momentum_grid,
+)
 from cdising.cli import _COMMANDS, main
 from cdising.coefficients import cos_multiple_expansion
 from cdising.dynamics import cd_drive_exact, cd_drive_from_couplings, cd_drive_thermo
@@ -27,6 +35,16 @@ from cdising.experiments import (
 )
 
 EXACT = CouplingModel(CouplingKind.EXACT)
+THERMO = CouplingModel(CouplingKind.THERMODYNAMIC)
+
+
+def chain(n: int, model: CouplingModel = THERMO, samples: int = 0) -> ChainConfig:
+    # the CLI's default ramp over T = 1
+    return ChainConfig(n, Schedule(5.0, 0.0, 1.0), model, trace_points=samples)
+
+
+def truncations(n: int) -> list[ChainConfig]:
+    return [chain(n, CouplingModel(CouplingKind.TRUNCATED, m)) for m in range(n // 2 + 1)]
 
 
 def data_rows(text: str) -> list[str]:
@@ -73,32 +91,33 @@ def test_run_coeffs_rows():
 
 
 def test_run_truncation_sweep_small():
-    rows = run_truncation_sweep([4], t_final=1.0)
+    configs = truncations(4)
+    rows = run_truncation_sweep(configs)
     assert [(n, m) for n, m, _ in rows] == [(4, 0), (4, 1), (4, 2)]
     # full range reproduces the exact drive; the bare ramp does not
     assert abs(rows[-1][2] - 1.0) < 1e-8
     assert rows[0][2] < rows[-1][2]
-    # m_max grids can be restricted per chain length
-    short = run_truncation_sweep([4], t_final=1.0, m_grids={4: [0, 2]})
+    # a subset of the configs runs on its own, to the same bits
+    short = run_truncation_sweep([configs[0], configs[2]])
     assert [(n, m) for n, m, _ in short] == [(4, 0), (4, 2)]
     assert short[0][2] == rows[0][2]
 
 
 def test_run_size_sweep_small_and_parallel():
-    serial = run_size_sweep([4, 6], t_values=[1.0], jobs=1)
+    serial = run_size_sweep([chain(4), chain(6)], jobs=1)
     assert [(n, t) for n, t, _ in serial] == [(4, 1.0), (6, 1.0)]
-    parallel = run_size_sweep([4, 6], t_values=[1.0], jobs=2)
+    parallel = run_size_sweep([chain(4), chain(6)], jobs=2)
     assert serial == parallel
 
 
 def test_run_trace_small():
-    rows = run_trace(n=4, t_final=1.0, samples=5)
+    rows = run_trace(chain(4, samples=5))
     assert len(rows) == 5
     assert rows[0][0] == 0.0 and rows[-1][0] == 1.0
     assert abs(rows[0][2] - 1.0) < 1e-12
     # a truncation range with a non-truncated model is rejected, not ignored
     with pytest.raises(ValueError, match="m_max"):
-        run_trace(n=4, t_final=1.0, samples=5, m_max=1)
+        run_trace(chain(4, CouplingModel(CouplingKind.THERMODYNAMIC, 1), samples=5))
 
 
 def test_run_verification_clean_and_corrupt():
@@ -146,6 +165,22 @@ def test_cli_verify_rejects_an_empty_grid(argv, name, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and name in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["sweep-size", "--n", ","], "n"),
+        (["sweep-size", "--t-final", ","], "t_final"),
+        (["sweep-truncation", "--n", ","], "n"),
+    ],
+)
+def test_cli_sweeps_reject_an_empty_list(argv, name, capsys):
+    # a header-only CSV would pass for a finished sweep
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {name} must list at least one value\n"
     assert captured.out == ""
 
 
@@ -271,7 +306,8 @@ def test_cli_trace_small(tmp_path):
 @pytest.mark.parametrize("samples", ["0", "1", "-3"])
 def test_cli_trace_rejects_too_few_samples(samples, capsys):
     assert main(["trace", "--n", "4", "--t-final", "1", "--samples", samples]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"got {samples}" in err
 
 
 def test_cli_evolve_and_oracle(tmp_path):
@@ -466,9 +502,9 @@ def test_cli_manifest_records_coupling_and_m_max_separately(tmp_path):
 @pytest.mark.parametrize("jobs", [0, -1])
 def test_sweeps_reject_fewer_than_one_job(jobs):
     with pytest.raises(ValueError, match="jobs"):
-        run_size_sweep([4], t_values=[1.0], jobs=jobs)
+        run_size_sweep([chain(4)], jobs=jobs)
     with pytest.raises(ValueError, match="jobs"):
-        run_truncation_sweep([4], t_final=1.0, jobs=jobs)
+        run_truncation_sweep(truncations(4), jobs=jobs)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -478,9 +514,10 @@ def test_cli_rejects_fewer_than_one_job(jobs, capsys):
 
 
 def test_pool_is_never_larger_than_the_sweep(monkeypatch):
-    serial = run_size_sweep([4, 6], t_values=[1.0], jobs=1)
+    configs = [chain(4), chain(6)]
+    serial = run_size_sweep(configs, jobs=1)
     # a real pool: 3 jobs on 2 configs, bit-identical to the serial rows
-    assert run_size_sweep([4, 6], t_values=[1.0], jobs=3) == serial
+    assert run_size_sweep(configs, jobs=3) == serial
     sizes = []
 
     class RecordingPool:
@@ -497,8 +534,8 @@ def test_pool_is_never_larger_than_the_sweep(monkeypatch):
             return [fn(item) for item in items]
 
     monkeypatch.setattr(experiments, "Pool", RecordingPool)
-    assert run_size_sweep([4, 6], t_values=[1.0], jobs=3) == serial
-    assert run_truncation_sweep([4], t_final=1.0, jobs=2) == run_truncation_sweep([4], t_final=1.0)
+    assert run_size_sweep(configs, jobs=3) == serial
+    assert run_truncation_sweep(truncations(4), jobs=2) == run_truncation_sweep(truncations(4))
     assert sizes == [2, 2]
 
 
@@ -538,8 +575,6 @@ def test_cli_verify_runs_the_dense_checks_up_to_max_spins(capsys):
     [
         (run_truncation_sweep, "sweep-truncation"),
         (run_size_sweep, "sweep-size"),
-        (run_trace, "trace"),
-        (experiments.run_oracle_comparison, "oracle"),
         (ChainConfig, "evolve"),
     ],
 )

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdising import ChainConfig, CouplingKind, CouplingModel, Schedule, evolve_chain
+from cdising.experiments import run_size_sweep
 
 EXACT = CouplingModel(CouplingKind.EXACT)
 THERMO = CouplingModel(CouplingKind.THERMODYNAMIC)
@@ -72,6 +73,16 @@ def test_trace_is_a_probability_and_ends_at_the_final_run(chain, samples):
     assert traced.trace[-1][2] == traced.p_gs == final.p_gs
     for _, _, p in traced.trace:
         assert 0.0 <= p <= 1.0 + 1e-12
+
+
+# each example starts one 2-process pool, so the draws stay few and small
+@settings(SETTINGS, max_examples=8)
+@given(chain_list=st.lists(chains(max_half=6, max_t=2.0), min_size=2, max_size=4))
+def test_jobs_never_move_a_bit(chain_list):
+    # a mixed list of models, lengths and ramps: each config pickles whole
+    # into its worker, so the rows cannot depend on the process they ran in
+    configs = [ChainConfig(n, ramp, model) for n, ramp, model in chain_list]
+    assert run_size_sweep(configs, 2) == run_size_sweep(configs, 1)
 
 
 @pytest.mark.parametrize("model", [THERMO, CouplingModel(CouplingKind.TRUNCATED, 999)], ids=["thermo", "truncated999"])
