@@ -8,10 +8,11 @@ key=value file given by --config, else its default; a config key the
 subcommand does not read is an error.
 
 Subcommands emit self-describing CSV (manifest comments, header row, data
-rows) either to --out or to stdout. The manifest records every resolved
-parameter except --out and --jobs, so a file can be regenerated from its
-own header. Exit codes: 0 success, 1 verification or computation failure,
-2 bad arguments, 3 I/O failure.
+rows) either to --out or to stdout; verify prints its report to stdout and
+writes CSV only to --out. The manifest records every resolved parameter
+except --out and --jobs, so a file can be regenerated from its own header.
+Exit codes: 0 success, 1 verification or computation failure, 2 bad
+arguments, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -119,12 +120,7 @@ def _resolve(args: argparse.Namespace) -> dict[str, object]:
 
 
 def _model(p: dict) -> CouplingModel:
-    kind = CouplingKind(p["coupling"])
-    if kind is CouplingKind.TRUNCATED and p["m_max"] is None:
-        raise ValueError("truncated coupling needs --m-max")
-    if kind is not CouplingKind.TRUNCATED and p["m_max"] is not None:
-        raise ValueError(f"--m-max is only valid with --coupling truncated, not {kind.value}")
-    return CouplingModel(kind, p["m_max"])
+    return CouplingModel(CouplingKind(p["coupling"]), p["m_max"])
 
 
 def _chain(p: dict, n: int, t_final: float, model: CouplingModel, samples: int = 0) -> ChainConfig:
@@ -133,10 +129,10 @@ def _chain(p: dict, n: int, t_final: float, model: CouplingModel, samples: int =
 
 
 def _grid(p: dict, name: str) -> list:
-    # a sweep list, sorted; an empty one would write a header-only file
+    # a sweep list, sorted, each value once; an empty one would write a header-only file
     if not p[name]:
         raise ValueError(f"{name} must list at least one value")
-    return sorted(p[name])
+    return sorted(set(p[name]))
 
 
 def _save(command: str, p: dict, columns: tuple[str, ...], rows) -> None:

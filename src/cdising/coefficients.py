@@ -165,8 +165,6 @@ def sin_product_expansion(m: int) -> list[int]:
         raise ValueError("order must be nonnegative")
     if m > EXPANSION_MAX_ORDER:
         raise ValueError(f"order {m} unsupported (max {EXPANSION_MAX_ORDER})")
-    if m == 0:
-        return [0]
     term = Fraction(4 * m)
     out = [term]
     for s in range(1, m + 1):
@@ -186,8 +184,6 @@ def cos_multiple_expansion(m: int) -> list[int]:
         raise ValueError("order must be nonnegative")
     if m > EXPANSION_MAX_ORDER:
         raise ValueError(f"order {m} unsupported (max {EXPANSION_MAX_ORDER})")
-    if m == 0:
-        return [1]
     term = Fraction(1)
     out = [term]
     for s in range(1, m + 1):
@@ -310,9 +306,9 @@ class CouplingModel:
     def __post_init__(self) -> None:
         if self.kind is CouplingKind.TRUNCATED:
             if self.m_max is None or self.m_max < 0:
-                raise ValueError("truncated model needs a nonnegative m_max")
+                raise ValueError(f"truncated coupling needs m_max >= 0, got {self.m_max}")
         elif self.m_max is not None:
-            raise ValueError(f"m_max is only meaningful for truncated models, got {self.kind}")
+            raise ValueError(f"m_max is only valid with truncated coupling, not {self.kind.value}")
 
     def label(self) -> str:
         if self.kind is CouplingKind.TRUNCATED:

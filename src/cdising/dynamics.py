@@ -60,26 +60,14 @@ class Schedule:
         for name, value in (("g0", self.g0), ("gf", self.gf)):
             if not 0 <= value <= 1e100:
                 raise ValueError(f"schedule {name} must lie in [0, 1e100], got {value}")
-        # rate() divides by duration**3, which this range keeps a finite normal float
+        # the rate divides by duration**3, which this range keeps a finite normal float
         if not 1e-100 <= self.duration <= 1e100:
             raise ValueError(f"schedule duration must lie in [1e-100, 1e100], got {self.duration}")
 
-    def _check(self, t: float) -> None:
+    def ramp(self, t: float) -> tuple[float, float]:
+        """Field g(t) and its analytic rate gdot(t), 0 <= t <= duration."""
         if not 0 <= t <= self.duration:
             raise ValueError(f"time {t} outside [0, {self.duration}]")
-
-    def value(self, t: float) -> float:
-        """Field at time t, 0 <= t <= duration."""
-        self._check(t)
-        return self._ramp(t)[0]
-
-    def rate(self, t: float) -> float:
-        """Analytic time derivative of the field at time t."""
-        self._check(t)
-        return self._ramp(t)[1]
-
-    def _ramp(self, t: float) -> tuple[float, float]:
-        # (g, gdot) at a time the caller has already clamped to [0, duration]
         x = t / self.duration
         g = self.g0 + (self.gf - self.g0) * (3.0 - 2.0 * x) * x * x
         return g, 6.0 * (self.gf - self.g0) * t * (self.duration - t) / self.duration**3
@@ -262,7 +250,7 @@ def _integrate(config: ChainConfig, samples: np.ndarray) -> tuple[np.ndarray, fl
     residual = drive_function(config.coupling, config.n, ks)
     cos_k = np.cos(ks)
     half = len(ks)
-    ramp, t1 = schedule._ramp, schedule.duration
+    ramp, t1 = schedule.ramp, schedule.duration
 
     def rhs(t, y):
         # the solver may probe a rounding error beyond the span edges
@@ -315,12 +303,12 @@ def evolve_chain(config: ChainConfig) -> EvolutionResult:
     times = np.linspace(0.0, schedule.duration, config.trace_points)
     frames, drift, steps, nfev = _integrate(config, times[:-1])
     probs = ground_state_probability(frames)
-    if not config.trace_points:
-        return EvolutionResult(float(probs[-1]), None, drift, steps, nfev)
-    # the last sample sits at the target field itself, not at its rounded ramp value
-    fields = [schedule.value(float(t)) for t in times[:-1]] + [schedule.gf]
-    trace = [(float(t), float(g), float(p)) for t, g, p in zip(times, fields, probs)]
-    return EvolutionResult(trace[-1][2], trace, drift, steps, nfev)
+    trace = None
+    if config.trace_points:
+        # the last sample sits at the target field itself, not at its rounded ramp value
+        fields = [schedule.ramp(float(t))[0] for t in times[:-1]] + [schedule.gf]
+        trace = [(float(t), float(g), float(p)) for t, g, p in zip(times, fields, probs)]
+    return EvolutionResult(float(probs[-1]), trace, drift, steps, nfev)
 
 
 def dispersion_ground_energy(n: int, g: float) -> float:

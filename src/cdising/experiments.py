@@ -193,7 +193,7 @@ CHECKS = {
 
 
 def run_verification(
-    n_values: Sequence[int] = (2, 4, 8, 16, 64, 200),
+    n_values: Sequence[int],
     g_values: Sequence[float] | None = None,
     corrupt: bool = False,
 ) -> list[Check]:

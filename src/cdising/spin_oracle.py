@@ -146,15 +146,12 @@ def dense_evolve(config: ChainConfig) -> float:
     # while the weight near the all-up state no longer turns at a rate ~ g n
     z_shifted = _field_sum(n, sector).diagonal() - n
     stacked = sparse.vstack(_weighted_cd_terms(n, sector), format="csr")
-    ramp, duration = schedule._ramp, schedule.duration
+    ramp, duration = schedule.ramp, schedule.duration
 
     def rhs(t, state):
         g, gp = ramp(min(max(t, 0.0), duration))
-        h_state = -(hx @ state) - g * (z_shifted * state)
-        if gp != 0.0:
-            values = coupling_set(model, g, n)
-            h_state -= gp * (values @ (stacked @ state).reshape(-1, dim))
-        return -1j * h_state
+        cd_state = coupling_set(model, g, n) @ (stacked @ state).reshape(-1, dim)
+        return -1j * (-(hx @ state) - g * (z_shifted * state) - gp * cd_state)
 
     start = parity_ground_state(n, schedule.g0)[sector]
     sol = solve_ivp(

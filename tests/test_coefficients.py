@@ -286,6 +286,8 @@ def test_expansions_support_cap():
         cos_multiple_expansion(65)
     with pytest.raises(ValueError):
         sin_product_expansion(-1)
+    with pytest.raises(ValueError):
+        cos_multiple_expansion(-1)
 
 
 def test_power_sum_base_case():

@@ -36,23 +36,23 @@ THERMO = CouplingModel(CouplingKind.THERMODYNAMIC)
 
 def test_schedule_endpoints_and_midpoint():
     ramp = Schedule(5.0, 0.0, 2.0)
-    assert ramp.value(0.0) == 5.0
-    assert ramp.value(2.0) == 0.0
+    assert ramp.ramp(0.0)[0] == 5.0
+    assert ramp.ramp(2.0)[0] == 0.0
     # the cubic ramp passes through the mean field at half time
-    assert math.isclose(ramp.value(1.0), 2.5, rel_tol=1e-15)
-    assert math.isclose(ramp.value(0.5), 4.21875, rel_tol=1e-15)
+    assert math.isclose(ramp.ramp(1.0)[0], 2.5, rel_tol=1e-15)
+    assert math.isclose(ramp.ramp(0.5)[0], 4.21875, rel_tol=1e-15)
 
 
 def test_schedule_rate():
     ramp = Schedule(5.0, 0.0, 2.0)
-    assert ramp.rate(0.0) == 0.0
-    assert ramp.rate(2.0) == 0.0
+    assert ramp.ramp(0.0)[1] == 0.0
+    assert ramp.ramp(2.0)[1] == 0.0
     # peak rate 1.5 * (gf - g0) / duration at half time
-    assert math.isclose(ramp.rate(1.0), -3.75, rel_tol=1e-15)
+    assert math.isclose(ramp.ramp(1.0)[1], -3.75, rel_tol=1e-15)
     # finite difference cross-check away from the extremum
     t, dt = 0.6, 1e-7
-    numeric = (ramp.value(t + dt) - ramp.value(t - dt)) / (2 * dt)
-    assert math.isclose(ramp.rate(t), numeric, rel_tol=1e-6)
+    numeric = (ramp.ramp(t + dt)[0] - ramp.ramp(t - dt)[0]) / (2 * dt)
+    assert math.isclose(ramp.ramp(t)[1], numeric, rel_tol=1e-6)
 
 
 def test_schedule_validation():
@@ -61,24 +61,22 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         Schedule(-1.0, 0.0, 1.0)
     ramp = Schedule(5.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        ramp.value(1.5)
-    with pytest.raises(ValueError):
-        ramp.rate(-0.1)
+    with pytest.raises(ValueError, match=r"^time 1\.5 outside \[0, 1\.0\]$"):
+        ramp.ramp(1.5)
+    with pytest.raises(ValueError, match=r"^time -0\.1 outside \[0, 1\.0\]$"):
+        ramp.ramp(-0.1)
 
 
 def test_schedule_ramp_pair_is_value_and_rate_bitwise():
-    # the unchecked pair the RHS functions read, against the checked API and
-    # the ramp's literal expressions, on a grid that includes t = 0 and t = T
+    # the checked pair both RHS functions read, against the ramp's literal
+    # expressions, on a grid that includes t = 0 and t = T
     for ramp in (Schedule(5.0, 0.0, 2.0), Schedule(0.2, 3.0, 7.0), Schedule(1.0, 1.0, 3.0)):
         g0, gf, duration = ramp.g0, ramp.gf, ramp.duration
         for t in [*np.linspace(0.0, duration, 17).tolist(), duration / 3.0]:
             x = t / duration
             literal = (g0 + (gf - g0) * (3.0 - 2.0 * x) * x * x,
                        6.0 * (gf - g0) * t * (duration - t) / duration**3)
-            pair = [value.hex() for value in ramp._ramp(t)]
-            assert pair == [ramp.value(t).hex(), ramp.rate(t).hex()]
-            assert pair == [value.hex() for value in literal]
+            assert [value.hex() for value in ramp.ramp(t)] == [value.hex() for value in literal]
 
 
 @pytest.mark.parametrize(
@@ -90,7 +88,7 @@ def test_schedule_ramp_pair_is_value_and_rate_bitwise():
         (5.0, math.nan, 1.0, "gf"),
         (5.0, 0.0, math.nan, "duration"),
         (5.0, 0.0, math.inf, "duration"),
-        # rate() divides by duration**3, which underflows or overflows here
+        # the rate divides by duration**3, which underflows or overflows here
         (5.0, 0.0, 1e-120, "duration"),
         (5.0, 0.0, 1e200, "duration"),
         # the drive squares the field, which overflows here
@@ -106,7 +104,8 @@ def test_schedule_rejects_nonfinite_fields_and_unrepresentable_durations(g0, gf,
 def test_schedule_duration_range_edges_give_finite_rates():
     for duration in (1e-100, 1e100):
         ramp = Schedule(5.0, 0.0, duration)
-        assert math.isfinite(ramp.rate(0.5 * duration)) and ramp.rate(0.5 * duration) < 0
+        rate = ramp.ramp(0.5 * duration)[1]
+        assert math.isfinite(rate) and rate < 0
 
 
 def test_schedule_field_bound_runs_every_family_clean():

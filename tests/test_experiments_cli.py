@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 import scipy
 
+import cdising.dynamics
+import cdising.spin_oracle
 from cdising import (
     ChainConfig,
     CouplingKind,
@@ -232,6 +234,44 @@ def test_cli_truncation_range_beyond_half_chain_exits_2_with_one_message(capsys)
     assert set(errors.values()) == {errors["oracle"]}
 
 
+def test_cli_m_max_errors_are_the_library_messages(capsys):
+    # the CLI adds no rule of its own on pairing --coupling with --m-max
+    cases = [
+        (["evolve", "--coupling", "truncated"], (CouplingKind.TRUNCATED, None)),
+        (["evolve", "--coupling", "exact", "--m-max", "2"], (CouplingKind.EXACT, 2)),
+    ]
+    for argv, (kind, m_max) in cases:
+        with pytest.raises(ValueError) as library:
+            CouplingModel(kind, m_max)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {library.value}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, module, message",
+    [
+        (["evolve", "--n", "4", "--t-final", "1"], cdising.dynamics,
+         "integration failed on [0, 1]: "),
+        (["oracle", "--n", "4", "--t-final", "1"], cdising.spin_oracle,
+         "dense run (n=4, exact): "),
+    ],
+)
+def test_cli_integration_failure_exits_1_with_one_line(argv, module, message, monkeypatch, capsys):
+    real = module.solve_ivp
+
+    def failing(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        sol.success = False
+        return sol
+
+    monkeypatch.setattr(module, "solve_ivp", failing)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+
+
 def test_cli_bad_arguments_exit_2(capsys):
     assert main(["coeffs", "--n", "3"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -356,6 +396,18 @@ def test_cli_sweeps_small(tmp_path):
     assert code == 0
     rows = data_rows(size.read_text())
     assert [row.split(",")[0] for row in rows] == ["4", "6"]
+
+
+def test_cli_sweeps_run_each_distinct_value_once(capsys):
+    assert main(["sweep-size", "--n", "4,4", "--t-final", "1,1.0"]) == 0
+    out = capsys.readouterr().out
+    assert len(data_rows(out)) == 1
+    # the manifest keeps the lists as given
+    assert "# n = [4, 4]" in out and "# t_final = [1.0, 1.0]" in out
+    assert main(["sweep-truncation", "--n", "4,4", "--t-final", "1"]) == 0
+    assert [row.split(",")[:2] for row in data_rows(capsys.readouterr().out)] == [
+        ["4", "0"], ["4", "1"], ["4", "2"],
+    ]
 
 
 def test_cli_config_file_defaults_and_override(tmp_path):

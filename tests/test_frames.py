@@ -55,11 +55,10 @@ def lab_frame_states(config: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
     cos_k, sin_k = np.cos(ks), np.sin(ks)
 
     def rhs(t, y):
-        tc = min(max(t, 0.0), schedule.duration)
-        g = schedule.value(tc)
+        g, gdot = schedule.ramp(min(max(t, 0.0), schedule.duration))
         a = g - cos_k
         q = cd_drive_exact(ks, g) + residual(g, (g * g + 1.0) - 2.0 * g * cos_k)
-        b = -sin_k - 1j * (schedule.rate(tc) * q)
+        b = -sin_k - 1j * (gdot * q)
         v, u = y[:half], y[half:]
         return -2j * np.concatenate((a * v + b * u, b.conj() * v - a * u))
 
