@@ -8,17 +8,24 @@ Every term of the chain keeps the parity (an even number of down spins
 stays even), so the oracle builds every operator on one basis, the
 positive-parity sector of dimension 2^(n-1), where the ground states and
 the evolution live. The one full-space view, multi_spin_term, stays
-because the benchmark tracer probes it.
+because the benchmark tracer probes it. scipy.sparse is imported by the
+functions that build or multiply operators, on their first call, so that
+importing the package does not pay for it; the evolution uses the
+package's DOP853, like the chain's.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy import sparse
-from scipy.integrate import solve_ivp
+from typing import TYPE_CHECKING
 
+import numpy as np
+
+from ._dop853 import solve_ivp
 from .coefficients import coupling_set
 from .dynamics import ChainConfig, IntegrationError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 MAX_SPINS = 10
 
@@ -43,6 +50,7 @@ def _pauli(n: int, string: dict[int, str], basis: np.ndarray) -> sparse.csr_arra
     factor i from each y: P|b> = i^ny (-1)^popcount(b & (y|z)) |b ^ (x|y)>.
     The basis must be closed under the flip.
     """
+    from scipy import sparse
 
     def mask(letters: str) -> int:
         return sum(1 << (n - 1 - site) for site, letter in string.items() if letter in letters)
@@ -139,6 +147,8 @@ def dense_evolve(config: ChainConfig) -> float:
     _check_size(n)
     if config.trace_points:
         raise ValueError(f"dense_evolve computes no trace, got trace_points={config.trace_points}")
+    from scipy import sparse
+
     sector = _even_sector(n)
     dim = sector.size
     hx = _bond_sum(n, sector)
@@ -154,11 +164,9 @@ def dense_evolve(config: ChainConfig) -> float:
         return -1j * (-(hx @ state) - g * (z_shifted * state) - gp * cd_state)
 
     start = parity_ground_state(n, schedule.g0)[sector]
-    sol = solve_ivp(
-        rhs, (0.0, duration), start, method="DOP853", rtol=config.rel_tol, atol=config.abs_tol
-    )
+    sol = solve_ivp(rhs, (0.0, duration), start, rtol=config.rel_tol, atol=config.abs_tol)
     if not sol.success:
         raise IntegrationError(f"dense run (n={n}, {model.label()}): {sol.message}")
     target = parity_ground_state(n, schedule.gf)[sector]
-    overlap = np.vdot(target, sol.y[:, -1])
+    overlap = np.vdot(target, sol.y)
     return float(abs(overlap) ** 2)

@@ -451,6 +451,28 @@ def test_traced_and_direct_evolution_agree():
     assert traced.nfev - direct.nfev == 3 * direct.steps
 
 
+@pytest.mark.parametrize(
+    "model, rejected",
+    [
+        (EXACT, 8),
+        (CouplingModel(CouplingKind.DIRECT_SUM), 8),
+        (THERMO, 16),
+        (CouplingModel(CouplingKind.TRUNCATED, 3), 1),
+    ],
+    ids=lambda value: value.label() if isinstance(value, CouplingModel) else str(value),
+)
+def test_rejected_steps_close_the_rhs_count(model, rejected):
+    # 2 evaluations choose the first step, every attempted step costs 12 and
+    # every accepted one 3 more when the interpolant is kept; the counts were
+    # checked against scipy's DOP853, which reports only nfev and the steps
+    ramp = Schedule(5.0, 0.0, 10.0)
+    for trace_points in (0, 5):
+        result = evolve_chain(ChainConfig(20, ramp, model, trace_points=trace_points))
+        extra = 3 * result.steps if trace_points else 0
+        assert result.rejected == rejected
+        assert result.nfev == 2 + 12 * (result.steps + result.rejected) + extra
+
+
 def test_integration_error_is_a_runtime_error():
     assert issubclass(IntegrationError, RuntimeError)
 

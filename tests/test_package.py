@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cdising
@@ -48,6 +51,29 @@ def test_every_benchmark_probe_site_resolves(monkeypatch):
             if not hasattr(importlib.import_module(f"cdising.{module}"), attribute):
                 missing.append(site)
     assert tracing.PROBES and missing == []
+
+
+def test_import_loads_neither_scipy_integrate_nor_sparse():
+    # the package integrates with its own DOP853 and builds the oracle's
+    # sparse operators on the first oracle call, so a fresh interpreter that
+    # only imports the CLI, as every command does first, pays for neither
+    code = """
+import sys
+import cdising, cdising.cli
+cdising.cli.build_parser()
+print(sorted(name for name in ("scipy.integrate", "scipy.sparse") if name in sys.modules))
+from cdising import ChainConfig, CouplingKind, CouplingModel, Schedule, dense_evolve, evolve_chain
+config = ChainConfig(4, Schedule(5.0, 0.0, 1.0), CouplingModel(CouplingKind.EXACT))
+evolve_chain(config)
+dense_evolve(config)
+print("scipy.integrate" in sys.modules)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SOURCE.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert done.stdout.splitlines() == ["[]", "False"]
 
 
 def test_every_public_name_is_used_or_exported():
