@@ -2,19 +2,20 @@
 
 A step-for-step copy of scipy's ``solve_ivp(method="DOP853")`` (scipy
 1.17.1, ``scipy/integrate/_ivp``) for what this package asks of it: one
-forward solve of a real or complex vector ODE at scalar tolerances,
-optionally with the dense-output interpolant. Every floating-point
-operation runs in scipy's order on the same tableau, so states, accepted
-and rejected steps, RHS evaluations and interpolated values are
-bit-identical to scipy's. Importing scipy.integrate for this one function
-costs more than the integrations of a typical run.
+forward solve of a complex vector ODE at scalar tolerances, which reads
+its dense-output polynomial at given sample times as the loop passes
+them. Every floating-point operation runs in scipy's order on the same
+tableau, so states, accepted and rejected steps, RHS evaluations and
+sampled values are bit-identical to scipy's. Unlike scipy, it takes rtol
+as given, with no floor: callers check their tolerances. Importing
+scipy.integrate for this one function costs more than the integrations
+of a typical run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
-from warnings import warn
 
 import numpy as np
 
@@ -246,37 +247,12 @@ D[3, 14] = -0.39177261675615439165231486172e+2
 D[3, 15] = -0.14972683625798562581422125276e+3
 
 
-EPS = np.finfo(float).eps
 SAFETY = 0.9  # multiplies the step the error asymptotics suggest
 MIN_FACTOR = 0.2  # smallest step change
 MAX_FACTOR = 10  # largest step change
 ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order 7 + 1)
 SUCCESS = "The solver successfully reached the end of the integration interval."
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-
-
-class Interpolant:
-    """Dense output of a solve: one DOP853 polynomial per accepted step."""
-
-    def __init__(self, ts: list[float], pieces: list[tuple]):
-        self.ts = np.array(ts)
-        self.pieces = pieces  # (t_old, h, y_old, F) of each step, in order
-
-    def __call__(self, t) -> np.ndarray:
-        """States at a 1-D array of times, one row per time.
-
-        A time on a step boundary reads the earlier step's polynomial, and a
-        time outside the solve extrapolates the first or last step, as
-        scipy's OdeSolution does.
-        """
-        t = np.asarray(t)
-        segments = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.pieces) - 1)
-        y_old = self.pieces[0][2]
-        out = np.empty((t.size, y_old.size), dtype=y_old.dtype)
-        for segment in np.unique(segments):
-            at = segments == segment
-            out[at] = _evaluate(*self.pieces[segment], t[at])
-        return out
 
 
 def _evaluate(t_old: float, h: float, y_old: np.ndarray, F: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -299,7 +275,8 @@ class Solution:
     t and y are the last accepted time and state (t1 on success); steps and
     rejected count accepted and rejected steps; drift is the largest value
     of the drift function over y0 and every accepted state (0.0 without
-    one); sol is the interpolant when dense output was asked for.
+    one); samples holds the state at each sample time, one row each, NaN
+    where the solve stopped short of it.
     """
 
     success: bool
@@ -310,7 +287,7 @@ class Solution:
     steps: int
     rejected: int
     drift: float
-    sol: Interpolant | None
+    samples: np.ndarray
 
 
 def _rms(x: np.ndarray):
@@ -356,53 +333,47 @@ def solve_ivp(
     y0,
     rtol: float,
     atol: float,
-    dense_output: bool = False,
+    samples=(),
     drift: Callable[[np.ndarray], float] | None = None,
 ) -> Solution:
     """Integrate y' = fun(t, y) from t0 to t1 > t0, (t0, t1) = t_span, by DOP853.
 
-    fun returns an array shaped and typed like y; y0 is made a float or
-    a complex array. rtol below 100 machine epsilons is raised to that
-    floor, with scipy's warning. A step whose size falls below ten units
-    in the last place of t ends the solve with success False and scipy's
-    message. With dense_output the solution keeps the interpolant of every
-    accepted step, at 3 more RHS evaluations per step. drift, a function
-    of one state, is taken at y0 and at each accepted state, and its
-    largest value returned, so that no state but the last is kept.
+    y0 is made a complex array, and fun returns one shaped like it. A step
+    whose size falls below ten units in the last place of t ends the solve
+    with success False and scipy's message. samples, ascending times in
+    [t0, t1], are read as the loop passes them: after each accepted step
+    from t_old to t_new, at 3 more RHS evaluations, the samples in
+    (t_old, t_new], and t0 with the first step, take the values of that
+    step's dense-output polynomial. A sample on a step boundary so reads
+    the earlier step, as scipy's OdeSolution does. drift, a function of
+    one state, is taken at y0 and at each accepted state, and its largest
+    value returned, so that no state but the last is kept.
     """
     t, t_bound = map(float, t_span)
     if not t < t_bound:
         raise ValueError(f"t_span must increase, got {t_span}")
-    y = np.asarray(y0)
-    y = y.astype(complex if np.issubdtype(y.dtype, np.complexfloating) else float, copy=False)
-    if rtol < 100 * EPS:
-        warn(
-            "At least one element of `rtol` is too small. "
-            f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
-            stacklevel=2,
-        )
-        rtol = np.maximum(rtol, 100 * EPS)
+    y = np.asarray(y0, dtype=complex)
+    samples = np.asarray(samples, dtype=float)
+    out = np.full((samples.size, y.size), np.nan, dtype=complex)
+    read = 0
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
     nfev, steps, rejected = 2, 0, 0
     worst = drift(y) if drift else 0.0
 
     # stage s reads the stages before it: K[:s].T weighted by row s of A
-    K_extended = np.empty((N_STAGES_EXTENDED, y.size), dtype=y.dtype)
+    K_extended = np.empty((N_STAGES_EXTENDED, y.size), dtype=complex)
     K = K_extended[: N_STAGES + 1]
     stages = [(s, C[s], K[:s].T, A[s, :s]) for s in range(1, N_STAGES)]
     extra = [(s, C[s], K_extended[:s].T, A[s, :s]) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
-    ts, pieces = [t], []
+    F = np.empty((INTERPOLATOR_POWER, y.size), dtype=complex)
     message = SUCCESS
     while t < t_bound:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        if h_abs < min_step:
-            h_abs = min_step
+        h_abs = max(h_abs, min_step)
         step_rejected = False
         while h_abs >= min_step:  # else it underflowed: scipy's TOO_SMALL_STEP
-            t_new = t + h_abs
-            if t_new > t_bound:
-                t_new = t_bound
+            t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = np.abs(h)
 
@@ -417,9 +388,8 @@ def solve_ivp(
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             error_norm = _error_norm(K, h, scale)
             if error_norm < 1:
-                if error_norm == 0:
-                    factor = MAX_FACTOR
-                else:
+                factor = MAX_FACTOR
+                if error_norm > 0:
                     factor = min(MAX_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
                 if step_rejected:
                     factor = min(1, factor)
@@ -432,23 +402,23 @@ def solve_ivp(
             message = TOO_SMALL_STEP
             break
 
-        if dense_output:
+        if samples.size:
             for s, c, before, a in extra:
                 K_extended[s] = fun(t + c * h, y + np.dot(before, a) * h)
             nfev += N_STAGES_EXTENDED - N_STAGES - 1
-            F = np.empty((INTERPOLATOR_POWER, y.size), dtype=y.dtype)
-            f_old = K_extended[0]
-            delta_y = y_new - y
-            F[0] = delta_y
-            F[1] = h * f_old - delta_y
-            F[2] = 2 * delta_y - h * (f_new + f_old)
-            F[3:] = h * np.dot(D, K_extended)
-            pieces.append((t, h, y, F))
+            due = np.searchsorted(samples, t_new, side="right")
+            if due > read:
+                f_old = K_extended[0]
+                delta_y = y_new - y
+                F[0] = delta_y
+                F[1] = h * f_old - delta_y
+                F[2] = 2 * delta_y - h * (f_new + f_old)
+                F[3:] = h * np.dot(D, K_extended)
+                out[read:due] = _evaluate(t, h, y, F, samples[read:due])
+                read = due
         t, y, f = t_new, y_new, f_new
-        ts.append(t)
         steps += 1
         if drift:
             worst = max(worst, drift(y))
 
-    sol = Interpolant(ts, pieces) if dense_output else None
-    return Solution(message == SUCCESS, message, t, y, nfev, steps, rejected, worst, sol)
+    return Solution(message == SUCCESS, message, t, y, nfev, steps, rejected, worst, out)

@@ -201,7 +201,7 @@ def power_sum(order, x: float, n: int):
 
 
 def power_sum_exact(order: int, x: float, n: int) -> float:
-    """Closed form of power_sum, valid for 0 <= order <= n and x != 0.
+    """Closed form of power_sum, for 0 <= order <= n, x != 0 and a finite sinh(x/2)^(2 order).
 
     Args:
         order: half the power of sin(k/2) in the numerator.
@@ -213,9 +213,13 @@ def power_sum_exact(order: int, x: float, n: int) -> float:
         raise ValueError(f"order {order} outside [0, {n}]")
     if x == 0:
         raise ValueError("log-field must be nonzero")
-    shift = math.sinh(0.5 * x) ** 2
-    base = n * math.tanh(0.5 * n * x) / math.sinh(x)
-    total = base * (-shift) ** order
+    try:
+        shift = math.sinh(0.5 * x) ** 2
+        total = n * math.tanh(0.5 * n * x) / math.sinh(x) * (-shift) ** order
+    except OverflowError:
+        raise ValueError(
+            f"sinh(x/2)^{2 * order} overflows a float at field g = 10^{x / math.log(10):.6g}"
+        ) from None
     c = 0.5  # central-binomial weight binom(2s, s)/2**(2s+1), s = 0
     acc = 0.0
     for s in range(order):

@@ -37,6 +37,9 @@ DEFAULT_GF = 0.0
 DEFAULT_T_FINAL = 10.0
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-12
+# smallest rel_tol a ChainConfig takes: 100 machine epsilons, the floor
+# to which scipy's DOP853 raises a smaller one
+MIN_REL_TOL = 100 * np.finfo(float).eps
 
 
 class IntegrationError(RuntimeError):
@@ -93,6 +96,8 @@ class ChainConfig:
         for name, value in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.rel_tol < MIN_REL_TOL:
+            raise ValueError(f"rel_tol must be at least {MIN_REL_TOL}, got {self.rel_tol}")
         if self.trace_points < 0 or self.trace_points == 1:
             raise ValueError(
                 f"trace needs at least 2 samples (0 disables it), got {self.trace_points}"
@@ -122,7 +127,7 @@ class EvolutionResult:
     norm_drift: float
     steps: int
     nfev: int
-    rejected: int = 0
+    rejected: int
 
 
 def _denominator(g: float, cos_k):
@@ -245,11 +250,11 @@ def _integrate(config: ChainConfig, samples: np.ndarray) -> tuple[np.ndarray, So
     #   d_g' = r exp(-2i phi) d_e,  d_e' = -r exp(2i phi) d_g,  phi' = 2 eps_k(g)
     # with eps_k = sqrt(den), den = g^2 - 2g cos k + 1. Each RHS evaluation
     # takes the ramp, den and the residual kernel of drive_function once.
-    # One DOP853 solve; it builds its interpolant (3 more RHS evaluations
-    # per step) only when there are samples to read from it. Returns the
-    # state at each sample time and then the final state (one row each),
-    # and the solve, whose drift is the largest norm drift of any mode at
-    # any accepted step.
+    # One DOP853 solve, which reads the samples as it passes them (3 more
+    # RHS evaluations per step when there are any). Returns the state at
+    # each sample time and then the final state (one row each), and the
+    # solve, whose drift is the largest norm drift of any mode at any
+    # accepted step.
     schedule = config.schedule
     ks = momentum_grid(config.n)
     residual = drive_function(config.coupling, config.n, ks)
@@ -270,15 +275,11 @@ def _integrate(config: ChainConfig, samples: np.ndarray) -> tuple[np.ndarray, So
 
     y0 = np.concatenate((np.ones(half), np.zeros(2 * half))).astype(complex)
     sol = solve_ivp(
-        rhs, (0.0, t1), y0, rtol=config.rel_tol, atol=config.abs_tol,
-        dense_output=samples.size > 0, drift=drift,
+        rhs, (0.0, t1), y0, rtol=config.rel_tol, atol=config.abs_tol, samples=samples, drift=drift
     )
     if not sol.success:
         raise IntegrationError(f"integration failed on [0, {t1:.6g}]: {sol.message}")
-    frames = sol.y[None, :]
-    if samples.size:
-        frames = np.concatenate((sol.sol(samples), frames))
-    return frames, sol
+    return np.concatenate((sol.samples, sol.y[None, :])), sol
 
 
 def ground_state_probability(frames: np.ndarray) -> np.ndarray:
@@ -298,10 +299,10 @@ def evolve_chain(config: ChainConfig) -> EvolutionResult:
     over the whole ramp. With trace_points = 0 only the final probability
     is computed, from the last accepted step. With trace_points >= 2 the
     probability against the ground state of the momentary field is also
-    recorded at uniformly spaced sample times: the solve then keeps its
-    interpolant, which serves every sample but the last, and the last is
-    the final state itself. The steps, and so the final sample, are those
-    of the final-only run.
+    recorded at uniformly spaced sample times: the solve evaluates DOP853's
+    interpolant at every sample but the last as its steps pass them, and
+    the last is the final state itself. The steps, and so the final sample,
+    are those of the final-only run.
 
     The integration does not depend on the process it runs in, so
     identical configs give bit-identical results.

@@ -332,6 +332,15 @@ def test_power_sum_validates():
         power_sum(-1, 1.0, 4)
 
 
+@pytest.mark.parametrize("x", [math.log(1e100), math.log(1e-100), 800.0])
+def test_power_sum_exact_rejects_an_unrepresentable_power(x):
+    # sinh(x/2)^8 overflows a float at |ln g| = 230; order 2 at n = 4 does not
+    with pytest.raises(ValueError, match=r"sinh\(x/2\)\^8 overflows a float at field g = 10\^"):
+        power_sum_exact(4, x, 4)
+    if abs(x) < 300:
+        assert math.isfinite(power_sum_exact(2, x, 4))
+
+
 # The double-series route: a second evaluation of the couplings through the
 # sin(k/2) expansions, kept here as an independent reference for the closed
 # forms.

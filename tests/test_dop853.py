@@ -4,8 +4,8 @@ cdising integrates with its own numpy-only copy of scipy's DOP853 step loop,
 so that importing the package loads no scipy.integrate. These tests run both
 on the same right-hand sides, the chain RHS of every coupling model and the
 spin oracle's, and require equal bits: final state, RHS evaluations,
-accepted steps, largest norm drift and interpolated states. scipy stays a
-test dependency for this reference.
+accepted steps, largest norm drift and the states the loop samples from
+its dense output. scipy stays a test dependency for this reference.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import DenseOutput, OdeSolution
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from cdising import ChainConfig, CouplingKind, CouplingModel, Schedule, dense_evolve, evolve_chain
@@ -48,11 +47,11 @@ def captured_solves(monkeypatch, module, run) -> list[tuple]:
     return calls
 
 
-def scipy_reference(fun, args, kwargs):
+def scipy_reference(fun, args, kwargs, dense_output=False):
     t_span, y0 = args
     return scipy_solve_ivp(
         fun, t_span, y0, method="DOP853", rtol=kwargs["rtol"], atol=kwargs["atol"],
-        dense_output=kwargs.get("dense_output", False),
+        dense_output=dense_output,
     )
 
 
@@ -66,10 +65,14 @@ def assert_same_solve(ours, ref) -> None:
 
 
 def sample_times(ts: np.ndarray) -> np.ndarray:
-    # both ends, every interior step boundary and two points inside each step,
-    # out of order so that the segment choice is not helped by sorting
+    # both ends, every interior step boundary and two points inside each step
     inside = np.concatenate((ts[:-1] + 0.25 * np.diff(ts), ts[:-1] + 0.5 * np.diff(ts)))
-    return np.concatenate((ts[::-1], inside, [ts[0], ts[-1]]))
+    return np.sort(np.concatenate((ts, inside)))
+
+
+def rerun(fun, args, kwargs, samples):
+    """Our solve of a captured call again, reading the given samples."""
+    return _dop853.solve_ivp(fun, *args, **{**kwargs, "samples": samples})
 
 
 @pytest.mark.parametrize("n", [2, 20, 200])
@@ -80,15 +83,19 @@ def test_chain_solve_is_scipys_bit_for_bit(n, model, g0, gf, monkeypatch):
     (fun, args, kwargs, ours), = captured_solves(
         monkeypatch, dynamics, lambda: evolve_chain(config)
     )
-    ref = scipy_reference(fun, args, kwargs)
+    ref = scipy_reference(fun, args, kwargs, dense_output=True)
     assert_same_solve(ours, ref)
     half = n // 2
     # scipy keeps every accepted state; one max over all of them is the drift
     norms = np.abs(ref.y[:half]) ** 2 + np.abs(ref.y[half : 2 * half]) ** 2
     assert ours.drift == float(np.max(np.abs(norms - 1.0)))
+    assert same_bits(ours.samples, ref.sol(kwargs["samples"]).T)
+    # the same solve, sampled at both ends, every step boundary and inside every step
     times = sample_times(ref.t)
-    assert same_bits(ours.sol(times), ref.sol(times).T)
-    assert same_bits(ours.sol.ts, ref.t)
+    sampled = rerun(fun, args, kwargs, times)
+    assert_same_solve(sampled, ref)
+    assert sampled.drift == ours.drift
+    assert same_bits(sampled.samples, ref.sol(times).T)
 
 
 @pytest.mark.parametrize("model", MODELS[:3], ids=lambda model: model.label())
@@ -97,7 +104,7 @@ def test_final_only_chain_solve_is_scipys_bit_for_bit(model, monkeypatch):
     (fun, args, kwargs, ours), = captured_solves(
         monkeypatch, dynamics, lambda: evolve_chain(config)
     )
-    assert ours.sol is None
+    assert ours.samples.shape == (0, ours.y.size)
     assert_same_solve(ours, scipy_reference(fun, args, kwargs))
 
 
@@ -115,20 +122,6 @@ def test_oracle_solve_is_scipys_bit_for_bit(model, g0, gf, monkeypatch):
     assert_same_solve(ours, scipy_reference(fun, args, kwargs))
 
 
-def test_rtol_clamp_warns_and_steps_like_scipy(monkeypatch):
-    config = ChainConfig(20, Schedule(5.0, 0.0, 1.0), MODELS[2], rel_tol=1e-16, trace_points=3)
-    with pytest.warns(UserWarning) as ours_warned:
-        (fun, args, kwargs, ours), = captured_solves(
-            monkeypatch, dynamics, lambda: evolve_chain(config)
-        )
-    with pytest.warns(UserWarning) as ref_warned:
-        ref = scipy_reference(fun, args, kwargs)
-    assert [str(w.message) for w in ours_warned] == [str(w.message) for w in ref_warned]
-    assert "Setting `rtol = np.maximum(rtol, 2.220446049250313e-14)`" in str(ours_warned[0].message)
-    assert_same_solve(ours, ref)
-    assert same_bits(ours.sol(ref.t), ref.sol(ref.t).T)
-
-
 def test_too_small_step_fails_like_scipy():
     # y' = y^2, y(0) = 1 is 1 / (1 - t): it blows up at t = 1, short of t = 2
     def fun(t, y):
@@ -136,8 +129,8 @@ def test_too_small_step_fails_like_scipy():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ours = _dop853.solve_ivp(fun, (0.0, 2.0), [1.0], rtol=1e-10, atol=1e-12)
-        ref = scipy_solve_ivp(fun, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-10, atol=1e-12)
+        ours = _dop853.solve_ivp(fun, (0.0, 2.0), [1.0 + 0j], rtol=1e-10, atol=1e-12)
+        ref = scipy_solve_ivp(fun, (0.0, 2.0), [1.0 + 0j], method="DOP853", rtol=1e-10, atol=1e-12)
     assert not ours.success and not ref.success
     assert ours.message == ref.message == "Required step size is less than spacing between numbers."
     assert ours.t == ref.t[-1] and abs(ours.t - 1.0) < 1e-6
@@ -146,39 +139,48 @@ def test_too_small_step_fails_like_scipy():
     assert ours.nfev == 2 + 12 * (ours.steps + ours.rejected)
 
 
-def test_real_state_and_list_input_follow_scipy():
+def test_failed_solve_reads_the_samples_it_passed():
+    # the blow-up of y' = y^2 at t = 1 stops the solve before the last sample
     def fun(t, y):
-        return np.array([y[1], -y[0]])
+        return y * y
 
-    ours = _dop853.solve_ivp(fun, (0.0, 3.0), [1, 0], rtol=1e-8, atol=1e-10, dense_output=True)
-    ref = scipy_solve_ivp(fun, (0.0, 3.0), [1, 0], method="DOP853", rtol=1e-8, atol=1e-10, dense_output=True)
-    assert ours.y.dtype == np.float64
-    assert_same_solve(ours, ref)
-    times = sample_times(ref.t)
-    assert same_bits(ours.sol(times), ref.sol(times).T)
-
-
-class ConstantPiece(DenseOutput):
-    def __init__(self, t_old, t, value):
-        super().__init__(t_old, t)
-        self.value = value
-
-    def _call_impl(self, t):
-        return np.full((1, t.size), self.value)
+    samples = [0.0, 0.5, 0.9, 1.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = _dop853.solve_ivp(fun, (0.0, 2.0), [1.0 + 0j], rtol=1e-10, atol=1e-12, samples=samples)
+        ref = scipy_solve_ivp(
+            fun, (0.0, 2.0), [1.0 + 0j], method="DOP853", rtol=1e-10, atol=1e-12, dense_output=True
+        )
+    assert not ours.success and not ref.success
+    assert same_bits(ours.y, ref.y[:, -1])
+    assert ours.nfev == ref.nfev == 2 + 12 * (ours.steps + ours.rejected) + 3 * ours.steps
+    assert same_bits(ours.samples[:3], ref.sol(samples[:3]).T)
+    assert np.isnan(ours.samples[3]).all()
 
 
-def test_interpolant_picks_scipys_segment():
-    # On a real solve both neighbours of a step boundary usually agree there
-    # to the bit; steps of distinct constant values make the choice visible:
-    # a boundary reads the earlier step, and outside times the end steps
-    ts = [0.0, 1.0, 3.0]
-    ours = _dop853.Interpolant(ts, [
-        (0.0, 1.0, np.array([10.0]), np.zeros((7, 1))),
-        (1.0, 2.0, np.array([20.0]), np.zeros((7, 1))),
-    ])
-    ref = OdeSolution(ts, [ConstantPiece(0.0, 1.0, 10.0), ConstantPiece(1.0, 3.0, 20.0)])
-    times = np.array([1.0, -1.0, 0.0, 0.5, 3.0, 2.0, 4.0])
-    assert ours(times)[:, 0].tolist() == ref(times)[0].tolist() == [10, 10, 10, 10, 20, 20, 20]
+def test_boundary_sample_reads_the_earlier_step_like_scipy(monkeypatch):
+    # On a step boundary the earlier step's polynomial gives
+    # y_old + (y_new - y_old) and the later one y_new. With y_new rounded
+    # from y_old plus an increment, the two came out the same bits at every
+    # boundary of the pinned solves, so the values cannot show which step a
+    # boundary sample reads, and the evaluations are checked instead: each
+    # sample must come from the step that ends at or after it, at x = 1 on
+    # a boundary, and t0 from the first step, as in scipy's OdeSolution.
+    config = ChainConfig(20, Schedule(5.0, 0.0, 10.0), MODELS[2], trace_points=5)
+    (fun, args, kwargs, _), = captured_solves(monkeypatch, dynamics, lambda: evolve_chain(config))
+    ref = scipy_reference(fun, args, kwargs, dense_output=True)
+    reads = []
+
+    def recording(t_old, h, y_old, F, t):
+        reads.extend((float(time), t_old, t_old + h) for time in t)
+        return evaluate(t_old, h, y_old, F, t)
+
+    evaluate = _dop853._evaluate
+    monkeypatch.setattr(_dop853, "_evaluate", recording)
+    ours = rerun(fun, args, kwargs, ref.t)
+    assert same_bits(ours.samples, ref.sol(ref.t).T)
+    steps = list(zip(ref.t[:-1], ref.t[1:]))
+    assert reads == [(ref.t[0], *steps[0])] + [(end, *step) for step, end in zip(steps, ref.t[1:])]
 
 
 def test_time_span_must_increase():

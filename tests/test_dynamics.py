@@ -22,6 +22,7 @@ from cdising import (
 )
 from cdising.coefficients import coupling_set, coupling_sum
 from cdising.dynamics import (
+    MIN_REL_TOL,
     cd_drive_exact,
     cd_drive_from_couplings,
     cd_drive_thermo,
@@ -132,6 +133,18 @@ def test_chain_config_validation():
     with pytest.raises(ValueError, match=r"^truncation range m_max=3 outside \[0, 2\]$"):
         ChainConfig(4, ramp, CouplingModel(CouplingKind.TRUNCATED, 3))
     ChainConfig(4, ramp, CouplingModel(CouplingKind.TRUNCATED, 2))
+
+
+def test_rel_tol_floor_is_100_machine_epsilons():
+    ramp = Schedule(5.0, 0.0, 1.0)
+    assert MIN_REL_TOL == 2.220446049250313e-14
+    with pytest.raises(ValueError, match=r"^rel_tol must be at least 2\.220446049250313e-14, got 1e-16$"):
+        ChainConfig(20, ramp, THERMO, rel_tol=1e-16)
+    with pytest.raises(ValueError, match="rel_tol"):
+        ChainConfig(20, ramp, THERMO, rel_tol=np.nextafter(MIN_REL_TOL, 0.0))
+    # exactly the floor runs, at that tolerance
+    result = evolve_chain(ChainConfig(20, ramp, THERMO, rel_tol=2.220446049250313e-14))
+    assert 0.0 <= result.p_gs <= 1.0 and result.steps > 0
 
 
 def test_cd_drive_exact_values():

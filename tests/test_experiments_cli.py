@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -304,6 +305,23 @@ def test_cli_rejects_bad_ramp_and_tolerances_naming_the_parameter(argv, name, ca
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
+
+
+def test_cli_rejects_rel_tol_below_the_floor_without_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--n", "20", "--rel-tol", "1e-16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: rel_tol must be at least 2.220446049250313e-14, got 1e-16\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("field, power", [("1e100", "100"), ("1e-100", "-100")])
+def test_cli_verify_at_an_extreme_field_exits_2(field, power, capsys):
+    # the closed power sum at order 4 overflows: one error line, no traceback
+    assert main(["verify", "--n", "4", "--g-grid", field]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: sinh(x/2)^8 overflows a float at field g = 10^{power}\n"
 
 
 def test_cli_unwritable_path_exits_3(capsys):
