@@ -4,12 +4,12 @@ A step-for-step copy of scipy's ``solve_ivp(method="DOP853")`` (scipy
 1.17.1, ``scipy/integrate/_ivp``) for what this package asks of it: one
 forward solve of a complex vector ODE at scalar tolerances, which reads
 its dense-output polynomial at given sample times as the loop passes
-them. Every floating-point operation runs in scipy's order on the same
-tableau, so states, accepted and rejected steps, RHS evaluations and
-sampled values are bit-identical to scipy's. Unlike scipy, it takes rtol
-as given, with no floor: callers check their tolerances. Importing
-scipy.integrate for this one function costs more than the integrations
-of a typical run.
+them, as ``t_eval`` does. Every floating-point operation runs in scipy's
+order on the same tableau, so states, accepted and rejected steps, RHS
+evaluations and sampled values are bit-identical to scipy's. Unlike
+scipy, it takes rtol as given, with no floor: callers check their
+tolerances. Importing scipy.integrate for this one function costs more
+than the integrations of a typical run.
 """
 
 from __future__ import annotations
@@ -275,8 +275,8 @@ class Solution:
     t and y are the last accepted time and state (t1 on success); steps and
     rejected count accepted and rejected steps; drift is the largest value
     of the drift function over y0 and every accepted state (0.0 without
-    one); samples holds the state at each sample time, one row each, NaN
-    where the solve stopped short of it.
+    one); samples holds the state at each sample time the solve reached,
+    one row each.
     """
 
     success: bool
@@ -341,20 +341,20 @@ def solve_ivp(
     y0 is made a complex array, and fun returns one shaped like it. A step
     whose size falls below ten units in the last place of t ends the solve
     with success False and scipy's message. samples, ascending times in
-    [t0, t1], are read as the loop passes them: after each accepted step
-    from t_old to t_new, at 3 more RHS evaluations, the samples in
-    (t_old, t_new], and t0 with the first step, take the values of that
-    step's dense-output polynomial. A sample on a step boundary so reads
-    the earlier step, as scipy's OdeSolution does. drift, a function of
-    one state, is taken at y0 and at each accepted state, and its largest
-    value returned, so that no state but the last is kept.
+    [t0, t1], are read as scipy reads t_eval: a step from t_old to t_new
+    that holds samples, those in (t_old, t_new] and t0 with the first step,
+    runs the 3 extended stages and reads them off its dense-output
+    polynomial (a boundary sample so reads the earlier step), and nfev =
+    2 + 12 (steps + rejected) + 3 (steps that hold a sample). drift, a
+    function of one state, is taken at y0 and at each accepted state, and
+    its largest value returned, so that no state but the last is kept.
     """
     t, t_bound = map(float, t_span)
     if not t < t_bound:
         raise ValueError(f"t_span must increase, got {t_span}")
     y = np.asarray(y0, dtype=complex)
     samples = np.asarray(samples, dtype=float)
-    out = np.full((samples.size, y.size), np.nan, dtype=complex)
+    out = np.empty((samples.size, y.size), dtype=complex)
     read = 0
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
@@ -402,23 +402,21 @@ def solve_ivp(
             message = TOO_SMALL_STEP
             break
 
-        if samples.size:
+        if read < samples.size and samples[read] <= t_new:
             for s, c, before, a in extra:
                 K_extended[s] = fun(t + c * h, y + np.dot(before, a) * h)
             nfev += N_STAGES_EXTENDED - N_STAGES - 1
             due = np.searchsorted(samples, t_new, side="right")
-            if due > read:
-                f_old = K_extended[0]
-                delta_y = y_new - y
-                F[0] = delta_y
-                F[1] = h * f_old - delta_y
-                F[2] = 2 * delta_y - h * (f_new + f_old)
-                F[3:] = h * np.dot(D, K_extended)
-                out[read:due] = _evaluate(t, h, y, F, samples[read:due])
-                read = due
+            delta_y = y_new - y
+            F[0] = delta_y
+            F[1] = h * f - delta_y
+            F[2] = 2 * delta_y - h * (f_new + f)
+            F[3:] = h * np.dot(D, K_extended)
+            out[read:due] = _evaluate(t, h, y, F, samples[read:due])
+            read = due
         t, y, f = t_new, y_new, f_new
         steps += 1
         if drift:
             worst = max(worst, drift(y))
 
-    return Solution(message == SUCCESS, message, t, y, nfev, steps, rejected, worst, out)
+    return Solution(message == SUCCESS, message, t, y, nfev, steps, rejected, worst, out[:read])

@@ -238,7 +238,7 @@ def identity_residuals(g: float, n: int) -> dict[str, float]:
     sums, right-hand sides from the closed forms.
 
     Args:
-        g: positive field.
+        g: positive finite field.
         n: even chain length.
 
     Returns:
@@ -247,7 +247,7 @@ def identity_residuals(g: float, n: int) -> dict[str, float]:
         unit scale, relative above it).
     """
     _check_chain_length(n)
-    if g <= 0:
+    if _check_field(g) == 0:
         raise ValueError("field must be positive")
     ks = momentum_grid(n)
     cos_k = np.cos(ks)

@@ -23,6 +23,7 @@ from .coefficients import (
     CouplingKind,
     CouplingModel,
     _check_chain_length,
+    _check_field,
     _check_ranges,
     coupling_set,
     momentum_grid,
@@ -115,7 +116,7 @@ class EvolutionResult:
     steps of the one adiabatic-frame integration that carries every mode;
     it is not a sum over modes, and it does not depend on the samples.
     nfev counts that integration's RHS evaluations; a traced run makes 3
-    more per step than a final-only one, for the interpolant it samples.
+    more on each step that holds a sample, for the interpolant it reads.
     norm_drift is the largest |d_g|^2 + |d_e|^2 - 1 (ground and excited
     amplitudes of one mode) over every mode and accepted step. rejected
     counts the steps the error control rejected; each accepted or rejected
@@ -251,7 +252,7 @@ def _integrate(config: ChainConfig, samples: np.ndarray) -> tuple[np.ndarray, So
     # with eps_k = sqrt(den), den = g^2 - 2g cos k + 1. Each RHS evaluation
     # takes the ramp, den and the residual kernel of drive_function once.
     # One DOP853 solve, which reads the samples as it passes them (3 more
-    # RHS evaluations per step when there are any). Returns the state at
+    # RHS evaluations on each step that holds one). Returns the state at
     # each sample time and then the final state (one row each), and the
     # solve, whose drift is the largest norm drift of any mode at any
     # accepted step.
@@ -263,8 +264,8 @@ def _integrate(config: ChainConfig, samples: np.ndarray) -> tuple[np.ndarray, So
     ramp, t1 = schedule.ramp, schedule.duration
 
     def rhs(t, y):
-        # the solver may probe a rounding error beyond the span edges
-        g, gdot = ramp(min(max(t, 0.0), t1))
+        # the solver may overshoot the span's end by a rounding error, never its start
+        g, gdot = ramp(min(t, t1))
         den = _denominator(g, cos_k)
         coupling = 2.0 * gdot * residual(g, den) * np.exp(2j * y[2 * half :].real)
         gap = 2.0 * np.sqrt(den)
@@ -300,9 +301,9 @@ def evolve_chain(config: ChainConfig) -> EvolutionResult:
     is computed, from the last accepted step. With trace_points >= 2 the
     probability against the ground state of the momentary field is also
     recorded at uniformly spaced sample times: the solve evaluates DOP853's
-    interpolant at every sample but the last as its steps pass them, and
-    the last is the final state itself. The steps, and so the final sample,
-    are those of the final-only run.
+    interpolant at every sample but the last, on the steps that hold them
+    at 3 more RHS evaluations each; the last is the final state itself.
+    The steps, and so the final sample, are those of the final-only run.
 
     The integration does not depend on the process it runs in, so
     identical configs give bit-identical results.
@@ -321,6 +322,5 @@ def evolve_chain(config: ChainConfig) -> EvolutionResult:
 
 def dispersion_ground_energy(n: int, g: float) -> float:
     """Free-fermion ground energy of the even-parity sector at field g."""
-    if g < 0:
-        raise ValueError("field must be nonnegative")
+    g = _check_field(g)
     return -2.0 * float(np.sqrt(g * g - 2.0 * g * np.cos(momentum_grid(n)) + 1.0).sum())

@@ -24,6 +24,7 @@ from .coefficients import (
     EXPANSION_MAX_ORDER,
     CouplingKind,
     CouplingModel,
+    _check_field,
     cos_multiple_expansion,
     cos_sum,
     cos_sum_exact,
@@ -216,6 +217,7 @@ def run_verification(
     for name, values in (("n_values", n_values), ("g_values", g_values)):
         if len(values) == 0:
             raise ValueError(f"{name} must list at least one value")
+    g_values = [_check_field(g) for g in g_values]
     worst: dict[str, tuple[float, str]] = {}
 
     def keep(name: str, residuals, scope: Callable[[int], str]) -> None:
@@ -234,8 +236,8 @@ def run_verification(
     # or momentum) per (n, g).
     # The power-sum recurrence runs on brute values, which stay O(n) at
     # every order; the closed form alternates in powers of sinh^2(x/2) and
-    # cancels catastrophically once that shift exceeds 1 (g below
-    # 3 - 2*sqrt(2)), so there the comparison stops at order 4.
+    # cancels catastrophically once that shift exceeds 1 (g below 3 - 2*sqrt(2)
+    # or above 3 + 2*sqrt(2)), so there the comparison stops at order 4.
     for n in n_values:
         ms = np.arange(n)
         ks = momentum_grid(n)

@@ -159,7 +159,7 @@ def dense_evolve(config: ChainConfig) -> float:
     ramp, duration = schedule.ramp, schedule.duration
 
     def rhs(t, state):
-        g, gp = ramp(min(max(t, 0.0), duration))
+        g, gp = ramp(min(t, duration))
         cd_state = coupling_set(model, g, n) @ (stacked @ state).reshape(-1, dim)
         return -1j * (-(hx @ state) - g * (z_shifted * state) - gp * cd_state)
 

@@ -464,6 +464,9 @@ def test_identity_residuals_small():
 def test_identity_residuals_validates():
     with pytest.raises(ValueError):
         identity_residuals(0.0, 8)
+    for field in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="field g must be finite and nonnegative"):
+            identity_residuals(field, 8)
     with pytest.raises(ValueError):
         identity_residuals(1.0, 7)
 

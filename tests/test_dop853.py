@@ -5,12 +5,14 @@ so that importing the package loads no scipy.integrate. These tests run both
 on the same right-hand sides, the chain RHS of every coupling model and the
 spin oracle's, and require equal bits: final state, RHS evaluations,
 accepted steps, largest norm drift and the states the loop samples from
-its dense output. scipy stays a test dependency for this reference.
+its dense output, against scipy's solve at t_eval = the samples. scipy
+stays a test dependency for this reference.
 """
 
 from __future__ import annotations
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,21 +49,26 @@ def captured_solves(monkeypatch, module, run) -> list[tuple]:
     return calls
 
 
-def scipy_reference(fun, args, kwargs, dense_output=False):
+def scipy_reference(fun, args, kwargs, t_eval=None):
     t_span, y0 = args
     return scipy_solve_ivp(
-        fun, t_span, y0, method="DOP853", rtol=kwargs["rtol"], atol=kwargs["atol"],
-        dense_output=dense_output,
+        fun, t_span, y0, method="DOP853", rtol=kwargs["rtol"], atol=kwargs["atol"], t_eval=t_eval
     )
 
 
-def assert_same_solve(ours, ref) -> None:
+def assert_same_solve(ours, ref, sampled=None) -> None:
+    """ours against scipy's final-only solve ref and, for a sampled one,
+    scipy's solve at t_eval = its samples, which sets nfev and the samples."""
     assert ours.success and ref.success
     assert ours.message == ref.message
     assert same_bits(ours.y, ref.y[:, -1])
     assert ours.t == ref.t[-1]
-    assert ours.nfev == ref.nfev
     assert ours.steps == ref.t.size - 1
+    if sampled is None:
+        assert ours.nfev == ref.nfev
+    else:
+        assert sampled.success and ours.nfev == sampled.nfev
+        assert same_bits(ours.samples, sampled.y.T)
 
 
 def sample_times(ts: np.ndarray) -> np.ndarray:
@@ -83,19 +90,17 @@ def test_chain_solve_is_scipys_bit_for_bit(n, model, g0, gf, monkeypatch):
     (fun, args, kwargs, ours), = captured_solves(
         monkeypatch, dynamics, lambda: evolve_chain(config)
     )
-    ref = scipy_reference(fun, args, kwargs, dense_output=True)
-    assert_same_solve(ours, ref)
+    ref = scipy_reference(fun, args, kwargs)
+    assert_same_solve(ours, ref, scipy_reference(fun, args, kwargs, t_eval=kwargs["samples"]))
     half = n // 2
     # scipy keeps every accepted state; one max over all of them is the drift
     norms = np.abs(ref.y[:half]) ** 2 + np.abs(ref.y[half : 2 * half]) ** 2
     assert ours.drift == float(np.max(np.abs(norms - 1.0)))
-    assert same_bits(ours.samples, ref.sol(kwargs["samples"]).T)
     # the same solve, sampled at both ends, every step boundary and inside every step
     times = sample_times(ref.t)
     sampled = rerun(fun, args, kwargs, times)
-    assert_same_solve(sampled, ref)
+    assert_same_solve(sampled, ref, scipy_reference(fun, args, kwargs, t_eval=times))
     assert sampled.drift == ours.drift
-    assert same_bits(sampled.samples, ref.sol(times).T)
 
 
 @pytest.mark.parametrize("model", MODELS[:3], ids=lambda model: model.label())
@@ -145,17 +150,21 @@ def test_failed_solve_reads_the_samples_it_passed():
         return y * y
 
     samples = [0.0, 0.5, 0.9, 1.5]
-    with warnings.catch_warnings():
+    evaluate = mock.patch.object(_dop853, "_evaluate", wraps=_dop853._evaluate)
+    with warnings.catch_warnings(), evaluate as evaluations:
         warnings.simplefilter("error")
         ours = _dop853.solve_ivp(fun, (0.0, 2.0), [1.0 + 0j], rtol=1e-10, atol=1e-12, samples=samples)
-        ref = scipy_solve_ivp(
-            fun, (0.0, 2.0), [1.0 + 0j], method="DOP853", rtol=1e-10, atol=1e-12, dense_output=True
+        ref = scipy_solve_ivp(fun, (0.0, 2.0), [1.0 + 0j], method="DOP853", rtol=1e-10, atol=1e-12)
+        sampled = scipy_solve_ivp(
+            fun, (0.0, 2.0), [1.0 + 0j], method="DOP853", rtol=1e-10, atol=1e-12, t_eval=samples
         )
-    assert not ours.success and not ref.success
-    assert same_bits(ours.y, ref.y[:, -1])
-    assert ours.nfev == ref.nfev == 2 + 12 * (ours.steps + ours.rejected) + 3 * ours.steps
-    assert same_bits(ours.samples[:3], ref.sol(samples[:3]).T)
-    assert np.isnan(ours.samples[3]).all()
+    assert not ours.success and not ref.success and not sampled.success
+    assert same_bits(ours.y, ref.y[:, -1]) and ours.steps == ref.t.size - 1
+    assert ours.nfev == sampled.nfev == 6419
+    assert ours.nfev == 2 + 12 * (ours.steps + ours.rejected) + 3 * evaluations.call_count
+    # the rows of the samples it reached, none for the one past the blow-up
+    assert ours.samples.shape == (3, 1)
+    assert same_bits(ours.samples, sampled.y.T)
 
 
 def test_boundary_sample_reads_the_earlier_step_like_scipy(monkeypatch):
@@ -165,10 +174,10 @@ def test_boundary_sample_reads_the_earlier_step_like_scipy(monkeypatch):
     # boundary of the pinned solves, so the values cannot show which step a
     # boundary sample reads, and the evaluations are checked instead: each
     # sample must come from the step that ends at or after it, at x = 1 on
-    # a boundary, and t0 from the first step, as in scipy's OdeSolution.
+    # a boundary, and t0 from the first step, as in scipy's t_eval solve.
     config = ChainConfig(20, Schedule(5.0, 0.0, 10.0), MODELS[2], trace_points=5)
     (fun, args, kwargs, _), = captured_solves(monkeypatch, dynamics, lambda: evolve_chain(config))
-    ref = scipy_reference(fun, args, kwargs, dense_output=True)
+    ref = scipy_reference(fun, args, kwargs)
     reads = []
 
     def recording(t_old, h, y_old, F, t):
@@ -178,7 +187,7 @@ def test_boundary_sample_reads_the_earlier_step_like_scipy(monkeypatch):
     evaluate = _dop853._evaluate
     monkeypatch.setattr(_dop853, "_evaluate", recording)
     ours = rerun(fun, args, kwargs, ref.t)
-    assert same_bits(ours.samples, ref.sol(ref.t).T)
+    assert same_bits(ours.samples, scipy_reference(fun, args, kwargs, t_eval=ref.t).y.T)
     steps = list(zip(ref.t[:-1], ref.t[1:]))
     assert reads == [(ref.t[0], *steps[0])] + [(end, *step) for step, end in zip(steps, ref.t[1:])]
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -20,6 +21,7 @@ from cdising import (
     evolve_chain,
     momentum_grid,
 )
+from cdising import _dop853
 from cdising.coefficients import coupling_set, coupling_sum
 from cdising.dynamics import (
     MIN_REL_TOL,
@@ -456,12 +458,14 @@ def test_batched_accuracy_against_tight_reference(n, model, t_final):
 def test_traced_and_direct_evolution_agree():
     ramp = Schedule(4.0, 0.0, 1.0)
     direct = evolve_chain(ChainConfig(4, ramp, THERMO))
-    traced = evolve_chain(ChainConfig(4, ramp, THERMO, trace_points=5))
+    with mock.patch.object(_dop853, "_evaluate", wraps=_dop853._evaluate) as evaluate:
+        traced = evolve_chain(ChainConfig(4, ramp, THERMO, trace_points=5))
     # the same solve either way: the traced run also reads its final state
     # from the last accepted step, and its samples read the interpolant,
-    # which costs DOP853's 3 extra stages per step and moves no step
+    # which costs DOP853's 3 extra stages on each step that holds a sample
+    # and moves no step
     assert traced.p_gs == direct.p_gs and traced.steps == direct.steps
-    assert traced.nfev - direct.nfev == 3 * direct.steps
+    assert traced.nfev - direct.nfev == 3 * evaluate.call_count
 
 
 @pytest.mark.parametrize(
@@ -476,13 +480,15 @@ def test_traced_and_direct_evolution_agree():
 )
 def test_rejected_steps_close_the_rhs_count(model, rejected):
     # 2 evaluations choose the first step, every attempted step costs 12 and
-    # every accepted one 3 more when the interpolant is kept; the counts were
-    # checked against scipy's DOP853, which reports only nfev and the steps
+    # every accepted one that holds a sample 3 more, for the interpolant it
+    # reads (one _evaluate call); the counts were checked against scipy's
+    # DOP853, which reports only nfev and the steps
     ramp = Schedule(5.0, 0.0, 10.0)
     for trace_points in (0, 5):
-        result = evolve_chain(ChainConfig(20, ramp, model, trace_points=trace_points))
-        extra = 3 * result.steps if trace_points else 0
+        with mock.patch.object(_dop853, "_evaluate", wraps=_dop853._evaluate) as evaluate:
+            result = evolve_chain(ChainConfig(20, ramp, model, trace_points=trace_points))
         assert result.rejected == rejected
+        extra = 3 * evaluate.call_count
         assert result.nfev == 2 + 12 * (result.steps + result.rejected) + extra
 
 
@@ -494,8 +500,9 @@ def test_dispersion_ground_energy():
     assert math.isclose(dispersion_ground_energy(2, 0.0), -2.0, rel_tol=1e-15)
     assert math.isclose(dispersion_ground_energy(2, 2.0), -2.0 * math.sqrt(5.0), rel_tol=1e-15)
     assert math.isclose(dispersion_ground_energy(4, 0.0), -4.0, rel_tol=1e-15)
-    with pytest.raises(ValueError):
-        dispersion_ground_energy(4, -1.0)
+    for field in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="field g must be finite and nonnegative"):
+            dispersion_ground_energy(4, field)
 
 
 def test_dispersion_ground_energy_matches_mode_loop():

@@ -324,6 +324,15 @@ def test_cli_verify_at_an_extreme_field_exits_2(field, power, capsys):
     assert err == f"error: sinh(x/2)^8 overflows a float at field g = 10^{power}\n"
 
 
+@pytest.mark.parametrize("field", ["inf", "nan"])
+def test_cli_verify_rejects_a_nonfinite_field_before_any_kernel(field, capsys):
+    # every grid field is checked first: no numpy warning precedes the error
+    assert main(["verify", "--n", "4", "--g-grid", field]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: field g must be finite and nonnegative, got {field}\n"
+    assert captured.out == ""
+
+
 def test_cli_unwritable_path_exits_3(capsys):
     assert main(["coeffs", "--n", "4", "--out", "/nonexistent/dir/x.csv"]) == 3
     assert "error:" in capsys.readouterr().err

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cdising import ChainConfig, CouplingKind, CouplingModel, Schedule, evolve_chain
+from cdising import ChainConfig, CouplingKind, CouplingModel, Schedule, _dop853, evolve_chain
 from cdising.experiments import run_size_sweep
 
 EXACT = CouplingModel(CouplingKind.EXACT)
@@ -64,12 +65,14 @@ def test_exact_drives_prepare_the_ground_state(n, g0, gf, t_final, full_truncati
 @example(chain=(8, Schedule(5.0, 0.0, 3.0), CouplingModel(CouplingKind.DIRECT_SUM)), samples=4)
 def test_trace_is_a_probability_and_ends_at_the_final_run(chain, samples):
     n, ramp, model = chain
-    traced = evolve_chain(ChainConfig(n, ramp, model, trace_points=samples))
+    with mock.patch.object(_dop853, "_evaluate", wraps=_dop853._evaluate) as evaluate:
+        traced = evolve_chain(ChainConfig(n, ramp, model, trace_points=samples))
     final = evolve_chain(ChainConfig(n, ramp, model))
-    # the interpolant adds RHS evaluations but moves no step, and both runs
-    # read the final state from the last accepted step
+    # the interpolant adds 3 RHS evaluations on each step that holds a sample
+    # but moves no step, and both runs read the final state from the last
+    # accepted step
     assert traced.steps == final.steps
-    assert traced.nfev - final.nfev == 3 * final.steps
+    assert traced.nfev - final.nfev == 3 * evaluate.call_count
     assert traced.trace[-1][2] == traced.p_gs == final.p_gs
     for _, _, p in traced.trace:
         assert 0.0 <= p <= 1.0 + 1e-12
