@@ -6,10 +6,10 @@ forward solve of a complex vector ODE at scalar tolerances, which reads
 its dense-output polynomial at given sample times as the loop passes
 them, as ``t_eval`` does. Every floating-point operation runs in scipy's
 order on the same tableau, so states, accepted and rejected steps, RHS
-evaluations and sampled values are bit-identical to scipy's. Unlike
-scipy, it takes rtol as given, with no floor: callers check their
-tolerances. Importing scipy.integrate for this one function costs more
-than the integrations of a typical run.
+evaluations (see solve_ivp) and sampled values are bit-identical to
+scipy's. Unlike scipy, it takes rtol as given, with no floor: callers
+check their tolerances. Importing scipy.integrate for this one function
+costs more than the integrations of a typical run.
 """
 
 from __future__ import annotations
@@ -270,7 +270,7 @@ def _evaluate(t_old: float, h: float, y_old: np.ndarray, F: np.ndarray, t: np.nd
 
 @dataclass
 class Solution:
-    """Outcome of one solve, with scipy's success flag, message and nfev.
+    """Outcome of one solve, with scipy's success flag, message and nfev (see solve_ivp).
 
     t and y are the last accepted time and state (t1 on success); steps and
     rejected count accepted and rejected steps; drift is the largest value
@@ -344,10 +344,12 @@ def solve_ivp(
     [t0, t1], are read as scipy reads t_eval: a step from t_old to t_new
     that holds samples, those in (t_old, t_new] and t0 with the first step,
     runs the 3 extended stages and reads them off its dense-output
-    polynomial (a boundary sample so reads the earlier step), and nfev =
-    2 + 12 (steps + rejected) + 3 (steps that hold a sample). drift, a
-    function of one state, is taken at y0 and at each accepted state, and
-    its largest value returned, so that no state but the last is kept.
+    polynomial (a boundary sample so reads the earlier step). So, as in
+    scipy, nfev = 2 + 12 (steps + rejected) + 3 (steps that hold a sample):
+    2 evaluations choose the first step, each accepted or rejected step
+    takes 12, and 3 more if it holds a sample. drift, a function of one
+    state, is taken at y0 and at each accepted state, and its largest value
+    returned, so that no state but the last is kept.
     """
     t, t_bound = map(float, t_span)
     if not t < t_bound:

@@ -35,6 +35,7 @@ from .dynamics import (
     Schedule,
     evolve_chain,
 )
+from .spin_oracle import MAX_SPINS
 
 
 def _int_list(text: str) -> list[int]:
@@ -123,9 +124,9 @@ def _model(p: dict) -> CouplingModel:
     return CouplingModel(CouplingKind(p["coupling"]), p["m_max"])
 
 
-def _chain(p: dict, n: int, t_final: float, model: CouplingModel, samples: int = 0) -> ChainConfig:
+def _chain(p: dict, n: int, t_final: float, model: CouplingModel) -> ChainConfig:
     schedule = Schedule(p["g0"], p["gf"], t_final)
-    return ChainConfig(n, schedule, model, p["rel_tol"], p["abs_tol"], samples)
+    return ChainConfig(n, schedule, model, p["rel_tol"], p["abs_tol"])
 
 
 def _grid(p: dict, name: str) -> list:
@@ -165,7 +166,7 @@ def cmd_sweep_size(p: dict) -> int:
 
 
 def cmd_trace(p: dict) -> int:
-    rows = experiments.run_trace(_chain(p, p["n"], p["t_final"], _model(p), p["samples"]))
+    rows = experiments.run_trace(_chain(p, p["n"], p["t_final"], _model(p)), p["samples"])
     _save("trace", p, ("t", "g", "p_instant"), rows)
     return 0
 
@@ -240,8 +241,8 @@ _COMMANDS: dict[str, tuple[Callable[[dict], int], str, tuple[_Param, ...]]] = {
     "oracle": (
         cmd_oracle,
         "dense spin evolution vs fermionic pipeline",
-        (_Param("n", int, 4, "spin count (<= 10)"), _T_FINAL, _coupling("exact"), _M_MAX,
-         *_RAMP, *_TOLERANCES),
+        (_Param("n", int, 4, f"spin count (<= {MAX_SPINS})"), _T_FINAL, _coupling("exact"),
+         _M_MAX, *_RAMP, *_TOLERANCES),
     ),
     "evolve": (
         cmd_evolve,

@@ -136,14 +136,6 @@ def coupling_thermo(m, g: float):
     return (g ** (m - 1) if g < 1.0 else g ** (-m - 1)) / 8.0
 
 
-def coupling_truncated(m, g: float, n: int, m_max: int):
-    """Exact coupling for m <= m_max, zero beyond the truncation range."""
-    _check_chain_length(n)
-    _check_ranges(m, 1, n // 2)
-    _check_ranges(m_max, 0, n // 2, "truncation range m_max")
-    return coupling_exact(m, g, n) * (m <= m_max)
-
-
 def period_sign(m, n: int):
     """Sign of the grid average of cos(mk): zero unless n divides m.
 
@@ -154,6 +146,13 @@ def period_sign(m, n: int):
     return (m % n == 0) * (1 - 2 * (m // n % 2))
 
 
+def _check_expansion_order(m: int) -> None:
+    if m < 0:
+        raise ValueError("order must be nonnegative")
+    if m > EXPANSION_MAX_ORDER:
+        raise ValueError(f"order {m} unsupported (max {EXPANSION_MAX_ORDER})")
+
+
 def sin_product_expansion(m: int) -> list[int]:
     """Integer coefficients of sin(k)sin(mk) in powers of sin(k/2).
 
@@ -161,10 +160,7 @@ def sin_product_expansion(m: int) -> list[int]:
     coefficients are exact integers, built by multiplicative ratio updates
     in rational arithmetic (no raw factorials).
     """
-    if m < 0:
-        raise ValueError("order must be nonnegative")
-    if m > EXPANSION_MAX_ORDER:
-        raise ValueError(f"order {m} unsupported (max {EXPANSION_MAX_ORDER})")
+    _check_expansion_order(m)
     term = Fraction(4 * m)
     out = [term]
     for s in range(1, m + 1):
@@ -180,10 +176,7 @@ def cos_multiple_expansion(m: int) -> list[int]:
 
     cos(mk) = sum_s coeffs[s] * sin(k/2)**(2s) with s = 0..m.
     """
-    if m < 0:
-        raise ValueError("order must be nonnegative")
-    if m > EXPANSION_MAX_ORDER:
-        raise ValueError(f"order {m} unsupported (max {EXPANSION_MAX_ORDER})")
+    _check_expansion_order(m)
     term = Fraction(1)
     out = [term]
     for s in range(1, m + 1):
@@ -200,32 +193,44 @@ def power_sum(order, x: float, n: int):
     return (s2 ** np.asarray(order)[..., None] / (s2 + math.sinh(0.5 * x) ** 2)).sum(axis=-1)
 
 
-def power_sum_exact(order: int, x: float, n: int) -> float:
+def power_sum_exact(order, x: float, n: int):
     """Closed form of power_sum, for 0 <= order <= n, x != 0 and a finite sinh(x/2)^(2 order).
 
     Args:
-        order: half the power of sin(k/2) in the numerator.
+        order: half the power of sin(k/2) in the numerator, a scalar or an
+            array; each order sums in ascending s, as a scalar call does.
         x: log-field, x = ln g, nonzero.
         n: even chain length.
     """
     _check_chain_length(n)
-    if not 0 <= order <= n:
-        raise ValueError(f"order {order} outside [0, {n}]")
+    orders = np.asarray(order)
+    lo, top = int(orders.min()), int(orders.max())
+    if lo < 0 or top > n:
+        raise ValueError(f"order {lo if lo < 0 else top} outside [0, {n}]")
     if x == 0:
         raise ValueError("log-field must be nonzero")
     try:
         shift = math.sinh(0.5 * x) ** 2
-        total = n * math.tanh(0.5 * n * x) / math.sinh(x) * (-shift) ** order
+        # (-shift)^j for j = 0 .. the largest order, one scalar power each
+        powers = np.array([(-shift) ** j for j in range(top + 1)])
+        scale = n * math.tanh(0.5 * n * x) / math.sinh(x)
     except OverflowError:
         raise ValueError(
-            f"sinh(x/2)^{2 * order} overflows a float at field g = 10^{x / math.log(10):.6g}"
+            f"sinh(x/2)^{2 * top} overflows a float at field g = 10^{x / math.log(10):.6g}"
         ) from None
+    acc = np.zeros(orders.shape)
     c = 0.5  # central-binomial weight binom(2s, s)/2**(2s+1), s = 0
-    acc = 0.0
-    for s in range(order):
-        acc += c * (-shift) ** (order - s - 1)
+    for s in range(top):
+        above = orders > s
+        acc[above] += c * powers[orders[above] - s - 1]
         c = c * (2 * s + 1) / (2 * (s + 1))
-    return total + n * acc
+    total = scale * powers[orders] + n * acc
+    return float(total) if total.ndim == 0 else total
+
+
+def _relative_residual(a, b):
+    # |a - b| / max(1, |a|, |b|): absolute below unit scale, relative above it
+    return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
 def identity_residuals(g: float, n: int) -> dict[str, float]:
@@ -238,7 +243,7 @@ def identity_residuals(g: float, n: int) -> dict[str, float]:
     sums, right-hand sides from the closed forms.
 
     Args:
-        g: positive finite field.
+        g: positive field of finite g^2 and ((g^2 - 1)/(2g))^2, about 4e-155 to 1e154.
         n: even chain length.
 
     Returns:
@@ -249,12 +254,17 @@ def identity_residuals(g: float, n: int) -> dict[str, float]:
     _check_chain_length(n)
     if _check_field(g) == 0:
         raise ValueError("field must be positive")
+    coef_cos = (g * g + 1.0) / (2.0 * g)
+    try:  # an overflowing finite base raises; g^2 = inf gives inf
+        coef_sin2 = ((g * g - 1.0) / (2.0 * g)) ** 2
+    except OverflowError:
+        coef_sin2 = math.inf
+    if coef_sin2 == math.inf:
+        raise ValueError(f"((g^2 - 1)/(2g))^2 overflows a float at field g = {g}")
     ks = momentum_grid(n)
     cos_k = np.cos(ks)
     sin_k = np.sin(ks)
     denom = g * g - 2.0 * g * cos_k + 1.0
-    coef_cos = (g * g + 1.0) / (2.0 * g)
-    coef_sin2 = ((g * g - 1.0) / (2.0 * g)) ** 2
     # one row per range m, one column per momentum
     ms = np.arange(n - 1)
     cos_mk = np.cos(np.multiply.outer(ms, ks))
@@ -284,11 +294,7 @@ def identity_residuals(g: float, n: int) -> dict[str, float]:
         ),
         "aux_step": (cos_sum(ms + 1, g, n), coef_cos * f - h - delta / (8.0 * g)),
     }
-    worst = {}
-    for name, (lhs, rhs) in sides.items():
-        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        worst[name] = float(np.max(np.abs(lhs - rhs) / scale))
-    return worst
+    return {name: float(np.max(_relative_residual(lhs, rhs))) for name, (lhs, rhs) in sides.items()}
 
 
 class CouplingKind(Enum):
@@ -314,6 +320,11 @@ class CouplingModel:
         elif self.m_max is not None:
             raise ValueError(f"m_max is only valid with truncated coupling, not {self.kind.value}")
 
+    def check(self, n: int) -> None:
+        """Raise ValueError unless the model fits a chain of length n: m_max <= n/2."""
+        if self.kind is CouplingKind.TRUNCATED:
+            _check_ranges(self.m_max, 0, n // 2, "truncation range m_max")
+
     def label(self) -> str:
         if self.kind is CouplingKind.TRUNCATED:
             return f"truncated(m_max={self.m_max})"
@@ -334,11 +345,12 @@ def coupling_set(model: CouplingModel, g: float, n: int) -> np.ndarray:
     """
     _check_chain_length(n)
     _check_field(g)
+    model.check(n)
     ms = np.arange(1, n // 2 + 1)
     if model.kind is CouplingKind.DIRECT_SUM:
         return coupling_sum(ms, g, n)
     if model.kind is CouplingKind.THERMODYNAMIC:
         return coupling_thermo(ms, g)
     if model.kind is CouplingKind.TRUNCATED:
-        return coupling_truncated(ms, g, n, model.m_max)
+        return coupling_exact(ms, g, n) * (ms <= model.m_max)
     return coupling_exact(ms, g, n)

@@ -24,7 +24,6 @@ from .coefficients import (
     CouplingModel,
     _check_chain_length,
     _check_field,
-    _check_ranges,
     coupling_set,
     momentum_grid,
 )
@@ -88,21 +87,15 @@ class ChainConfig:
     coupling: CouplingModel
     rel_tol: float = DEFAULT_REL_TOL
     abs_tol: float = DEFAULT_ABS_TOL
-    trace_points: int = 0
 
     def __post_init__(self) -> None:
         _check_chain_length(self.n)
-        if self.coupling.kind is CouplingKind.TRUNCATED:
-            _check_ranges(self.coupling.m_max, 0, self.n // 2, "truncation range m_max")
+        self.coupling.check(self.n)
         for name, value in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.rel_tol < MIN_REL_TOL:
             raise ValueError(f"rel_tol must be at least {MIN_REL_TOL}, got {self.rel_tol}")
-        if self.trace_points < 0 or self.trace_points == 1:
-            raise ValueError(
-                f"trace needs at least 2 samples (0 disables it), got {self.trace_points}"
-            )
 
 
 @dataclass
@@ -115,12 +108,10 @@ class EvolutionResult:
     along the ramp as (t, g(t), probability) triples. steps counts the accepted
     steps of the one adiabatic-frame integration that carries every mode;
     it is not a sum over modes, and it does not depend on the samples.
-    nfev counts that integration's RHS evaluations; a traced run makes 3
-    more on each step that holds a sample, for the interpolant it reads.
-    norm_drift is the largest |d_g|^2 + |d_e|^2 - 1 (ground and excited
-    amplitudes of one mode) over every mode and accepted step. rejected
-    counts the steps the error control rejected; each accepted or rejected
-    step costs 12 RHS evaluations, after 2 that choose the first step.
+    rejected counts the steps the error control rejected, and nfev the RHS
+    evaluations (see _dop853.solve_ivp). norm_drift is the largest
+    |d_g|^2 + |d_e|^2 - 1 (ground and excited amplitudes of one mode) over
+    every mode and accepted step.
     """
 
     p_gs: float
@@ -227,7 +218,7 @@ def drive_function(model: CouplingModel, n: int, k) -> Callable:
     ones; the truncated family below full range has a real closed form
     (minus the tail of a geometric sum); the thermodynamic and direct-sum
     families subtract the exact drive from their own. The caller validates
-    m_max (see ChainConfig).
+    m_max (see CouplingModel.check).
     """
     if model.kind is CouplingKind.TRUNCATED and model.m_max < n // 2:
         return _truncated_residual(k, n, model.m_max)
@@ -251,11 +242,10 @@ def _integrate(config: ChainConfig, samples: np.ndarray) -> tuple[np.ndarray, So
     #   d_g' = r exp(-2i phi) d_e,  d_e' = -r exp(2i phi) d_g,  phi' = 2 eps_k(g)
     # with eps_k = sqrt(den), den = g^2 - 2g cos k + 1. Each RHS evaluation
     # takes the ramp, den and the residual kernel of drive_function once.
-    # One DOP853 solve, which reads the samples as it passes them (3 more
-    # RHS evaluations on each step that holds one). Returns the state at
-    # each sample time and then the final state (one row each), and the
-    # solve, whose drift is the largest norm drift of any mode at any
-    # accepted step.
+    # One DOP853 solve, which reads the samples as it passes them (nfev as
+    # in _dop853.solve_ivp). Returns the state at each sample time and then
+    # the final state (one row each), and the solve, whose drift is the
+    # largest norm drift of any mode at any accepted step.
     schedule = config.schedule
     ks = momentum_grid(config.n)
     residual = drive_function(config.coupling, config.n, ks)
@@ -293,27 +283,29 @@ def ground_state_probability(frames: np.ndarray) -> np.ndarray:
     return np.prod(np.abs(frames[..., : frames.shape[-1] // 3]) ** 2, axis=-1)
 
 
-def evolve_chain(config: ChainConfig) -> EvolutionResult:
+def evolve_chain(config: ChainConfig, trace_points: int | None = None) -> EvolutionResult:
     """Evolve every mode of the chain and assemble ground-state probabilities.
 
     All n/2 modes are integrated together as one vector ODE, in one solve
-    over the whole ramp. With trace_points = 0 only the final probability
+    over the whole ramp. With trace_points None only the final probability
     is computed, from the last accepted step. With trace_points >= 2 the
     probability against the ground state of the momentary field is also
     recorded at uniformly spaced sample times: the solve evaluates DOP853's
     interpolant at every sample but the last, on the steps that hold them
-    at 3 more RHS evaluations each; the last is the final state itself.
+    (nfev as in _dop853.solve_ivp); the last is the final state itself.
     The steps, and so the final sample, are those of the final-only run.
 
     The integration does not depend on the process it runs in, so
-    identical configs give bit-identical results.
+    identical arguments give bit-identical results.
     """
+    if trace_points is not None and trace_points < 2:
+        raise ValueError(f"trace needs at least 2 samples, got {trace_points}")
     schedule = config.schedule
-    times = np.linspace(0.0, schedule.duration, config.trace_points)
+    times = np.linspace(0.0, schedule.duration, trace_points or 0)
     frames, sol = _integrate(config, times[:-1])
     probs = ground_state_probability(frames)
     trace = None
-    if config.trace_points:
+    if trace_points:
         # the last sample sits at the target field itself, not at its rounded ramp value
         fields = [schedule.ramp(float(t))[0] for t in times[:-1]] + [schedule.gf]
         trace = [(float(t), float(g), float(p)) for t, g, p in zip(times, fields, probs)]

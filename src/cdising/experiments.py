@@ -25,6 +25,7 @@ from .coefficients import (
     CouplingKind,
     CouplingModel,
     _check_field,
+    _relative_residual as rel,
     cos_multiple_expansion,
     cos_sum,
     cos_sum_exact,
@@ -123,13 +124,10 @@ def run_size_sweep(configs: Sequence[ChainConfig], jobs: int = 1) -> list[tuple[
     return [(c.n, c.schedule.duration, p) for c, p in zip(configs, probs)]
 
 
-def run_trace(config: ChainConfig) -> list[tuple[float, float, float]]:
+def run_trace(config: ChainConfig, samples: int) -> list[tuple[float, float, float]]:
     """Instantaneous ground-state probability along the ramp, as rows
-    (t, g, p_instant) at config.trace_points uniformly spaced times."""
-    if config.trace_points < 2:
-        # ChainConfig reads trace_points = 0 as "no trace"
-        raise ValueError(f"trace needs at least 2 samples, got {config.trace_points}")
-    return evolve_chain(config).trace
+    (t, g, p_instant) at samples >= 2 uniformly spaced times."""
+    return evolve_chain(config, samples).trace
 
 
 def run_oracle_comparison(configs: Sequence[ChainConfig]) -> list[tuple[str, float, float, float]]:
@@ -228,9 +226,6 @@ def run_verification(
         if name not in worst or residuals[at] > worst[name][0]:
             worst[name] = (float(residuals[at]), scope(at))
 
-    def rel(a, b):
-        return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-
     # closed forms against brute-force sums, duality, reduction identities,
     # power sums and drive resummations, each one array over m (or order,
     # or momentum) per (n, g).
@@ -274,8 +269,8 @@ def run_verification(
             shift = math.sinh(0.5 * x) ** 2
             brute = power_sum(np.arange(n + 1), x, n)
             cap = n if shift <= 1.0 else min(n, 4)
-            closed = [power_sum_exact(order, x, n) for order in range(cap + 1)]
-            keep("power sum closed vs sum", rel(np.array(closed), brute[: cap + 1]), at_order)
+            closed = power_sum_exact(np.arange(cap + 1), x, n)
+            keep("power sum closed vs sum", rel(closed, brute[: cap + 1]), at_order)
             # central-binomial weights binom(2s, s)/2**(2s+1), s = 0 .. n-1
             weights = 0.5 * np.cumprod(np.r_[1.0, (2.0 * ms[:-1] + 1.0) / (2.0 * ms[1:])])
             keep("power sum recurrence", rel(brute[1:], n * weights - brute[:-1] * shift), at_order)

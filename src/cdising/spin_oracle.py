@@ -140,13 +140,10 @@ def dense_evolve(config: ChainConfig) -> float:
     integrates under chain Hamiltonian plus counterdiabatic term with the
     config's ramp, coupling model and tolerances, and projects onto the
     positive-parity ground state at the final field. The state never
-    leaves that sector, so only its 2^(n-1) amplitudes are carried. Only
-    the final overlap is computed, so the config must not ask for a trace.
+    leaves that sector, so only its 2^(n-1) amplitudes are carried.
     """
     n, schedule, model = config.n, config.schedule, config.coupling
     _check_size(n)
-    if config.trace_points:
-        raise ValueError(f"dense_evolve computes no trace, got trace_points={config.trace_points}")
     from scipy import sparse
 
     sector = _even_sector(n)

@@ -64,8 +64,8 @@ def report(label: str, elapsed: float, failures: list[str], detail: str) -> None
     assert not failures, "; ".join(failures[:10])
 
 
-def config(n: int, model: CouplingModel, t_final: float, samples: int = 0) -> ChainConfig:
-    return ChainConfig(n, Schedule(5.0, 0.0, t_final), model, trace_points=samples)
+def config(n: int, model: CouplingModel, t_final: float) -> ChainConfig:
+    return ChainConfig(n, Schedule(5.0, 0.0, t_final), model)
 
 
 def prepare(n: int, model: CouplingModel, t_final: float):
@@ -102,7 +102,7 @@ def size_rows():
 
 @lru_cache(maxsize=1)
 def reference_trace():
-    return tuple(run_trace(config(200, THERMO, 10.0, samples=500)))
+    return tuple(run_trace(config(200, THERMO, 10.0), 500))
 
 
 def test_criterion_1_coefficient_identity_suite():

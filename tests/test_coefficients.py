@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -19,7 +20,6 @@ from cdising.coefficients import (
     cos_sum_exact,
     coupling_sum,
     coupling_thermo,
-    coupling_truncated,
     identity_residuals,
     period_sign,
     power_sum,
@@ -224,14 +224,15 @@ def test_coupling_thermo_validates():
 
 
 def test_coupling_truncated():
-    assert coupling_truncated(2, 0.7, 8, 1) == 0.0
-    assert coupling_truncated(1, 0.7, 8, 1) == coupling_exact(1, 0.7, 8)
+    # the truncated family of coupling_set: exact up to m_max, zero beyond
+    capped = coupling_set(CouplingModel(CouplingKind.TRUNCATED, 1), 0.7, 8)
+    assert capped[1] == 0.0
+    assert capped[0] == coupling_exact(1, 0.7, 8)
+    full = coupling_set(CouplingModel(CouplingKind.TRUNCATED, 4), 0.7, 8)
     for m in range(1, 5):
-        assert coupling_truncated(m, 0.7, 8, 4) == coupling_exact(m, 0.7, 8)
-    with pytest.raises(ValueError):
-        coupling_truncated(5, 0.7, 8, 2)  # m beyond n/2
-    with pytest.raises(ValueError):
-        coupling_truncated(1, 0.7, 8, 5)  # cap beyond n/2
+        assert full[m - 1] == coupling_exact(m, 0.7, 8)
+    with pytest.raises(ValueError, match=r"^truncation range m_max=5 outside \[0, 4\]$"):
+        coupling_set(CouplingModel(CouplingKind.TRUNCATED, 5), 0.7, 8)  # cap beyond n/2
 
 
 def test_period_sign():
@@ -330,6 +331,37 @@ def test_power_sum_validates():
         power_sum_exact(1, 0.0, 4)
     with pytest.raises(ValueError):
         power_sum(-1, 1.0, 4)
+
+
+def _power_sum_exact_loop(order: int, x: float, n: int) -> float:
+    # the scalar closed form term by term, in ascending s
+    shift = math.sinh(0.5 * x) ** 2
+    total = n * math.tanh(0.5 * n * x) / math.sinh(x) * (-shift) ** order
+    c, acc = 0.5, 0.0
+    for s in range(order):
+        acc += c * (-shift) ** (order - s - 1)
+        c = c * (2 * s + 1) / (2 * (s + 1))
+    return total + n * acc
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 200])
+def test_power_sum_exact_on_an_array_of_orders_is_its_scalar_calls(n):
+    # the fields of the default verify grid but 0 and 1, and a few beyond it;
+    # orders up to the cap verify uses, n while sinh(x/2)^2 <= 1, else 4
+    fields = [round(0.05 + 0.45 * i, 10) for i in range(12)] + [1e-3, 0.17, 5.9, 40.0, 1e3]
+    for g in fields:
+        x = math.log(g)
+        cap = n if math.sinh(0.5 * x) ** 2 <= 1.0 else min(n, 4)
+        values = power_sum_exact(np.arange(cap + 1), x, n)
+        scalars = [power_sum_exact(order, x, n) for order in range(cap + 1)]
+        assert all(type(value) is float for value in scalars)
+        assert values.tolist() == scalars == [_power_sum_exact_loop(o, x, n) for o in range(cap + 1)]
+    # an array call raises where its largest order's power overflows, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = r"sinh\(x/2\)\^8 overflows a float at field g = 10\^100$"
+        with pytest.raises(ValueError, match=message):
+            power_sum_exact(np.arange(5), math.log(1e100), 4)
 
 
 @pytest.mark.parametrize("x", [math.log(1e100), math.log(1e-100), 800.0])
@@ -469,6 +501,17 @@ def test_identity_residuals_validates():
             identity_residuals(field, 8)
     with pytest.raises(ValueError):
         identity_residuals(1.0, 7)
+    # g^2 overflows above about 1e154, ((g^2 - 1)/(2g))^2 below about 4e-155:
+    # a ValueError naming the field, with no numpy warning before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for field in (1e-300, 1e-160, 1e160, 1e300):
+            message = f"((g^2 - 1)/(2g))^2 overflows a float at field g = {field}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                identity_residuals(field, 8)
+        # the edges of the representable range still run clean
+        for field in (1e-154, 1e154):
+            assert all(math.isfinite(value) for value in identity_residuals(field, 8).values())
 
 
 def test_coupling_set_exact_at_critical_field():
@@ -501,7 +544,7 @@ def test_coupling_set_matches_scalar_couplings(n):
         (CouplingModel(CouplingKind.THERMODYNAMIC), coupling_thermo),
     ]
     families += [
-        (CouplingModel(CouplingKind.TRUNCATED, cap), lambda m, g, cap=cap: coupling_truncated(m, g, n, cap))
+        (CouplingModel(CouplingKind.TRUNCATED, cap), lambda m, g, cap=cap: coupling_exact(m, g, n) * (m <= cap))
         for cap in range(n // 2 + 1)
     ]
     for g in (0.0, 0.5, 1.0, 2.0, 5.0):
@@ -534,6 +577,14 @@ def test_coupling_model_validation_and_labels():
         CouplingModel(CouplingKind.TRUNCATED)
     assert CouplingModel(CouplingKind.EXACT).label() == "exact"
     assert CouplingModel(CouplingKind.TRUNCATED, 2).label() == "truncated(m_max=2)"
+    # check(n) is the one check of the truncation range, m_max <= n/2
+    for n in (2, 8, 200):
+        for kind in (CouplingKind.EXACT, CouplingKind.DIRECT_SUM, CouplingKind.THERMODYNAMIC):
+            CouplingModel(kind).check(n)
+        for cap in (0, n // 2):
+            CouplingModel(CouplingKind.TRUNCATED, cap).check(n)
+        with pytest.raises(ValueError, match=rf"^truncation range m_max={n // 2 + 1} outside "):
+            CouplingModel(CouplingKind.TRUNCATED, n // 2 + 1).check(n)
 
 
 def test_coupling_maximum_sits_below_critical_field():
@@ -555,7 +606,6 @@ def _assert_within_ulps(values, expected, ulps=4):
 def test_array_ranges_match_scalar_calls(n, g):
     # every range from the m = 0 edge to m = n - 1, one call against n calls
     ms = np.arange(n)
-    half = np.arange(1, n // 2 + 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # 0**-1 at m = 0, g = 0 must not warn
         cases = [
@@ -566,8 +616,8 @@ def test_array_ranges_match_scalar_calls(n, g):
             (coupling_thermo(ms[1:], g), [coupling_thermo(m, g) for m in range(1, n)]),
         ]
         for cap in (0, 1, n // 2):
-            values = coupling_truncated(half, g, n, cap)
-            cases.append((values, [coupling_truncated(m, g, n, cap) for m in range(1, n // 2 + 1)]))
+            values = coupling_set(CouplingModel(CouplingKind.TRUNCATED, cap), g, n)
+            cases.append((values, [coupling_exact(m, g, n) * (m <= cap) for m in range(1, n // 2 + 1)]))
         if g > 0:
             orders = np.arange(n + 1)
             x = math.log(g)
@@ -585,7 +635,9 @@ def test_array_ranges_are_validated_entry_by_entry():
         cos_sum_exact(np.array([-1, 3]), 0.5, 8)
     with pytest.raises(ValueError, match="range index m=0"):
         coupling_thermo(np.arange(3), 0.5)
-    with pytest.raises(ValueError, match="range index m=5"):
-        coupling_truncated(np.arange(1, 6), 0.5, 8, 2)
+    with pytest.raises(ValueError, match=r"^order 5 outside \[0, 4\]$"):
+        power_sum_exact(np.array([2, 5, 3]), 0.5, 4)
+    with pytest.raises(ValueError, match=r"^order -1 outside \[0, 4\]$"):
+        power_sum_exact(np.array([2, -1, 5]), 0.5, 4)
     with pytest.raises(ValueError, match="order=-1"):
         power_sum(np.array([2, -1]), 0.5, 8)

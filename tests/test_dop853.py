@@ -86,9 +86,9 @@ def rerun(fun, args, kwargs, samples):
 @pytest.mark.parametrize("model", MODELS, ids=lambda model: model.label())
 @pytest.mark.parametrize("g0, gf", RAMPS)
 def test_chain_solve_is_scipys_bit_for_bit(n, model, g0, gf, monkeypatch):
-    config = ChainConfig(n, Schedule(g0, gf, 10.0), model, trace_points=5)
+    config = ChainConfig(n, Schedule(g0, gf, 10.0), model)
     (fun, args, kwargs, ours), = captured_solves(
-        monkeypatch, dynamics, lambda: evolve_chain(config)
+        monkeypatch, dynamics, lambda: evolve_chain(config, 5)
     )
     ref = scipy_reference(fun, args, kwargs)
     assert_same_solve(ours, ref, scipy_reference(fun, args, kwargs, t_eval=kwargs["samples"]))
@@ -175,8 +175,8 @@ def test_boundary_sample_reads_the_earlier_step_like_scipy(monkeypatch):
     # boundary sample reads, and the evaluations are checked instead: each
     # sample must come from the step that ends at or after it, at x = 1 on
     # a boundary, and t0 from the first step, as in scipy's t_eval solve.
-    config = ChainConfig(20, Schedule(5.0, 0.0, 10.0), MODELS[2], trace_points=5)
-    (fun, args, kwargs, _), = captured_solves(monkeypatch, dynamics, lambda: evolve_chain(config))
+    config = ChainConfig(20, Schedule(5.0, 0.0, 10.0), MODELS[2])
+    (fun, args, kwargs, _), = captured_solves(monkeypatch, dynamics, lambda: evolve_chain(config, 5))
     ref = scipy_reference(fun, args, kwargs)
     reads = []
 

@@ -127,14 +127,18 @@ def test_chain_config_validation():
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match=name):
                 ChainConfig(4, ramp, EXACT, **{name: bad})
-    with pytest.raises(ValueError):
-        ChainConfig(4, ramp, EXACT, trace_points=1)
-    with pytest.raises(ValueError):
-        ChainConfig(4, ramp, EXACT, trace_points=-3)
-    # the truncation range is checked once, here, with the coefficients' message
+    # the truncation range is checked by CouplingModel.check, with the coefficients' message
     with pytest.raises(ValueError, match=r"^truncation range m_max=3 outside \[0, 2\]$"):
         ChainConfig(4, ramp, CouplingModel(CouplingKind.TRUNCATED, 3))
     ChainConfig(4, ramp, CouplingModel(CouplingKind.TRUNCATED, 2))
+
+
+@pytest.mark.parametrize("samples", [0, 1, -3])
+def test_evolve_chain_rejects_fewer_than_two_samples(samples):
+    # None asks for no trace; every number below 2 gets the same message
+    config = ChainConfig(4, Schedule(5.0, 0.0, 1.0), EXACT)
+    with pytest.raises(ValueError, match=rf"^trace needs at least 2 samples, got {samples}$"):
+        evolve_chain(config, samples)
 
 
 def test_rel_tol_floor_is_100_machine_epsilons():
@@ -412,8 +416,8 @@ def test_evolve_chain_deterministic():
 
 
 def test_trace_shape_and_endpoints():
-    config = ChainConfig(6, Schedule(3.0, 0.0, 1.0), THERMO, trace_points=9)
-    result = evolve_chain(config)
+    config = ChainConfig(6, Schedule(3.0, 0.0, 1.0), THERMO)
+    result = evolve_chain(config, 9)
     assert result.trace is not None and len(result.trace) == 9
     times = [t for t, _, _ in result.trace]
     assert times[0] == 0.0 and times[-1] == 1.0
@@ -451,7 +455,7 @@ def test_batched_accuracy_against_tight_reference(n, model, t_final):
     default = evolve_chain(ChainConfig(n, ramp, model))
     tight = evolve_chain(ChainConfig(n, ramp, model, rel_tol=1e-13, abs_tol=1e-15))
     assert abs(default.p_gs - tight.p_gs) < 1e-9
-    traced = evolve_chain(ChainConfig(n, ramp, model, trace_points=11))
+    traced = evolve_chain(ChainConfig(n, ramp, model), 11)
     assert abs(traced.trace[-1][2] - default.p_gs) < 1e-9
 
 
@@ -459,7 +463,7 @@ def test_traced_and_direct_evolution_agree():
     ramp = Schedule(4.0, 0.0, 1.0)
     direct = evolve_chain(ChainConfig(4, ramp, THERMO))
     with mock.patch.object(_dop853, "_evaluate", wraps=_dop853._evaluate) as evaluate:
-        traced = evolve_chain(ChainConfig(4, ramp, THERMO, trace_points=5))
+        traced = evolve_chain(ChainConfig(4, ramp, THERMO), 5)
     # the same solve either way: the traced run also reads its final state
     # from the last accepted step, and its samples read the interpolant,
     # which costs DOP853's 3 extra stages on each step that holds a sample
@@ -484,9 +488,9 @@ def test_rejected_steps_close_the_rhs_count(model, rejected):
     # reads (one _evaluate call); the counts were checked against scipy's
     # DOP853, which reports only nfev and the steps
     ramp = Schedule(5.0, 0.0, 10.0)
-    for trace_points in (0, 5):
+    for trace_points in (None, 5):
         with mock.patch.object(_dop853, "_evaluate", wraps=_dop853._evaluate) as evaluate:
-            result = evolve_chain(ChainConfig(20, ramp, model, trace_points=trace_points))
+            result = evolve_chain(ChainConfig(20, ramp, model), trace_points)
         assert result.rejected == rejected
         extra = 3 * evaluate.call_count
         assert result.nfev == 2 + 12 * (result.steps + result.rejected) + extra

@@ -41,9 +41,9 @@ EXACT = CouplingModel(CouplingKind.EXACT)
 THERMO = CouplingModel(CouplingKind.THERMODYNAMIC)
 
 
-def chain(n: int, model: CouplingModel = THERMO, samples: int = 0) -> ChainConfig:
+def chain(n: int, model: CouplingModel = THERMO) -> ChainConfig:
     # the CLI's default ramp over T = 1
-    return ChainConfig(n, Schedule(5.0, 0.0, 1.0), model, trace_points=samples)
+    return ChainConfig(n, Schedule(5.0, 0.0, 1.0), model)
 
 
 def truncations(n: int) -> list[ChainConfig]:
@@ -114,13 +114,13 @@ def test_run_size_sweep_small_and_parallel():
 
 
 def test_run_trace_small():
-    rows = run_trace(chain(4, samples=5))
+    rows = run_trace(chain(4), 5)
     assert len(rows) == 5
     assert rows[0][0] == 0.0 and rows[-1][0] == 1.0
     assert abs(rows[0][2] - 1.0) < 1e-12
     # a truncation range with a non-truncated model is rejected, not ignored
     with pytest.raises(ValueError, match="m_max"):
-        run_trace(chain(4, CouplingModel(CouplingKind.THERMODYNAMIC, 1), samples=5))
+        run_trace(chain(4, CouplingModel(CouplingKind.THERMODYNAMIC, 1)), 5)
 
 
 def test_run_verification_clean_and_corrupt():
@@ -225,7 +225,7 @@ def test_cli_reruns_are_byte_identical(tmp_path):
 
 
 def test_cli_truncation_range_beyond_half_chain_exits_2_with_one_message(capsys):
-    # ChainConfig checks m_max for every pipeline, with the message coeffs gives
+    # CouplingModel.check is the one check of m_max, for every pipeline
     errors = {}
     for command in ("coeffs", "oracle", "evolve", "trace"):
         argv = [command, "--n", "4", "--coupling", "truncated", "--m-max", "3"]
@@ -316,12 +316,31 @@ def test_cli_rejects_rel_tol_below_the_floor_without_warning(capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("field, power", [("1e100", "100"), ("1e-100", "-100")])
-def test_cli_verify_at_an_extreme_field_exits_2(field, power, capsys):
-    # the closed power sum at order 4 overflows: one error line, no traceback
-    assert main(["verify", "--n", "4", "--g-grid", field]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: sinh(x/2)^8 overflows a float at field g = 10^{power}\n"
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        # the closed power sum at order 4 overflows
+        *(
+            pytest.param(field, f"sinh(x/2)^8 overflows a float at field g = 10^{power}",
+                         id=f"{field}-{power}")
+            for field, power in (("1e100", "100"), ("1e-100", "-100"))
+        ),
+        # the reduction identities' coefficients overflow first
+        *(
+            pytest.param(field, f"((g^2 - 1)/(2g))^2 overflows a float at field g = {float(field)}",
+                         id=field)
+            for field in ("1e-160", "1e-300", "1e160", "1e300")
+        ),
+    ],
+)
+def test_cli_verify_at_an_extreme_field_exits_2(field, message, capsys):
+    # one error line, no traceback and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--n", "4", "--g-grid", field]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("field", ["inf", "nan"])
@@ -372,9 +391,11 @@ def test_cli_trace_small(tmp_path):
 
 @pytest.mark.parametrize("samples", ["0", "1", "-3"])
 def test_cli_trace_rejects_too_few_samples(samples, capsys):
+    # evolve_chain owns the rule: 0 is not a "no trace" request, just too few
     assert main(["trace", "--n", "4", "--t-final", "1", "--samples", samples]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and f"got {samples}" in err
+    captured = capsys.readouterr()
+    assert captured.err == f"error: trace needs at least 2 samples, got {samples}\n"
+    assert captured.out == ""
 
 
 def test_cli_evolve_and_oracle(tmp_path):

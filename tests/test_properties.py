@@ -54,7 +54,7 @@ def test_exact_drives_prepare_the_ground_state(n, g0, gf, t_final, full_truncati
     model = CouplingModel(CouplingKind.TRUNCATED, n // 2) if full_truncation else EXACT
     result = evolve_chain(ChainConfig(n, Schedule(g0, gf, t_final), model))
     assert result.p_gs == 1.0
-    traced = evolve_chain(ChainConfig(n, Schedule(g0, gf, t_final), model, trace_points=5))
+    traced = evolve_chain(ChainConfig(n, Schedule(g0, gf, t_final), model), 5)
     assert all(p == 1.0 for _, _, p in traced.trace)
 
 
@@ -66,7 +66,7 @@ def test_exact_drives_prepare_the_ground_state(n, g0, gf, t_final, full_truncati
 def test_trace_is_a_probability_and_ends_at_the_final_run(chain, samples):
     n, ramp, model = chain
     with mock.patch.object(_dop853, "_evaluate", wraps=_dop853._evaluate) as evaluate:
-        traced = evolve_chain(ChainConfig(n, ramp, model, trace_points=samples))
+        traced = evolve_chain(ChainConfig(n, ramp, model), samples)
     final = evolve_chain(ChainConfig(n, ramp, model))
     # the interpolant adds 3 RHS evaluations on each step that holds a sample
     # but moves no step, and both runs read the final state from the last

@@ -179,11 +179,6 @@ def test_dense_evolve_rejects_bad_tolerances(name, bad):
         dense_evolve(ChainConfig(4, Schedule(5.0, 0.0, 1.0), EXACT, **{name: bad}))
 
 
-def test_dense_evolve_rejects_a_trace():
-    with pytest.raises(ValueError, match="trace_points"):
-        dense_evolve(ChainConfig(4, Schedule(5.0, 0.0, 1.0), EXACT, trace_points=5))
-
-
 def test_dense_size_validation():
     with pytest.raises(ValueError):
         sector_ground_energy(3, 1.0)
