@@ -18,9 +18,9 @@ calls once on the array of ranges.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -158,17 +158,19 @@ def sin_product_expansion(m: int) -> list[int]:
 
     sin(k)sin(mk) = sum_s coeffs[s] * sin(k/2)**(2s+2) with s = 0..m. The
     coefficients are exact integers, built by multiplicative ratio updates
-    in rational arithmetic (no raw factorials).
+    in integer arithmetic (no raw factorials): each update's division
+    leaves no remainder.
     """
     _check_expansion_order(m)
-    term = Fraction(4 * m)
-    out = [term]
+    out = [4 * m]
     for s in range(1, m + 1):
-        term *= Fraction(-4 * (m + s - 1) * (m - s + 1), (2 * s) * (2 * s + 1))
-        term *= Fraction(2 * m * m + s, 2 * m * m + s - 1)
+        term, remainder = divmod(
+            out[-1] * -4 * (m + s - 1) * (m - s + 1) * (2 * m * m + s),
+            (2 * s) * (2 * s + 1) * (2 * m * m + s - 1),
+        )
+        assert remainder == 0
         out.append(term)
-    assert all(t.denominator == 1 for t in out)
-    return [int(t) for t in out]
+    return out
 
 
 def cos_multiple_expansion(m: int) -> list[int]:
@@ -177,13 +179,12 @@ def cos_multiple_expansion(m: int) -> list[int]:
     cos(mk) = sum_s coeffs[s] * sin(k/2)**(2s) with s = 0..m.
     """
     _check_expansion_order(m)
-    term = Fraction(1)
-    out = [term]
+    out = [1]
     for s in range(1, m + 1):
-        term *= Fraction(-4 * (m + s - 1) * (m - s + 1), (2 * s - 1) * (2 * s))
+        term, remainder = divmod(out[-1] * -4 * (m + s - 1) * (m - s + 1), (2 * s - 1) * (2 * s))
+        assert remainder == 0
         out.append(term)
-    assert all(t.denominator == 1 for t in out)
-    return [int(t) for t in out]
+    return out
 
 
 def power_sum(order, x: float, n: int):
@@ -243,7 +244,13 @@ def identity_residuals(g: float, n: int) -> dict[str, float]:
     sums, right-hand sides from the closed forms.
 
     Args:
-        g: positive field of finite g^2 and ((g^2 - 1)/(2g))^2, about 4e-155 to 1e154.
+        g: positive field with ((g^2 - 1)/(2g))^2 finite, g^2 normal and
+            16 g^2 finite: about 1.5e-154 to 3.35e153. Beyond either end a
+            coefficient of the identities rounds to 0 or inf, and the
+            residual would read as a failed identity, so it raises. Below
+            about g = 0.01 the cos_sin2 and coupling_step right-hand sides
+            cancel terms of order 1/g^2, and their residuals grow as far as
+            eps/g^2.
         n: even chain length.
 
     Returns:
@@ -261,6 +268,10 @@ def identity_residuals(g: float, n: int) -> dict[str, float]:
         coef_sin2 = math.inf
     if coef_sin2 == math.inf:
         raise ValueError(f"((g^2 - 1)/(2g))^2 overflows a float at field g = {g}")
+    if g * g < sys.float_info.min:
+        raise ValueError(f"g^2 is subnormal at field g = {g}")
+    if 16.0 * g * g == math.inf:
+        raise ValueError(f"16 g^2 overflows a float at field g = {g}")
     ks = momentum_grid(n)
     cos_k = np.cos(ks)
     sin_k = np.sin(ks)

@@ -296,12 +296,13 @@ def run_verification(
     # the alternating terms cancel to ~4^m eps near k = pi, so this family
     # gets the expansion tolerance, not the identity one
     for m in range(7):
+        sin_coeffs, cos_coeffs = sin_product_expansion(m), cos_multiple_expansion(m)
         for k in np.linspace(0.1, math.pi - 0.1, 7):
             s2 = math.sin(0.5 * k) ** 2
-            rebuilt = sum(c * s2 ** (s + 1) for s, c in enumerate(sin_product_expansion(m)))
+            rebuilt = sum(c * s2 ** (s + 1) for s, c in enumerate(sin_coeffs))
             r = abs(rebuilt - math.sin(k) * math.sin(m * k))
             keep("expansion reconstruction", r, lambda _: f"sin expansion m={m} k={k:.3f}")
-            rebuilt = sum(c * s2**s for s, c in enumerate(cos_multiple_expansion(m)))
+            rebuilt = sum(c * s2**s for s, c in enumerate(cos_coeffs))
             r = abs(rebuilt - math.cos(m * k))
             keep("expansion reconstruction", r, lambda _: f"cos expansion m={m} k={k:.3f}")
 

@@ -509,8 +509,18 @@ def test_identity_residuals_validates():
             message = f"((g^2 - 1)/(2g))^2 overflows a float at field g = {field}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 identity_residuals(field, 8)
-        # the edges of the representable range still run clean
-        for field in (1e-154, 1e154):
+        # inside that, g^2 turns subnormal below about 1.49e-154 and 16 g^2
+        # overflows above about 3.35e153: a coefficient rounds to 0 or inf,
+        # which would read as a failed identity (0.125 and 0.0625 here)
+        for field, message in (
+            (1e-154, "g^2 is subnormal at field g = 1e-154"),
+            (5e153, "16 g^2 overflows a float at field g = 5e+153"),
+            (1e154, "16 g^2 overflows a float at field g = 1e+154"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                identity_residuals(field, 8)
+        # the edges of the accepted range still run, with finite residuals
+        for field in (1.5e-154, 3.3e153):
             assert all(math.isfinite(value) for value in identity_residuals(field, 8).values())
 
 

@@ -331,6 +331,9 @@ def test_cli_rejects_rel_tol_below_the_floor_without_warning(capsys):
                          id=field)
             for field in ("1e-160", "1e-300", "1e160", "1e300")
         ),
+        # a coefficient of the reduction identities rounds to 0 or inf
+        pytest.param("1e-154", "g^2 is subnormal at field g = 1e-154", id="1e-154"),
+        pytest.param("5e153", "16 g^2 overflows a float at field g = 5e+153", id="5e153"),
     ],
 )
 def test_cli_verify_at_an_extreme_field_exits_2(field, message, capsys):

@@ -54,14 +54,15 @@ def test_every_benchmark_probe_site_resolves(monkeypatch):
 
 
 def test_import_loads_neither_scipy_integrate_nor_sparse():
-    # the package integrates with its own DOP853 and builds the oracle's
-    # sparse operators on the first oracle call, so a fresh interpreter that
-    # only imports the CLI, as every command does first, pays for neither
+    # the package integrates with its own DOP853, and builds the oracle's
+    # sparse operators and ground states on the first oracle call, so a
+    # fresh interpreter that only imports the CLI, as every command does
+    # first, pays for none of these
     code = """
 import sys
 import cdising, cdising.cli
 cdising.cli.build_parser()
-print(sorted(name for name in ("scipy.integrate", "scipy.sparse") if name in sys.modules))
+print(sorted(name for name in ("scipy.integrate", "scipy.linalg", "scipy.sparse") if name in sys.modules))
 from cdising import ChainConfig, CouplingKind, CouplingModel, Schedule, dense_evolve, evolve_chain
 config = ChainConfig(4, Schedule(5.0, 0.0, 1.0), CouplingModel(CouplingKind.EXACT))
 evolve_chain(config)

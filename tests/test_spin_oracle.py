@@ -6,12 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cdising import ChainConfig, CouplingKind, CouplingModel, Schedule, dense_evolve, evolve_chain
 from cdising.coefficients import coupling_set
 from cdising.dynamics import dispersion_ground_energy
 from cdising.spin_oracle import multi_spin_term, parity_ground_state, sector_ground_energy
-from cdising.spin_oracle import _even_sector, _ising, _multi_spin, _pauli, _weighted_cd_terms
+from cdising.spin_oracle import _bond_sum, _even_sector, _ising, _multi_spin, _pauli_sum
+from cdising.spin_oracle import _weighted_cd_terms
 
 EXACT = CouplingModel(CouplingKind.EXACT)
 
@@ -43,10 +46,50 @@ def cd_full(n, g, gdot):
     return (-gdot * sum(v * term for v, term in zip(coupling_set(EXACT, g, n), terms))).toarray()
 
 
+def _pauli(n, string, basis):
+    # one Pauli string: the builder's one-string case
+    return _pauli_sum(n, [string], basis)
+
+
 def test_pauli_string_single_site():
     assert np.array_equal(_pauli(2, {0: "x"}, full(2)).toarray(), np.kron(X, I2))
     assert np.array_equal(_pauli(2, {1: "z"}, full(2)).toarray(), np.kron(I2, Z))
     assert np.array_equal(_pauli(2, {}, full(2)).toarray(), np.eye(4))
+
+
+@st.composite
+def string_lists(draw):
+    """(n, Pauli strings on n sites, weight), n <= 6."""
+    n = draw(st.integers(1, 6))
+    string = st.dictionaries(st.integers(0, n - 1), st.sampled_from("ixyz"), max_size=n)
+    return n, draw(st.lists(string, min_size=1, max_size=12)), draw(st.sampled_from([1.0, 0.5, -2.0]))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(string_lists())
+# x-y and y-x on one pair: half of their summed entries cancel to zero
+@example((4, [{0: "x", 1: "y"}, {0: "y", 1: "x"}], 1.0))
+@example((2, [{0: "x", 1: "x"}, {1: "x", 0: "x"}, {0: "z"}, {1: "z"}], 0.5))
+def test_one_pass_builder_matches_the_sum_of_one_string_matrices(drawn):
+    n, strings, weight = drawn
+    built = _pauli_sum(n, strings, full(n), weight)
+    summed = weight * sum(_pauli(n, string, full(n)) for string in strings)
+    assert np.array_equal(built.toarray(), summed.toarray())
+    # canonical CSR: sorted column indices, no duplicates, no stored zeros
+    assert built.has_canonical_format and np.all(built.data != 0)
+    assert built.nnz == np.count_nonzero(summed.toarray())
+
+
+@pytest.mark.parametrize(
+    "n, bonds, cd",
+    [(8, 1024, [512, 512, 512, 256]), (10, 5120, [2560, 2560, 2560, 2560, 1280])],
+)
+def test_sector_operators_store_no_zeros(n, bonds, cd):
+    # without dropping zeros the x-y and y-x strings would leave half of each
+    # CD term stored as zeros, and every product would do twice the work
+    sector = _even_sector(n)
+    assert _bond_sum(n, sector).nnz == bonds
+    assert [term.nnz for term in _weighted_cd_terms(n, sector)] == cd
 
 
 def test_two_site_hamiltonian_spectrum():
