@@ -4,12 +4,18 @@ A step-for-step copy of scipy's ``solve_ivp(method="DOP853")`` (scipy
 1.17.1, ``scipy/integrate/_ivp``) for what this package asks of it: one
 forward solve of a complex vector ODE at scalar tolerances, which reads
 its dense-output polynomial at given sample times as the loop passes
-them, as ``t_eval`` does. Every floating-point operation runs in scipy's
-order on the same tableau, so states, accepted and rejected steps, RHS
-evaluations (see solve_ivp) and sampled values are bit-identical to
-scipy's. Unlike scipy, it takes rtol as given, with no floor: callers
-check their tolerances. Importing scipy.integrate for this one function
-costs more than the integrations of a typical run.
+them, as ``t_eval`` does, and restarts at given break times. The chain's
+break is where the ramp crosses the critical field g = 1: the
+thermodynamic drive has a kink there (slopes +1/4 and -1/4), and an
+8th-order step assumes a smooth right-hand side, so a step that straddles
+the kink is rejected again and again (Hairer, Norsett & Wanner, Solving
+ODEs I, on discontinuities). Every floating-point operation runs in
+scipy's order on the same tableau, so states, accepted and rejected
+steps, RHS evaluations (see solve_ivp) and sampled values are
+bit-identical to scipy's solves over the segments between breaks. Unlike
+scipy, it takes rtol as given, with no floor: callers check their
+tolerances. Importing scipy.integrate for this one function costs more
+than the integrations of a typical run.
 """
 
 from __future__ import annotations
@@ -273,10 +279,10 @@ class Solution:
     """Outcome of one solve, with scipy's success flag, message and nfev (see solve_ivp).
 
     t and y are the last accepted time and state (t1 on success); steps and
-    rejected count accepted and rejected steps; drift is the largest value
-    of the drift function over y0 and every accepted state (0.0 without
-    one); samples holds the state at each sample time the solve reached,
-    one row each.
+    rejected count accepted and rejected steps over all segments; drift is
+    the largest value of the drift function over y0 and every accepted
+    state (0.0 without one); samples holds the state at each sample time
+    the solve reached, one row each.
     """
 
     success: bool
@@ -335,32 +341,41 @@ def solve_ivp(
     atol: float,
     samples=(),
     drift: Callable[[np.ndarray], float] | None = None,
+    breaks=(),
 ) -> Solution:
     """Integrate y' = fun(t, y) from t0 to t1 > t0, (t0, t1) = t_span, by DOP853.
 
-    y0 is made a complex array, and fun returns one shaped like it. A step
-    whose size falls below ten units in the last place of t ends the solve
-    with success False and scipy's message. samples, ascending times in
-    [t0, t1], are read as scipy reads t_eval: a step from t_old to t_new
-    that holds samples, those in (t_old, t_new] and t0 with the first step,
-    runs the 3 extended stages and reads them off its dense-output
-    polynomial (a boundary sample so reads the earlier step). So, as in
-    scipy, nfev = 2 + 12 (steps + rejected) + 3 (steps that hold a sample):
-    2 evaluations choose the first step, each accepted or rejected step
-    takes 12, and 3 more if it holds a sample. drift, a function of one
-    state, is taken at y0 and at each accepted state, and its largest value
-    returned, so that no state but the last is kept.
+    y0 is made a complex array, and fun returns one shaped like it. breaks,
+    ascending times strictly inside (t0, t1), split the span into segments:
+    a step ends exactly on each break, and the next segment starts afresh
+    there, with a new first step, as a new scipy solve from the state at
+    the break would. This is where fun may be non-smooth, which an 8th-order
+    step cannot straddle without a run of rejections. A step whose size
+    falls below ten units in the last place of t ends the solve with success
+    False and scipy's message. samples, ascending times in [t0, t1], are
+    read as scipy reads t_eval: a step from t_old to t_new that holds
+    samples, those in (t_old, t_new] and t0 with the first step, runs the 3
+    extended stages and reads them off its dense-output polynomial (a
+    boundary sample, a break included, so reads the earlier step). So one
+    solve is bit for bit the consecutive scipy solves over its segments, at
+    t_eval = the samples each one reads, and
+    nfev = 2 segments + 12 (steps + rejected) + 3 (steps that hold a sample):
+    2 evaluations choose each segment's first step, each accepted or
+    rejected step takes 12, and 3 more if it holds a sample. drift, a
+    function of one state, is taken at y0 and at each accepted state, and
+    its largest value returned, so that no state but the last is kept.
     """
     t, t_bound = map(float, t_span)
     if not t < t_bound:
         raise ValueError(f"t_span must increase, got {t_span}")
+    ends = [*map(float, breaks), t_bound]
+    if not all(a < b for a, b in zip([t, *ends], ends)):
+        raise ValueError(f"breaks must increase strictly inside {t_span}, got {breaks}")
     y = np.asarray(y0, dtype=complex)
     samples = np.asarray(samples, dtype=float)
     out = np.empty((samples.size, y.size), dtype=complex)
     read = 0
-    f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
-    nfev, steps, rejected = 2, 0, 0
+    nfev, steps, rejected = 0, 0, 0
     worst = drift(y) if drift else 0.0
 
     # stage s reads the stages before it: K[:s].T weighted by row s of A
@@ -370,12 +385,18 @@ def solve_ivp(
     extra = [(s, C[s], K_extended[:s].T, A[s, :s]) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
     F = np.empty((INTERPOLATOR_POWER, y.size), dtype=complex)
     message = SUCCESS
+    end, later = t, iter(ends)
     while t < t_bound:
+        if t == end:  # a segment starts: a fresh first step, as a new solve takes
+            end = next(later)
+            f = fun(t, y)
+            h_abs = _initial_step(fun, t, y, f, end, rtol, atol)
+            nfev += 2
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
         step_rejected = False
         while h_abs >= min_step:  # else it underflowed: scipy's TOO_SMALL_STEP
-            t_new = min(t + h_abs, t_bound)
+            t_new = min(t + h_abs, end)
             h = t_new - t
             h_abs = np.abs(h)
 

@@ -77,6 +77,21 @@ class Schedule:
         g = self.g0 + (self.gf - self.g0) * (3.0 - 2.0 * x) * x * x
         return g, 6.0 * (self.gf - self.g0) * t * (self.duration - t) / self.duration**3
 
+    def crossings(self) -> tuple[float, ...]:
+        """Times strictly inside (0, duration) where the ramp crosses the critical field g = 1.
+
+        The ramp is monotone, so it crosses at most once, where the
+        smoothstep 3x^2 - 2x^3 reaches c = (1 - g0)/(gf - g0): at
+        x = 1/2 - sin(asin(1 - 2c)/3). A ramp that starts or ends at 1 or
+        stays on one side of it has none; so has one whose crossing rounds
+        onto an end, where the ramp reads 1 to rounding.
+        """
+        if not min(self.g0, self.gf) < 1.0 < max(self.g0, self.gf):
+            return ()
+        c = (1.0 - self.g0) / (self.gf - self.g0)
+        t_c = (0.5 - math.sin(math.asin(1.0 - 2.0 * c) / 3.0)) * self.duration
+        return (t_c,) if 0.0 < t_c < self.duration else ()
+
 
 @dataclass(frozen=True)
 class ChainConfig:
@@ -109,9 +124,10 @@ class EvolutionResult:
     steps of the one adiabatic-frame integration that carries every mode;
     it is not a sum over modes, and it does not depend on the samples.
     rejected counts the steps the error control rejected, and nfev the RHS
-    evaluations (see _dop853.solve_ivp). norm_drift is the largest
-    |d_g|^2 + |d_e|^2 - 1 (ground and excited amplitudes of one mode) over
-    every mode and accepted step.
+    evaluations (see _dop853.solve_ivp); all three count both segments of a
+    ramp that crosses g = 1, where the integration restarts. norm_drift is
+    the largest |d_g|^2 + |d_e|^2 - 1 (ground and excited amplitudes of one
+    mode) over every mode and accepted step.
     """
 
     p_gs: float
@@ -243,9 +259,13 @@ def _integrate(config: ChainConfig, samples: np.ndarray) -> tuple[np.ndarray, So
     # with eps_k = sqrt(den), den = g^2 - 2g cos k + 1. Each RHS evaluation
     # takes the ramp, den and the residual kernel of drive_function once.
     # One DOP853 solve, which reads the samples as it passes them (nfev as
-    # in _dop853.solve_ivp). Returns the state at each sample time and then
-    # the final state (one row each), and the solve, whose drift is the
-    # largest norm drift of any mode at any accepted step.
+    # in _dop853.solve_ivp) and restarts where the ramp crosses g = 1: the
+    # thermodynamic residual has a kink there (slopes +1/4 and -1/4), which
+    # no step may straddle. Every model restarts there, as does the spin
+    # oracle, so the rule does not depend on the drive. Returns the state
+    # at each sample time and then the final state (one row each), and the
+    # solve, whose drift is the largest norm drift of any mode at any
+    # accepted step.
     schedule = config.schedule
     ks = momentum_grid(config.n)
     residual = drive_function(config.coupling, config.n, ks)
@@ -266,7 +286,8 @@ def _integrate(config: ChainConfig, samples: np.ndarray) -> tuple[np.ndarray, So
 
     y0 = np.concatenate((np.ones(half), np.zeros(2 * half))).astype(complex)
     sol = solve_ivp(
-        rhs, (0.0, t1), y0, rtol=config.rel_tol, atol=config.abs_tol, samples=samples, drift=drift
+        rhs, (0.0, t1), y0, rtol=config.rel_tol, atol=config.abs_tol, samples=samples, drift=drift,
+        breaks=schedule.crossings(),
     )
     if not sol.success:
         raise IntegrationError(f"integration failed on [0, {t1:.6g}]: {sol.message}")
@@ -287,12 +308,13 @@ def evolve_chain(config: ChainConfig, trace_points: int | None = None) -> Evolut
     """Evolve every mode of the chain and assemble ground-state probabilities.
 
     All n/2 modes are integrated together as one vector ODE, in one solve
-    over the whole ramp. With trace_points None only the final probability
-    is computed, from the last accepted step. With trace_points >= 2 the
-    probability against the ground state of the momentary field is also
-    recorded at uniformly spaced sample times: the solve evaluates DOP853's
-    interpolant at every sample but the last, on the steps that hold them
-    (nfev as in _dop853.solve_ivp); the last is the final state itself.
+    over the whole ramp, restarted where it crosses g = 1. With
+    trace_points None only the final probability is computed, from the
+    last accepted step. With trace_points >= 2 the probability against the
+    ground state of the momentary field is also recorded at uniformly
+    spaced sample times: the solve evaluates DOP853's interpolant at every
+    sample but the last, on the steps that hold them (nfev as in
+    _dop853.solve_ivp); the last is the final state itself.
     The steps, and so the final sample, are those of the final-only run.
 
     The integration does not depend on the process it runs in, so

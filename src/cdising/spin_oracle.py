@@ -155,7 +155,8 @@ def dense_evolve(config: ChainConfig) -> float:
 
     Starts from the positive-parity ground state at the initial field,
     integrates under chain Hamiltonian plus counterdiabatic term with the
-    config's ramp, coupling model and tolerances, and projects onto the
+    config's ramp, coupling model and tolerances, restarting where the ramp
+    crosses g = 1 as evolve_chain does, and projects onto the
     positive-parity ground state at the final field. The state never
     leaves that sector, so only its 2^(n-1) amplitudes are carried.
     """
@@ -179,7 +180,10 @@ def dense_evolve(config: ChainConfig) -> float:
         return -1j * (-parts[0] - g * (z_shifted * state) - gp * cd_state)
 
     start = parity_ground_state(n, schedule.g0)[sector]
-    sol = solve_ivp(rhs, (0.0, duration), start, rtol=config.rel_tol, atol=config.abs_tol)
+    sol = solve_ivp(
+        rhs, (0.0, duration), start, rtol=config.rel_tol, atol=config.abs_tol,
+        breaks=schedule.crossings(),
+    )
     if not sol.success:
         raise IntegrationError(f"dense run (n={n}, {model.label()}): {sol.message}")
     target = parity_ground_state(n, schedule.gf)[sector]

@@ -5,13 +5,17 @@ so that importing the package loads no scipy.integrate. These tests run both
 on the same right-hand sides, the chain RHS of every coupling model and the
 spin oracle's, and require equal bits: final state, RHS evaluations,
 accepted steps, largest norm drift and the states the loop samples from
-its dense output, against scipy's solve at t_eval = the samples. scipy
-stays a test dependency for this reference.
+its dense output, against scipy's solve at t_eval = the samples. Where the
+ramp crosses the critical field g = 1 the loop restarts there, and the
+reference is two consecutive scipy solves split at that time. scipy stays
+a test dependency for this reference.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -49,26 +53,53 @@ def captured_solves(monkeypatch, module, run) -> list[tuple]:
     return calls
 
 
-def scipy_reference(fun, args, kwargs, t_eval=None):
-    t_span, y0 = args
-    return scipy_solve_ivp(
-        fun, t_span, y0, method="DOP853", rtol=kwargs["rtol"], atol=kwargs["atol"], t_eval=t_eval
+def scipy_reference(fun, args, kwargs, t_eval=None) -> SimpleNamespace:
+    """scipy's DOP853 over each segment of a captured call in turn, as one solve.
+
+    A segment ends on each of the call's breaks, and the next one is a new
+    scipy solve from the state there. t and y hold the accepted times and
+    states (each break once), nfev the segments' sum. With t_eval, each
+    segment also reads the samples up to its end that no earlier one read,
+    as a scipy solve at t_eval = those samples, which sets nfev and the
+    samples (one row each); the states come from the unsampled solves.
+    """
+    (t0, t1), y = args
+    ends = [*kwargs.get("breaks", ()), t1]
+    times = np.asarray([] if t_eval is None else t_eval, dtype=float)
+    cuts = np.searchsorted(times, ends, side="right")
+    ts, ys, samples, nfev, start = [[t0]], [np.asarray(y)[:, None]], [], 0, t0
+    for end, first, last in zip(ends, [0, *cuts], cuts):
+        solve = functools.partial(
+            scipy_solve_ivp, fun, (start, end), y, method="DOP853", rtol=kwargs["rtol"], atol=kwargs["atol"]
+        )
+        part = solve()
+        assert part.success
+        if t_eval is None:
+            nfev += part.nfev
+        else:
+            sampled = solve(t_eval=times[first:last])
+            nfev += sampled.nfev
+            samples.append(sampled.y.T)
+        ts.append(part.t[1:])
+        ys.append(part.y[:, 1:])
+        start, y = end, part.y[:, -1]
+    return SimpleNamespace(
+        success=part.success, message=part.message, t=np.concatenate(ts), y=np.hstack(ys), nfev=nfev,
+        samples=None if t_eval is None else np.concatenate(samples),
     )
 
 
-def assert_same_solve(ours, ref, sampled=None) -> None:
-    """ours against scipy's final-only solve ref and, for a sampled one,
-    scipy's solve at t_eval = its samples, which sets nfev and the samples."""
+def assert_same_solve(ours, ref) -> None:
+    """ours against a scipy_reference: final state and time, steps, nfev
+    and, for a sampled reference, the samples."""
     assert ours.success and ref.success
     assert ours.message == ref.message
     assert same_bits(ours.y, ref.y[:, -1])
     assert ours.t == ref.t[-1]
     assert ours.steps == ref.t.size - 1
-    if sampled is None:
-        assert ours.nfev == ref.nfev
-    else:
-        assert sampled.success and ours.nfev == sampled.nfev
-        assert same_bits(ours.samples, sampled.y.T)
+    assert ours.nfev == ref.nfev
+    if ref.samples is not None:
+        assert same_bits(ours.samples, ref.samples)
 
 
 def sample_times(ts: np.ndarray) -> np.ndarray:
@@ -90,16 +121,20 @@ def test_chain_solve_is_scipys_bit_for_bit(n, model, g0, gf, monkeypatch):
     (fun, args, kwargs, ours), = captured_solves(
         monkeypatch, dynamics, lambda: evolve_chain(config, 5)
     )
+    # the (1.5, 1.5) ramp never crosses g = 1: one scipy solve
+    assert len(kwargs["breaks"]) == (g0 != gf)
     ref = scipy_reference(fun, args, kwargs)
-    assert_same_solve(ours, ref, scipy_reference(fun, args, kwargs, t_eval=kwargs["samples"]))
+    assert_same_solve(ours, scipy_reference(fun, args, kwargs, t_eval=kwargs["samples"]))
     half = n // 2
     # scipy keeps every accepted state; one max over all of them is the drift
     norms = np.abs(ref.y[:half]) ** 2 + np.abs(ref.y[half : 2 * half]) ** 2
     assert ours.drift == float(np.max(np.abs(norms - 1.0)))
-    # the same solve, sampled at both ends, every step boundary and inside every step
+    # the same solve, sampled at both ends, every step boundary (the break
+    # included) and inside every step
     times = sample_times(ref.t)
+    assert set(kwargs["breaks"]) <= set(times)
     sampled = rerun(fun, args, kwargs, times)
-    assert_same_solve(sampled, ref, scipy_reference(fun, args, kwargs, t_eval=times))
+    assert_same_solve(sampled, scipy_reference(fun, args, kwargs, t_eval=times))
     assert sampled.drift == ours.drift
 
 
@@ -110,6 +145,7 @@ def test_final_only_chain_solve_is_scipys_bit_for_bit(model, monkeypatch):
         monkeypatch, dynamics, lambda: evolve_chain(config)
     )
     assert ours.samples.shape == (0, ours.y.size)
+    assert len(kwargs["breaks"]) == 1
     assert_same_solve(ours, scipy_reference(fun, args, kwargs))
 
 
@@ -124,6 +160,7 @@ def test_oracle_solve_is_scipys_bit_for_bit(model, g0, gf, monkeypatch):
     (fun, args, kwargs, ours), = captured_solves(
         monkeypatch, spin_oracle, lambda: dense_evolve(config)
     )
+    assert len(kwargs["breaks"]) == (g0 != gf)
     assert_same_solve(ours, scipy_reference(fun, args, kwargs))
 
 
@@ -175,9 +212,13 @@ def test_boundary_sample_reads_the_earlier_step_like_scipy(monkeypatch):
     # boundary sample reads, and the evaluations are checked instead: each
     # sample must come from the step that ends at or after it, at x = 1 on
     # a boundary, and t0 from the first step, as in scipy's t_eval solve.
+    # The ramp crosses g = 1, so one boundary is the break, where the first
+    # of two scipy solves ends.
     config = ChainConfig(20, Schedule(5.0, 0.0, 10.0), MODELS[2])
     (fun, args, kwargs, _), = captured_solves(monkeypatch, dynamics, lambda: evolve_chain(config, 5))
     ref = scipy_reference(fun, args, kwargs)
+    (t_c,) = kwargs["breaks"]
+    assert t_c in ref.t
     reads = []
 
     def recording(t_old, h, y_old, F, t):
@@ -187,9 +228,18 @@ def test_boundary_sample_reads_the_earlier_step_like_scipy(monkeypatch):
     evaluate = _dop853._evaluate
     monkeypatch.setattr(_dop853, "_evaluate", recording)
     ours = rerun(fun, args, kwargs, ref.t)
-    assert same_bits(ours.samples, scipy_reference(fun, args, kwargs, t_eval=ref.t).y.T)
+    assert same_bits(ours.samples, scipy_reference(fun, args, kwargs, t_eval=ref.t).samples)
     steps = list(zip(ref.t[:-1], ref.t[1:]))
     assert reads == [(ref.t[0], *steps[0])] + [(end, *step) for step, end in zip(steps, ref.t[1:])]
+    # the sample at the break is read by the step of the earlier segment that ends there
+    (at_break,) = [read for read in reads if read[0] == t_c]
+    assert at_break[2] == t_c and at_break[1] < t_c
+
+
+def test_breaks_must_lie_inside_the_span_in_order():
+    for breaks in ((0.0,), (2.0,), (1.5, 0.5), (1.0, 1.0), (-1.0,)):
+        with pytest.raises(ValueError, match="breaks must increase strictly inside"):
+            _dop853.solve_ivp(lambda t, y: y, (0.0, 2.0), [1.0], rtol=1e-6, atol=1e-9, breaks=breaks)
 
 
 def test_time_span_must_increase():

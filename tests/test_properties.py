@@ -73,6 +73,9 @@ def test_trace_is_a_probability_and_ends_at_the_final_run(chain, samples):
     # accepted step
     assert traced.steps == final.steps
     assert traced.nfev - final.nfev == 3 * evaluate.call_count
+    # 2 evaluations start each segment, one more than the ramp has breaks
+    segments = 1 + len(ramp.crossings())
+    assert final.nfev == 2 * segments + 12 * (final.steps + final.rejected)
     assert traced.trace[-1][2] == traced.p_gs == final.p_gs
     for _, _, p in traced.trace:
         assert 0.0 <= p <= 1.0 + 1e-12
