@@ -48,14 +48,10 @@ def _float_list(text: str) -> list[float]:
 
 @dataclass(frozen=True)
 class _Param:
-    """One subcommand parameter: flag --<name>, config key <name>, default.
-
-    parse converts the text of a flag or config entry; None marks an on/off
-    switch, which is a flag only and not a config key.
-    """
+    """One subcommand parameter: flag --<name>, config key <name>, text parser, default."""
 
     name: str
-    parse: Callable[[str], object] | None
+    parse: Callable[[str], object]
     default: object
     help: str
     choices: tuple[str, ...] | None = None
@@ -98,7 +94,7 @@ def _resolve(args: argparse.Namespace) -> dict[str, object]:
     # flag > config entry > default, for each parameter of the subcommand
     params = _COMMANDS[args.command][2]
     config = _read_config(args.config) if args.config else {}
-    keys = sorted(param.name for param in params if param.parse is not None)
+    keys = sorted(param.name for param in params)
     for key in config:
         if key not in keys:
             raise ValueError(
@@ -172,7 +168,7 @@ def cmd_trace(p: dict) -> int:
 
 
 def cmd_verify(p: dict) -> int:
-    checks = experiments.run_verification(p["n"], p["g_grid"], p["self_test_corrupt"])
+    checks = experiments.run_verification(p["n"], p["g_grid"])
     ok = experiments.verification_report(checks, sys.stdout)
     if p["out"] is not None:
         rows = [
@@ -234,9 +230,7 @@ _COMMANDS: dict[str, tuple[Callable[[dict], int], str, tuple[_Param, ...]]] = {
         "identity and oracle verification suite",
         (_Param("n", _int_list, [2, 4, 8, 16, 64, 200], _N_LIST_HELP),
          _Param("g_grid", _float_list, None,
-                "comma-separated field values; None is 0, 1 and 0.05 to 5 in steps of 0.45"),
-         _Param("self_test_corrupt", None, False,
-                "perturb one coupling; the suite must then fail")),
+                "comma-separated field values; None is 0, 1 and 0.05 to 5 in steps of 0.45")),
     ),
     "oracle": (
         cmd_oracle,
@@ -265,14 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output CSV path (default: stdout)")
         p.add_argument("--config", help="key=value file supplying defaults")
         for param in params:
-            flag = "--" + param.name.replace("_", "-")
-            if param.parse is None:
-                p.add_argument(flag, action="store_true", help=param.help)
-            else:
-                p.add_argument(
-                    flag, type=param.parse, choices=param.choices,
-                    help=f"{param.help} (default: {param.default})",
-                )
+            p.add_argument(
+                "--" + param.name.replace("_", "-"), type=param.parse, choices=param.choices,
+                help=f"{param.help} (default: {param.default})",
+            )
     return parser
 
 

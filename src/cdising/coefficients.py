@@ -7,12 +7,14 @@ thermodynamic and truncated approximations, and the trigonometric-sum
 machinery that the verification battery cross-checks them with. The
 double-series route to the same couplings is a reference in the tests.
 
-Every function here is a pure function of its arguments. Fields are
-dimensionless; chains are periodic with even length; the momentum grid is the
-positive half of the even-parity sector. Each coupling, grid sum and sign
-takes its range m (power_sum its order) as a scalar or an array, the way the
-drive kernels take k: one closed form per coefficient, which coupling_set
-calls once on the array of ranges.
+The mode denominator has one spelling, _denominator, which dynamics
+imports, so grid sums and modes round it alike. Every function here is a
+pure function of its arguments. Fields are dimensionless; chains are
+periodic with even length; the momentum grid is the positive half of the
+even-parity sector. Each coupling, grid sum and sign takes its range m
+(power_sum its order) as a scalar or an array, the way the drive kernels
+take k: one closed form per coefficient, which coupling_set calls once on
+the array of ranges.
 """
 
 from __future__ import annotations
@@ -50,6 +52,12 @@ def _check_field(g: float) -> float:
         raise ValueError(f"field g must be finite and nonnegative, got {g}")
     # a float base keeps an integer field off numpy's integer power
     return float(g)
+
+
+def _denominator(g: float, cos_k):
+    # g^2 - 2g cos k + 1, a quarter of the squared mode gap, in the one rounding
+    # order that the chain (RHS, gap, drive kernels) and the grid sums share
+    return (g * g + 1.0) - 2.0 * g * cos_k
 
 
 def momentum_grid(n: int) -> np.ndarray:
@@ -92,12 +100,12 @@ def coupling_exact(m, g: float, n: int):
 def coupling_sum(m, g: float, n: int):
     """Brute-force momentum sum behind coupling_exact.
 
-    sin(mk) sin(k)/(g^2 - 2g cos k + 1) summed by numpy over the momentum
-    grid, divided by 2n. Accepts any integer m and any real g; the
+    sin(mk) sin(k)/den (den from _denominator) summed by numpy over the
+    momentum grid, divided by 2n. Accepts any integer m and any real g; the
     denominator never vanishes on the grid.
     """
     ks = momentum_grid(n)
-    weights = np.sin(ks) / (g * g - 2.0 * g * np.cos(ks) + 1.0)
+    weights = np.sin(ks) / _denominator(g, np.cos(ks))
     return (np.sin(np.multiply.outer(m, ks)) * weights).sum(axis=-1) / (2.0 * n)
 
 
@@ -119,9 +127,9 @@ def cos_sum_exact(m, g: float, n: int):
 
 
 def cos_sum(m, g: float, n: int):
-    """Brute-force sum of cos(mk)/(g^2 - 2g cos k + 1) over the grid, / 2n (numpy)."""
+    """Brute-force sum of cos(mk)/den over the grid, / 2n (numpy; den as in coupling_sum)."""
     ks = momentum_grid(n)
-    denom = g * g - 2.0 * g * np.cos(ks) + 1.0
+    denom = _denominator(g, np.cos(ks))
     return (np.cos(np.multiply.outer(m, ks)) / denom).sum(axis=-1) / (2.0 * n)
 
 
@@ -275,7 +283,7 @@ def identity_residuals(g: float, n: int) -> dict[str, float]:
     ks = momentum_grid(n)
     cos_k = np.cos(ks)
     sin_k = np.sin(ks)
-    denom = g * g - 2.0 * g * cos_k + 1.0
+    denom = _denominator(g, cos_k)
     # one row per range m, one column per momentum
     ms = np.arange(n - 1)
     cos_mk = np.cos(np.multiply.outer(ms, ks))

@@ -24,6 +24,7 @@ from .coefficients import (
     CouplingModel,
     _check_chain_length,
     _check_field,
+    _denominator,
     coupling_set,
     momentum_grid,
 )
@@ -138,12 +139,6 @@ class EvolutionResult:
     rejected: int
 
 
-def _denominator(g: float, cos_k):
-    # g^2 - 2g cos k + 1, a quarter of the squared mode gap: every drive
-    # kernel divides by it, and the chain RHS computes it once per field
-    return (g * g + 1.0) - 2.0 * g * cos_k
-
-
 # Drive kernels take a scalar field g and its denominator den at the
 # momenta they were built for, which fix their trig factors once.
 def _exact_kernel(k) -> Callable:
@@ -228,7 +223,7 @@ def drive_function(model: CouplingModel, n: int, k) -> Callable:
     This is the drive the adiabatic-frame RHS integrates. k is a scalar or
     an array of momenta; its trig factors are computed here, once per chain
     and not in every RHS evaluation. The kernel takes a scalar field g and
-    den = g^2 - 2g cos k + 1 at those momenta, which the caller computes
+    den = _denominator(g, cos k) at those momenta, which the caller computes
     once per field. The residual is 0.0 for the exact family and for
     truncation at full range (m_max = n/2), whose couplings are the exact
     ones; the truncated family below full range has a real closed form
@@ -256,7 +251,7 @@ def _integrate(config: ChainConfig, samples: np.ndarray) -> tuple[np.ndarray, So
     # The exact drive cancels the rotation of the basis, so only the
     # residual r = 2 gdot (q - q_exact) couples the two:
     #   d_g' = r exp(-2i phi) d_e,  d_e' = -r exp(2i phi) d_g,  phi' = 2 eps_k(g)
-    # with eps_k = sqrt(den), den = g^2 - 2g cos k + 1. Each RHS evaluation
+    # with eps_k = sqrt(den), den = _denominator(g, cos k). Each RHS evaluation
     # takes the ramp, den and the residual kernel of drive_function once.
     # One DOP853 solve, which reads the samples as it passes them (nfev as
     # in _dop853.solve_ivp) and restarts where the ramp crosses g = 1: the
@@ -337,4 +332,4 @@ def evolve_chain(config: ChainConfig, trace_points: int | None = None) -> Evolut
 def dispersion_ground_energy(n: int, g: float) -> float:
     """Free-fermion ground energy of the even-parity sector at field g."""
     g = _check_field(g)
-    return -2.0 * float(np.sqrt(g * g - 2.0 * g * np.cos(momentum_grid(n)) + 1.0).sum())
+    return -2.0 * float(np.sqrt(_denominator(g, np.cos(momentum_grid(n)))).sum())

@@ -192,9 +192,7 @@ CHECKS = {
 
 
 def run_verification(
-    n_values: Sequence[int],
-    g_values: Sequence[float] | None = None,
-    corrupt: bool = False,
+    n_values: Sequence[int], g_values: Sequence[float] | None = None
 ) -> list[Check]:
     """Full identity and cross-pipeline verification suite.
 
@@ -202,8 +200,6 @@ def run_verification(
         n_values: chain lengths for the coefficient checks; the dense
             spin-oracle checks run at each of them up to MAX_SPINS.
         g_values: fields; defaults to a grid over [0.05, 5] plus {0, 1}.
-        corrupt: self-test switch; perturbs one closed-form coupling so
-            the suite must report a failure.
 
     Returns:
         One Check per entry of CHECKS that the grid reaches, worst case
@@ -254,8 +250,7 @@ def run_verification(
                 lambda i: f"{('exact', 'thermo')[i % 2]} drive k={ks[i // 2]:.3f} {where}",
             )
             h = coupling_exact(ms, g, n)
-            bump = 1e-6 * (ms == 1) if corrupt and (g, n) == (g_values[-1], n_values[-1]) else 0.0
-            keep("coupling closed vs sum", rel(h + bump, coupling_sum(ms, g, n)), at_m)
+            keep("coupling closed vs sum", rel(h, coupling_sum(ms, g, n)), at_m)
             keep("cosine sum closed vs sum", rel(cos_sum_exact(ms, g, n), cos_sum(ms, g, n)), at_m)
             if g <= 0:
                 continue

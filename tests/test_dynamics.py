@@ -25,6 +25,7 @@ from cdising import _dop853
 from cdising.coefficients import coupling_set, coupling_sum
 from cdising.dynamics import (
     MIN_REL_TOL,
+    _denominator,
     cd_drive_exact,
     cd_drive_from_couplings,
     cd_drive_thermo,
@@ -213,6 +214,20 @@ def test_cd_drive_exact_matches_coupling_sum():
         for k in momentum_grid(10):
             literal = cd_drive_from_couplings(k, g, EXACT, 10)
             assert abs(cd_drive_exact(k, g) - literal) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, g", [(2, 0.0), (8, 1.0), (16, 2.0), (64, 0.95), (64, 3.3), (200, 0.5), (200, 1.0)]
+)
+def test_coupling_sums_and_ground_energy_share_the_chain_denominator(n, g):
+    # the direct couplings are the grid sine transform of the exact drive,
+    # and the ground energy sums the chain's mode gaps, bit for bit
+    ks = momentum_grid(n)
+    ms = np.arange(n + 1)
+    transform = (np.sin(np.multiply.outer(ms, ks)) * (4.0 * cd_drive_exact(ks, g))).sum(axis=-1)
+    assert np.array_equal(coupling_sum(ms, g, n), transform / (2.0 * n))
+    gaps = np.sqrt(_denominator(g, np.cos(ks)))
+    assert dispersion_ground_energy(n, g) == -2.0 * float(gaps.sum())
 
 
 def test_cd_drive_thermo_matches_coupling_sum():

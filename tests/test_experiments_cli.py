@@ -23,7 +23,7 @@ from cdising import (
     momentum_grid,
 )
 from cdising.cli import _COMMANDS, main
-from cdising.coefficients import cos_multiple_expansion
+from cdising.coefficients import cos_multiple_expansion, coupling_sum
 from cdising.dynamics import cd_drive_exact, cd_drive_from_couplings, cd_drive_thermo
 from cdising.experiments import (
     Check,
@@ -123,7 +123,24 @@ def test_run_trace_small():
         run_trace(chain(4, CouplingModel(CouplingKind.THERMODYNAMIC, 1)), 5)
 
 
-def test_run_verification_clean_and_corrupt():
+# verify grid of the corruption tests, and (m, g, n) points drawn from it
+CORRUPT_N, CORRUPT_G = [2, 4], [0.5, 1.0, 2.0]
+_draw = np.random.default_rng(2)
+CORRUPTIONS = [
+    (int(_draw.integers(n)), float(_draw.choice(CORRUPT_G)), n)
+    for n in (int(_draw.choice(CORRUPT_N)) for _ in range(4))
+]
+
+
+def corrupt_coupling_sum(monkeypatch, m: int, g: float, n: int) -> None:
+    # perturb verify's brute-force coupling sum by 1e-6 at range m, field g, length n
+    def perturbed(ms, field, length):
+        return coupling_sum(ms, field, length) + 1e-6 * ((ms == m) & ((field, length) == (g, n)))
+
+    monkeypatch.setattr(experiments, "coupling_sum", perturbed)
+
+
+def test_run_verification_clean_and_corrupt(monkeypatch):
     checks = run_verification([2, 4], [0.5, 2.0])
     assert all(check.passed for check in checks)
     assert [(check.name, check.threshold) for check in checks] == [
@@ -139,10 +156,11 @@ def test_run_verification_clean_and_corrupt():
         ("dense ground energies", 1e-10),
         ("dense vs fermionic evolution", 1e-6),
     ]
-    corrupted = run_verification([2, 4], [0.5, 2.0], corrupt=True)
-    failed = [check for check in corrupted if not check.passed]
-    assert [check.name for check in failed] == ["coupling closed vs sum"]
-    assert failed[0].scope == "m=1 g=2.0 n=4"
+    for m, g, n in CORRUPTIONS:
+        corrupt_coupling_sum(monkeypatch, m, g, n)
+        failed = [check for check in run_verification(CORRUPT_N, CORRUPT_G) if not check.passed]
+        assert [check.name for check in failed] == ["coupling closed vs sum"]
+        assert failed[0].scope == f"m={m} g={g} n={n}"
 
 
 def test_run_verification_reports_only_the_checks_it_evaluated():
@@ -371,10 +389,15 @@ def test_cli_verify_small_scope(tmp_path, capsys):
     assert all(row.endswith("True") for row in data_rows(text))
 
 
-def test_cli_verify_self_test_corrupt(capsys):
-    code = main(["verify", "--n", "2,4", "--g-grid", "0.5,2.0", "--self-test-corrupt"])
-    assert code == 1
-    assert "FAIL" in capsys.readouterr().out
+def test_cli_verify_self_test_corrupt(monkeypatch, capsys):
+    argv = ["verify", "--n", "2,4", "--g-grid", "0.5,1.0,2.0"]
+    for m, g, n in CORRUPTIONS:
+        corrupt_coupling_sum(monkeypatch, m, g, n)
+        assert main(argv) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+        assert len(failed) == 1
+        assert failed[0].startswith("FAIL  coupling closed vs sum:")
+        assert failed[0].endswith(f" at m={m} g={g} n={n}")
 
 
 def test_cli_trace_small(tmp_path):
@@ -493,7 +516,7 @@ def test_cli_missing_config_file_exits_3(capsys):
         ("evolve", "samples = 3"),
         ("evolve", "bogus = 1"),
         ("evolve", "out = x.csv"),
-        ("verify", "self_test_corrupt = True"),  # a switch is a flag only
+        ("verify", "self_test_corrupt = True"),  # the self-test is no parameter
     ],
 )
 def test_cli_config_file_rejects_keys_the_command_does_not_read(command, line, tmp_path, capsys):
@@ -531,6 +554,7 @@ def test_cli_config_file_values_obey_the_flag_choices(value, tmp_path, capsys):
         ["verify", "--abs-tol", "1e-3"],
         ["verify", "--coupling", "exact"],
         ["verify", "--m-max", "1"],
+        ["verify", "--self-test-corrupt"],
     ],
 )
 def test_cli_rejects_flags_the_command_does_not_read(argv, capsys):
@@ -554,16 +578,13 @@ def test_cli_sweep_size_offers_no_truncated_coupling(capsys):
 
 def _argv_from_manifest(text: str) -> list[str]:
     # every "# key = value" line after command/version/timestamp is a flag;
-    # lists print as [a, b], None means unset, switches print as True/False
+    # lists print as [a, b], None means unset
     lines = [line[2:] for line in text.splitlines() if line.startswith("# ")]
     argv = [lines[0].partition(" = ")[2]]
     for line in lines[3:]:
         key, _, value = line.partition(" = ")
-        flag = "--" + key.replace("_", "-")
-        if value == "True":
-            argv.append(flag)
-        elif value not in ("None", "False"):
-            argv += [flag, value.strip("[]").replace(" ", "")]
+        if value != "None":
+            argv += ["--" + key.replace("_", "-"), value.strip("[]").replace(" ", "")]
     return argv
 
 
@@ -575,7 +596,7 @@ def _argv_from_manifest(text: str) -> list[str]:
         ["sweep-size", "--n", "4,6", "--t-final", "1,2", "--coupling", "exact", "--gf", "0.5"],
         ["trace", "--n", "6", "--t-final", "1", "--samples", "4", "--coupling", "truncated",
          "--m-max", "1"],
-        ["verify", "--n", "2,4", "--g-grid", "0.5,2.0", "--self-test-corrupt"],
+        ["verify", "--n", "2,4", "--g-grid", "0.5,2.0"],
         ["oracle", "--n", "4", "--t-final", "1", "--coupling", "truncated", "--m-max", "1"],
         ["evolve", "--n", "6", "--t-final", "1", "--coupling", "truncated", "--m-max", "2",
          "--abs-tol", "1e-11"],
