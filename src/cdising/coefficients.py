@@ -14,15 +14,19 @@ periodic with even length; the momentum grid is the positive half of the
 even-parity sector. Each coupling, grid sum and sign takes its range m
 (power_sum its order) as a scalar or an array, the way the drive kernels
 take k: one closed form per coefficient, which coupling_set calls once on
-the array of ranges.
+the array of ranges. coupling_set builds its field -> couplings kernel once
+per (model, n) and caches it, since the oracle asks for it on every RHS
+evaluation; the kernel holds the direct sum's sin(mk) table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -105,8 +109,12 @@ def coupling_sum(m, g: float, n: int):
     denominator never vanishes on the grid.
     """
     ks = momentum_grid(n)
-    weights = np.sin(ks) / _denominator(g, np.cos(ks))
-    return (np.sin(np.multiply.outer(m, ks)) * weights).sum(axis=-1) / (2.0 * n)
+    return _coupling_sum(np.sin(np.multiply.outer(m, ks)), np.sin(ks), np.cos(ks), g, n)
+
+
+def _coupling_sum(sin_mk, sin_k, cos_k, g: float, n: int):
+    # coupling_sum from its field-independent sine and cosine tables
+    return (sin_mk * (sin_k / _denominator(g, cos_k))).sum(axis=-1) / (2.0 * n)
 
 
 def cos_sum_exact(m, g: float, n: int):
@@ -207,7 +215,9 @@ def power_sum_exact(order, x: float, n: int):
 
     Args:
         order: half the power of sin(k/2) in the numerator, a scalar or an
-            array; each order sums in ascending s, as a scalar call does.
+            array. A scalar order sums in ascending s in a float loop; an
+            array adds the same terms in the same order along each row of
+            one term table, so each entry is its scalar call bit for bit.
         x: log-field, x = ln g, nonzero.
         n: even chain length.
     """
@@ -221,20 +231,32 @@ def power_sum_exact(order, x: float, n: int):
     try:
         shift = math.sinh(0.5 * x) ** 2
         # (-shift)^j for j = 0 .. the largest order, one scalar power each
-        powers = np.array([(-shift) ** j for j in range(top + 1)])
+        powers = [(-shift) ** j for j in range(top + 1)]
         scale = n * math.tanh(0.5 * n * x) / math.sinh(x)
     except OverflowError:
         raise ValueError(
             f"sinh(x/2)^{2 * top} overflows a float at field g = 10^{x / math.log(10):.6g}"
         ) from None
-    acc = np.zeros(orders.shape)
-    c = 0.5  # central-binomial weight binom(2s, s)/2**(2s+1), s = 0
+    # central-binomial weights binom(2s, s)/2**(2s+1), s = 0 .. top - 1
+    weights, c = [], 0.5
     for s in range(top):
-        above = orders > s
-        acc[above] += c * powers[orders[above] - s - 1]
+        weights.append(c)
         c = c * (2 * s + 1) / (2 * (s + 1))
-    total = scale * powers[orders] + n * acc
-    return float(total) if total.ndim == 0 else total
+    if orders.ndim == 0:
+        acc = 0.0
+        for s in range(top):
+            acc += weights[s] * powers[top - s - 1]
+        return scale * powers[top] + n * acc
+    # row i of the window is (-shift)^(order_i - c) for c = 0 .. top, 0 where
+    # c > order_i; its terms s = 0 .. top - 1 sit at c = s + 1, after a 0
+    # that starts the sum as the scalar loop does, and cumsum adds along a
+    # row in sequence
+    tail = np.concatenate([powers[::-1], np.zeros(top)])
+    rows = np.lib.stride_tricks.sliding_window_view(tail, top + 1)[top - orders]
+    terms = np.zeros(rows.shape)
+    terms[..., 1:] = rows[..., 1:] * weights
+    acc = np.cumsum(terms, axis=-1)[..., -1]
+    return scale * rows[..., 0] + n * acc
 
 
 def _relative_residual(a, b):
@@ -360,16 +382,28 @@ def coupling_set(model: CouplingModel, g: float, n: int) -> np.ndarray:
 
     Returns:
         Array of n/2 coupling values indexed by m - 1, from the family's
-        own function called once on the array of ranges.
+        closed form evaluated once on the array of ranges, bit for bit
+        the family's public function.
     """
+    g = _check_field(g)
+    return _coupling_kernel(model, n)(g)
+
+
+@functools.cache
+def _coupling_kernel(model: CouplingModel, n: int) -> Callable[[float], np.ndarray]:
+    # coupling_set's field -> couplings map for one (model, n): the checks of
+    # n and the model, the range array and the direct sum's sin(mk) table are
+    # made on the first call, not on every RHS evaluation of a run
     _check_chain_length(n)
-    _check_field(g)
     model.check(n)
     ms = np.arange(1, n // 2 + 1)
     if model.kind is CouplingKind.DIRECT_SUM:
-        return coupling_sum(ms, g, n)
+        ks = momentum_grid(n)
+        sin_mk, sin_k, cos_k = np.sin(np.multiply.outer(ms, ks)), np.sin(ks), np.cos(ks)
+        return lambda g: _coupling_sum(sin_mk, sin_k, cos_k, g, n)
     if model.kind is CouplingKind.THERMODYNAMIC:
-        return coupling_thermo(ms, g)
+        return lambda g: coupling_thermo(ms, g)
     if model.kind is CouplingKind.TRUNCATED:
-        return coupling_exact(ms, g, n) * (ms <= model.m_max)
-    return coupling_exact(ms, g, n)
+        kept = ms <= model.m_max
+        return lambda g: coupling_exact(ms, g, n) * kept
+    return lambda g: coupling_exact(ms, g, n)

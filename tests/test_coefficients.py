@@ -15,6 +15,7 @@ from cdising import CouplingKind, CouplingModel, coupling_exact, coupling_set, m
 from cdising.coefficients import (
     EXPANSION_MAX_ORDER,
     _check_chain_length,
+    _coupling_kernel,
     cos_multiple_expansion,
     cos_sum,
     cos_sum_exact,
@@ -578,6 +579,29 @@ def test_coupling_set_matches_scalar_couplings(n):
         for bad in (math.nan, math.inf, -0.1):
             with pytest.raises(ValueError, match="field g must be finite and nonnegative"):
                 coupling_set(model, bad, n)
+
+
+@pytest.mark.parametrize("n", [2, 8, 20])
+def test_coupling_set_is_its_family_function_bit_for_bit(n):
+    # the kernel cached per (model, n) returns what the public function of
+    # its family returns on the ranges 1 .. n/2, on a first and a later call
+    ms = np.arange(1, n // 2 + 1)
+    families = [
+        (CouplingModel(CouplingKind.EXACT), lambda g: coupling_exact(ms, g, n)),
+        (CouplingModel(CouplingKind.DIRECT_SUM), lambda g: coupling_sum(ms, g, n)),
+        (CouplingModel(CouplingKind.THERMODYNAMIC), lambda g: coupling_thermo(ms, g)),
+    ]
+    families += [
+        (CouplingModel(CouplingKind.TRUNCATED, cap), lambda g, cap=cap: coupling_exact(ms, g, n) * (ms <= cap))
+        for cap in range(n // 2 + 1)
+    ]
+    _coupling_kernel.cache_clear()
+    for model, family in families:
+        for g in (0.0, 1.0, 0.5, 5.0, 0.0, 1.0, 0.5, 5.0):
+            values, expected = coupling_set(model, g, n), family(g)
+            assert values.shape == expected.shape == (n // 2,)
+            assert np.array_equal(values, expected)
+            assert np.array_equal(np.signbit(values), np.signbit(expected))
 
 
 def test_coupling_model_validation_and_labels():

@@ -297,4 +297,8 @@ def test_dense_evolve_default_tolerance_is_converged(n, kind, t_final):
     model = CouplingModel(kind)
     default = dense_evolve(ChainConfig(n, ramp, model))
     tight = dense_evolve(ChainConfig(n, ramp, model, rel_tol=1e-13, abs_tol=1e-15))
-    assert abs(default - tight) <= 1e-9
+    assert abs(default - tight) <= 1e-10
+    # in the co-moving phase frame the oracle keeps its norm, so at default
+    # tolerances it agrees with a tight fermion run to the chain's own error
+    reference = evolve_chain(ChainConfig(n, ramp, model, rel_tol=1e-13, abs_tol=1e-15)).p_gs
+    assert abs(default - reference) <= 2e-11
