@@ -9,19 +9,22 @@ break is where the ramp crosses the critical field g = 1: the
 thermodynamic drive has a kink there (slopes +1/4 and -1/4), and an
 8th-order step assumes a smooth right-hand side, so a step that straddles
 the kink is rejected again and again (Hairer, Norsett & Wanner, Solving
-ODEs I, on discontinuities). Every floating-point operation runs in
-scipy's order on the same tableau, so states, accepted and rejected
-steps, RHS evaluations (see solve_ivp) and sampled values are
-bit-identical to scipy's solves over the segments between breaks. Unlike
-scipy, it takes rtol as given, with no floor: callers check their
-tolerances. Importing scipy.integrate for this one function costs more
-than the integrations of a typical run.
+ODEs I, on discontinuities). The RHS may come in two halves: a clock of
+t alone, which the loop calls once per step on the times of all its
+stages, and a state part, called once per stage with the clock's row for
+it. Every floating-point operation runs in scipy's order on the same
+tableau, so states, accepted and rejected steps, RHS evaluations (see
+solve_ivp) and sampled values are bit-identical to scipy's solves of the
+composed RHS over the segments between breaks. Unlike scipy, it takes
+rtol as given, with no floor: callers check their tolerances. Importing
+scipy.integrate for this one function costs more than the integrations
+of a typical run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -198,6 +201,12 @@ E5[9] = 0.3341791187130174790297318841
 E5[10] = 0.8192320648511571246570742613e-1
 E5[11] = -0.2235530786388629525884427845e-1
 
+# the nodes of the stages a step evaluates, as fractions of h: stages 1-11
+# and the last, at C[12] = 1, whose t + 1 * h is t + h; and the 3 extended
+# stages of a step that holds a sample
+STEP_C = C[1 : N_STAGES + 1]
+EXTRA_C = C[N_STAGES + 1 :]
+
 # First 3 coefficients are computed separately.
 D = np.zeros((INTERPOLATOR_POWER - 3, N_STAGES_EXTENDED))
 D[0, 0] = -0.84289382761090128651353491142e+1
@@ -296,6 +305,10 @@ class Solution:
     samples: np.ndarray
 
 
+def _identity(times):
+    return times
+
+
 def _rms(x: np.ndarray):
     return np.linalg.norm(x) / x.size**0.5
 
@@ -342,28 +355,36 @@ def solve_ivp(
     samples=(),
     drift: Callable[[np.ndarray], float] | None = None,
     breaks=(),
+    clock: Callable[[np.ndarray], Sequence] = _identity,
 ) -> Solution:
-    """Integrate y' = fun(t, y) from t0 to t1 > t0, (t0, t1) = t_span, by DOP853.
+    """Integrate y' = fun(clock([t])[0], y) from t0 to t1 > t0, (t0, t1) = t_span, by DOP853.
 
-    y0 is made a complex array, and fun returns one shaped like it. breaks,
-    ascending times strictly inside (t0, t1), split the span into segments:
-    a step ends exactly on each break, and the next segment starts afresh
-    there, with a new first step, as a new scipy solve from the state at
-    the break would. This is where fun may be non-smooth, which an 8th-order
-    step cannot straddle without a run of rejections. A step whose size
-    falls below ten units in the last place of t ends the solve with success
-    False and scipy's message. samples, ascending times in [t0, t1], are
-    read as scipy reads t_eval: a step from t_old to t_new that holds
-    samples, those in (t_old, t_new] and t0 with the first step, runs the 3
-    extended stages and reads them off its dense-output polynomial (a
-    boundary sample, a break included, so reads the earlier step). So one
-    solve is bit for bit the consecutive scipy solves over its segments, at
-    t_eval = the samples each one reads, and
+    y0 is made a complex array, and fun returns one shaped like it. clock
+    holds the part of the RHS that depends on t alone: it maps an array of
+    times to rows, one per time, and fun(row, y) does the rest. So a step
+    calls clock once, on the times of all 12 stages, t + C[1:13] h, and fun
+    once per stage. The default clock, the identity, makes fun an RHS of
+    (t, y). breaks, ascending times strictly inside (t0, t1), split the span
+    into segments: a step ends exactly on each break, and the next segment
+    starts afresh there, with a new first step, as a new scipy solve from
+    the state at the break would. This is where fun may be non-smooth,
+    which an 8th-order step cannot straddle without a run of rejections. A
+    step whose size falls below ten units in the last place of t ends the
+    solve with success False and scipy's message. samples, ascending times
+    in [t0, t1], are read as scipy reads t_eval: a step from t_old to t_new
+    that holds samples, those in (t_old, t_new] and t0 with the first step,
+    runs the 3 extended stages and reads them off its dense-output
+    polynomial (a boundary sample, a break included, so reads the earlier
+    step). So one solve is bit for bit the consecutive scipy solves over
+    its segments, at t_eval = the samples each one reads, and
     nfev = 2 segments + 12 (steps + rejected) + 3 (steps that hold a sample):
     2 evaluations choose each segment's first step, each accepted or
-    rejected step takes 12, and 3 more if it holds a sample. drift, a
-    function of one state, is taken at y0 and at each accepted state, and
-    its largest value returned, so that no state but the last is kept.
+    rejected step takes 12, and 3 more if it holds a sample. Likewise
+    clock calls = 2 segments + (steps + rejected) + (steps that hold a sample):
+    one time for each of a segment's 2 evaluations, a step's 12 stage
+    times, and its 3 extended ones. drift, a function of one state, is
+    taken at y0 and at each accepted state, and its largest value returned,
+    so that no state but the last is kept.
     """
     t, t_bound = map(float, t_span)
     if not t < t_bound:
@@ -378,19 +399,22 @@ def solve_ivp(
     nfev, steps, rejected = 0, 0, 0
     worst = drift(y) if drift else 0.0
 
+    def at(t, y):  # the RHS at one time: a segment's start and its first-step probe
+        return fun(clock([t])[0], y)
+
     # stage s reads the stages before it: K[:s].T weighted by row s of A
     K_extended = np.empty((N_STAGES_EXTENDED, y.size), dtype=complex)
     K = K_extended[: N_STAGES + 1]
-    stages = [(s, C[s], K[:s].T, A[s, :s]) for s in range(1, N_STAGES)]
-    extra = [(s, C[s], K_extended[:s].T, A[s, :s]) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
+    stages = [(s, K[:s].T, A[s, :s]) for s in range(1, N_STAGES)]
+    extra = [(s, K_extended[:s].T, A[s, :s]) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
     F = np.empty((INTERPOLATOR_POWER, y.size), dtype=complex)
     message = SUCCESS
     end, later = t, iter(ends)
     while t < t_bound:
         if t == end:  # a segment starts: a fresh first step, as a new solve takes
             end = next(later)
-            f = fun(t, y)
-            h_abs = _initial_step(fun, t, y, f, end, rtol, atol)
+            f = at(t, y)
+            h_abs = _initial_step(at, t, y, f, end, rtol, atol)
             nfev += 2
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -400,11 +424,12 @@ def solve_ivp(
             h = t_new - t
             h_abs = np.abs(h)
 
+            rows = clock(t + STEP_C * h)
             K[0] = f
-            for s, c, before, a in stages:
-                K[s] = fun(t + c * h, y + np.dot(before, a) * h)
+            for s, before, a in stages:
+                K[s] = fun(rows[s - 1], y + np.dot(before, a) * h)
             y_new = y + h * np.dot(K[:-1].T, B)
-            f_new = fun(t + h, y_new)
+            f_new = fun(rows[-1], y_new)
             K[-1] = f_new
             nfev += N_STAGES
 
@@ -426,8 +451,9 @@ def solve_ivp(
             break
 
         if read < samples.size and samples[read] <= t_new:
-            for s, c, before, a in extra:
-                K_extended[s] = fun(t + c * h, y + np.dot(before, a) * h)
+            rows = clock(t + EXTRA_C * h)
+            for (s, before, a), row in zip(extra, rows):
+                K_extended[s] = fun(row, y + np.dot(before, a) * h)
             nfev += N_STAGES_EXTENDED - N_STAGES - 1
             due = np.searchsorted(samples, t_new, side="right")
             delta_y = y_new - y

@@ -70,10 +70,15 @@ class Schedule:
         if not 1e-100 <= self.duration <= 1e100:
             raise ValueError(f"schedule duration must lie in [1e-100, 1e100], got {self.duration}")
 
-    def ramp(self, t: float) -> tuple[float, float]:
-        """Field g(t) and its analytic rate gdot(t), 0 <= t <= duration."""
-        if not 0 <= t <= self.duration:
-            raise ValueError(f"time {t} outside [0, {self.duration}]")
+    def ramp(self, t):
+        """Field g(t) and its analytic rate gdot(t), 0 <= t <= duration.
+
+        t is a time or an array of times; an array gives an array of fields
+        and one of rates, each element the scalar call's bit for bit.
+        """
+        inside = (0 <= t) & (t <= self.duration)  # False at a NaN
+        if not (inside.all() if isinstance(inside, np.ndarray) else inside):
+            raise ValueError(f"time {t[~inside][0] if np.ndim(t) else t} outside [0, {self.duration}]")
         x = t / self.duration
         g = self.g0 + (self.gf - self.g0) * (3.0 - 2.0 * x) * x * x
         return g, 6.0 * (self.gf - self.g0) * t * (self.duration - t) / self.duration**3
@@ -139,8 +144,19 @@ class EvolutionResult:
     rejected: int
 
 
-# Drive kernels take a scalar field g and its denominator den at the
-# momenta they were built for, which fix their trig factors once.
+# Drive kernels take a scalar field g, or a column of fields (shape (S, 1)),
+# and its denominator den at the momenta they were built for, which fix
+# their trig factors once; a column gives one row per field.
+def _per_field(f: Callable, g):
+    # f, a float or a tuple of floats, at a scalar field, or at each field of
+    # a column as a column (one per tuple entry). f gets Python floats, so
+    # its integer powers are libm's pow, as in a scalar call; numpy's array
+    # power rounds some fields differently.
+    if np.ndim(g) == 0:
+        return f(g)
+    return np.array([f(x) for x in g[:, 0].tolist()]).T[..., None]
+
+
 def _exact_kernel(k) -> Callable:
     quarter_sin = 0.25 * np.sin(k)
     return lambda g, den: quarter_sin / den
@@ -149,12 +165,13 @@ def _exact_kernel(k) -> Callable:
 def _thermo_kernel(k, n: int) -> Callable:
     quarter_sin, half_sin = 0.25 * np.sin(k), np.sin(0.5 * n * k)
 
-    def drive(g: float, den):
+    def scale(g: float) -> float:
         if g < 1.0:
-            scale = g ** (n // 2 - 1) / 8.0 * (g * g - 1.0)
-        else:
-            scale = -(g ** (-(n // 2)) / (8.0 * g)) * (g * g - 1.0)
-        return (quarter_sin + scale * half_sin) / den
+            return g ** (n // 2 - 1) / 8.0 * (g * g - 1.0)
+        return -(g ** (-(n // 2)) / (8.0 * g)) * (g * g - 1.0)
+
+    def drive(g, den):
+        return (quarter_sin + _per_field(scale, g) * half_sin) / den
 
     return drive
 
@@ -164,10 +181,15 @@ def _coupling_sum_kernel(k, model: CouplingModel, n: int) -> Callable:
     # longest-range term h_{n/2} sin(kn/2); needs no denominator
     sines = np.sin(np.multiply.outer(k, np.arange(1, n // 2 + 1)))
 
-    def drive(g: float):
+    def total(g: float):
         weights = 2.0 * coupling_set(model, g, n)
         weights[-1] *= 0.5
         return (sines * weights).sum(axis=-1)
+
+    def drive(g):  # one coupling set per field
+        if np.ndim(g) == 0:
+            return total(g)
+        return np.array([total(x) for x in g[:, 0].tolist()]).reshape(len(g), -1)
 
     return drive
 
@@ -180,10 +202,13 @@ def _truncated_residual(k, n: int, m_max: int) -> Callable:
     m = m_max
     sin_m, sin_next = np.sin(m * k), np.sin((m + 1) * k)
 
-    def residual(g: float, den):
+    def weights(g: float) -> tuple[float, float, float]:
         u = g if g <= 1.0 else 1.0 / g
-        weight_m, weight_next = u ** (m + 1) + u ** (n - m - 1), u**m + u ** (n - m)
-        return (weight_m * sin_m - weight_next * sin_next) / (4.0 * (1.0 + u**n) * den)
+        return u ** (m + 1) + u ** (n - m - 1), u**m + u ** (n - m), 4.0 * (1.0 + u**n)
+
+    def residual(g, den):
+        weight_m, weight_next, norm = _per_field(weights, g)
+        return (weight_m * sin_m - weight_next * sin_next) / (norm * den)
 
     return residual
 
@@ -222,14 +247,16 @@ def drive_function(model: CouplingModel, n: int, k) -> Callable:
 
     This is the drive the adiabatic-frame RHS integrates. k is a scalar or
     an array of momenta; its trig factors are computed here, once per chain
-    and not in every RHS evaluation. The kernel takes a scalar field g and
-    den = _denominator(g, cos k) at those momenta, which the caller computes
-    once per field. The residual is 0.0 for the exact family and for
-    truncation at full range (m_max = n/2), whose couplings are the exact
-    ones; the truncated family below full range has a real closed form
-    (minus the tail of a geometric sum); the thermodynamic and direct-sum
-    families subtract the exact drive from their own. The caller validates
-    m_max (see CouplingModel.check).
+    and not in every RHS evaluation. The kernel takes a scalar field g, or a
+    column of fields (shape (S, 1)), and den = _denominator(g, cos k) at
+    those momenta, which the caller computes once per field; a column gives
+    one row per field, the scalar call's bit for bit, so the chain's clock
+    takes all stage times of a step in one call. The residual is 0.0 for
+    the exact family and for truncation at full range (m_max = n/2), whose
+    couplings are the exact ones; the truncated family below full range
+    has a real closed form (minus the tail of a geometric sum); the
+    thermodynamic and direct-sum families subtract the exact drive from
+    their own. The caller validates m_max (see CouplingModel.check).
     """
     if model.kind is CouplingKind.TRUNCATED and model.m_max < n // 2:
         return _truncated_residual(k, n, model.m_max)
@@ -251,8 +278,11 @@ def _integrate(config: ChainConfig, samples: np.ndarray) -> tuple[np.ndarray, So
     # The exact drive cancels the rotation of the basis, so only the
     # residual r = 2 gdot (q - q_exact) couples the two:
     #   d_g' = r exp(-2i phi) d_e,  d_e' = -r exp(2i phi) d_g,  phi' = 2 eps_k(g)
-    # with eps_k = sqrt(den), den = _denominator(g, cos k). Each RHS evaluation
-    # takes the ramp, den and the residual kernel of drive_function once.
+    # with eps_k = sqrt(den), den = _denominator(g, cos k). The RHS comes in
+    # the solver's two halves: per step, the clock takes the ramp, den, the
+    # residual kernel of drive_function and the gap once, on a column of the
+    # step's stage times; per stage, rhs turns that row and the state into
+    # the derivative, with the one exp(2i phi) that needs the state.
     # One DOP853 solve, which reads the samples as it passes them (nfev as
     # in _dop853.solve_ivp) and restarts where the ramp crosses g = 1: the
     # thermodynamic residual has a kink there (slopes +1/4 and -1/4), which
@@ -268,13 +298,19 @@ def _integrate(config: ChainConfig, samples: np.ndarray) -> tuple[np.ndarray, So
     half = len(ks)
     ramp, t1 = schedule.ramp, schedule.duration
 
-    def rhs(t, y):
+    def clock(times):
+        # one row per time: the coefficient 2 gdot r and the phase rate 2 eps_k;
         # the solver may overshoot the span's end by a rounding error, never its start
-        g, gdot = ramp(min(t, t1))
+        g, gdot = ramp(np.minimum(times, t1)[:, None])
         den = _denominator(g, cos_k)
-        coupling = 2.0 * gdot * residual(g, den) * np.exp(2j * y[2 * half :].real)
-        gap = 2.0 * np.sqrt(den)
-        return np.concatenate((coupling.conj() * y[half : 2 * half], -coupling * y[:half], gap))
+        rows = np.empty((len(g), 2, half))
+        rows[:, 0] = 2.0 * gdot * residual(g, den)
+        rows[:, 1] = 2.0 * np.sqrt(den)
+        return rows
+
+    def rhs(row, y):
+        coupling = row[0] * np.exp(2j * y[2 * half :].real)
+        return np.concatenate((coupling.conj() * y[half : 2 * half], -coupling * y[:half], row[1]))
 
     def drift(y):
         return float(np.max(np.abs(np.abs(y[:half]) ** 2 + np.abs(y[half : 2 * half]) ** 2 - 1.0)))
@@ -282,7 +318,7 @@ def _integrate(config: ChainConfig, samples: np.ndarray) -> tuple[np.ndarray, So
     y0 = np.concatenate((np.ones(half), np.zeros(2 * half))).astype(complex)
     sol = solve_ivp(
         rhs, (0.0, t1), y0, rtol=config.rel_tol, atol=config.abs_tol, samples=samples, drift=drift,
-        breaks=schedule.crossings(),
+        breaks=schedule.crossings(), clock=clock,
     )
     if not sol.success:
         raise IntegrationError(f"integration failed on [0, {t1:.6g}]: {sol.message}")
@@ -324,7 +360,7 @@ def evolve_chain(config: ChainConfig, trace_points: int | None = None) -> Evolut
     trace = None
     if trace_points:
         # the last sample sits at the target field itself, not at its rounded ramp value
-        fields = [schedule.ramp(float(t))[0] for t in times[:-1]] + [schedule.gf]
+        fields = [*schedule.ramp(times[:-1])[0].tolist(), schedule.gf]
         trace = [(float(t), float(g), float(p)) for t, g, p in zip(times, fields, probs)]
     return EvolutionResult(float(probs[-1]), trace, sol.drift, sol.steps, sol.nfev, sol.rejected)
 

@@ -13,7 +13,6 @@ import datetime
 import math
 import sys
 from dataclasses import dataclass
-from multiprocessing import Pool
 from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
@@ -101,6 +100,8 @@ def _final_probabilities(configs: Sequence[ChainConfig], jobs: int) -> list[floa
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(configs) < 2:
         return [_p_gs(config) for config in configs]
+    from multiprocessing import Pool  # imported here: only jobs > 1 pays its import
+
     with Pool(min(jobs, len(configs))) as pool:
         return pool.map(_p_gs, configs)
 

@@ -64,13 +64,16 @@ def scipy_reference(fun, args, kwargs, t_eval=None) -> SimpleNamespace:
     samples (one row each); the states come from the unsampled solves.
     """
     (t0, t1), y = args
+    # scipy takes the RHS whole: the call's clock composed with its state part
+    clock = kwargs.get("clock")
+    rhs = fun if clock is None else lambda t, y: fun(clock([t])[0], y)
     ends = [*kwargs.get("breaks", ()), t1]
     times = np.asarray([] if t_eval is None else t_eval, dtype=float)
     cuts = np.searchsorted(times, ends, side="right")
     ts, ys, samples, nfev, start = [[t0]], [np.asarray(y)[:, None]], [], 0, t0
     for end, first, last in zip(ends, [0, *cuts], cuts):
         solve = functools.partial(
-            scipy_solve_ivp, fun, (start, end), y, method="DOP853", rtol=kwargs["rtol"], atol=kwargs["atol"]
+            scipy_solve_ivp, rhs, (start, end), y, method="DOP853", rtol=kwargs["rtol"], atol=kwargs["atol"]
         )
         part = solve()
         assert part.success
@@ -245,3 +248,31 @@ def test_breaks_must_lie_inside_the_span_in_order():
 def test_time_span_must_increase():
     with pytest.raises(ValueError, match="t_span must increase"):
         _dop853.solve_ivp(lambda t, y: y, (1.0, 1.0), [1.0], rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("trace_points", [None, 5], ids=["final-only", "traced"])
+def test_chain_clock_runs_once_per_step(trace_points, monkeypatch):
+    # the chain's time-only work runs once per step on its 12 stage times,
+    # once per step that holds a sample on the 3 extended ones, and on the
+    # single time of each segment's start and first-step probe
+    config = ChainConfig(20, Schedule(5.0, 0.0, 10.0), MODELS[2])
+    sizes = []
+
+    def counting(fun, *args, clock, **kwargs):
+        def counted(times):
+            sizes.append(len(times))
+            return clock(times)
+
+        return _dop853.solve_ivp(fun, *args, clock=counted, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counting)
+    with mock.patch.object(_dop853, "_evaluate", wraps=_dop853._evaluate) as evaluations:
+        result = evolve_chain(config, trace_points)
+    segments, held = 2, evaluations.call_count  # the ramp crosses g = 1 once
+    assert (held > 0) == (trace_points is not None)
+    assert sorted(set(sizes)) == ([1, 12] if trace_points is None else [1, 3, 12])
+    assert sizes.count(1) == 2 * segments
+    assert sizes.count(12) == result.steps + result.rejected
+    assert sizes.count(3) == held
+    assert len(sizes) == 2 * segments + result.steps + result.rejected + held
+    assert result.nfev == 2 * segments + 12 * (result.steps + result.rejected) + 3 * held

@@ -24,6 +24,9 @@ from cdising import (
 from cdising import _dop853
 from cdising.coefficients import coupling_set, coupling_sum
 from cdising.dynamics import (
+    DEFAULT_G0,
+    DEFAULT_GF,
+    DEFAULT_T_FINAL,
     MIN_REL_TOL,
     _denominator,
     cd_drive_exact,
@@ -81,6 +84,29 @@ def test_schedule_ramp_pair_is_value_and_rate_bitwise():
             literal = (g0 + (gf - g0) * (3.0 - 2.0 * x) * x * x,
                        6.0 * (gf - g0) * t * (duration - t) / duration**3)
             assert [value.hex() for value in ramp.ramp(t)] == [value.hex() for value in literal]
+
+
+@pytest.mark.parametrize(
+    "ramp",
+    [Schedule(DEFAULT_G0, DEFAULT_GF, DEFAULT_T_FINAL), Schedule(0.0, 5.0, 10.0), Schedule(1.5, 1.5, 10.0)],
+    ids=["default", "reversed", "constant"],
+)
+def test_schedule_ramp_of_an_array_is_the_scalar_ramp_bitwise(ramp):
+    # the chain's clock reads the ramp at all stage times of a step at once
+    duration = ramp.duration
+    times = np.concatenate(
+        ([0.0, duration, ramp.crossings()[0] if ramp.crossings() else 0.5 * duration],
+         np.linspace(0.0, duration, 37), np.random.default_rng(7).uniform(0.0, duration, 200))
+    )
+    fields, rates = ramp.ramp(times)
+    scalar = np.array([ramp.ramp(t) for t in times.tolist()])
+    assert fields.dtype == rates.dtype == np.float64
+    assert fields.tobytes() == scalar[:, 0].tobytes()
+    assert rates.tobytes() == scalar[:, 1].tobytes()
+    # one time outside the ramp fails the whole array, with the scalar call's message
+    for bad in (-0.1, duration + 0.5, math.nan):
+        with pytest.raises(ValueError, match=rf"^time {bad} outside \[0, {duration}\]$"):
+            ramp.ramp(np.array([0.0, bad, duration]))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -293,6 +319,31 @@ def test_drive_kernels_accept_arrays_and_scalars():
                 literal += 2.0 * h[m - 1] * math.sin(k * m)
             literal += h[-1] * math.sin(k * (n // 2))
             assert abs(value - literal) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 20, 200])
+def test_column_kernel_is_the_scalar_kernel_bitwise(n):
+    # the chain's clock hands each residual kernel a column of fields, one
+    # per stage time; every row must be the scalar call's, whose bits the
+    # solves were pinned with. The fields include 0, where no kernel may
+    # form 1/g (RuntimeWarnings fail the suite), and 1 with its neighbours,
+    # where the thermodynamic and truncated kernels change branch. numpy's
+    # array power differs from libm's pow in the last place on a few
+    # percent of fields; the random fields show that in the truncated
+    # kernel's weights (the thermodynamic factor's last place mostly
+    # rounds away in its sum).
+    ks = momentum_grid(n)
+    fields = [0.0, 0.4, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 2.2, 5.0]
+    fields += np.random.default_rng(3).uniform(0.0, 2.0, 200).tolist()
+    column = np.array(fields)[:, None]
+    models = [EXACT, THERMO, CouplingModel(CouplingKind.DIRECT_SUM)]
+    models += [_truncated(m) for m in (0, 1, n // 2)]
+    for model in models:
+        drive = drive_function(model, n, ks)
+        rows = np.broadcast_to(drive(column, _den(ks, column)), (len(fields), ks.size))
+        for g, row in zip(fields, rows):
+            scalar = np.broadcast_to(drive(float(g), _den(ks, float(g))), ks.shape)
+            assert row.tobytes() == scalar.tobytes(), (model, g)
 
 
 def test_truncated_drive_endpoints():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import io
 import math
+import multiprocessing
 import warnings
 
 import numpy as np
@@ -657,7 +658,8 @@ def test_pool_is_never_larger_than_the_sweep(monkeypatch):
         def map(self, fn, items):
             return [fn(item) for item in items]
 
-    monkeypatch.setattr(experiments, "Pool", RecordingPool)
+    # the sweeps import Pool from multiprocessing when they start one
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     assert run_size_sweep(configs, jobs=3) == serial
     assert run_truncation_sweep(truncations(4), jobs=2) == run_truncation_sweep(truncations(4))
     assert sizes == [2, 2]

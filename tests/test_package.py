@@ -57,7 +57,8 @@ def test_import_loads_neither_scipy_integrate_nor_sparse():
     # the package integrates with its own DOP853, and the spin oracle builds
     # its operators and ground states with numpy alone, so a fresh
     # interpreter that imports the CLI, as every command does first, and
-    # then runs a chain, the oracle and the verify battery loads none of these
+    # then runs a chain, the oracle and the verify battery loads none of
+    # these; the CLI's import loads no multiprocessing either
     code = """
 import sys
 import cdising, cdising.cli
@@ -65,6 +66,8 @@ cdising.cli.build_parser()
 heavy = ("scipy.integrate", "scipy.linalg", "scipy.sparse")
 loaded = lambda: sorted(name for name in heavy if name in sys.modules)
 print(loaded())
+# only --jobs > 1 starts worker processes, so it alone imports multiprocessing
+print("multiprocessing" in sys.modules)
 from cdising import ChainConfig, CouplingKind, CouplingModel, Schedule, dense_evolve, evolve_chain
 from cdising.experiments import run_verification
 config = ChainConfig(4, Schedule(5.0, 0.0, 1.0), CouplingModel(CouplingKind.EXACT))
@@ -78,7 +81,7 @@ print(loaded())
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
     )
-    assert done.stdout.splitlines() == ["[]", "[]"]
+    assert done.stdout.splitlines() == ["[]", "False", "[]"]
 
 
 def test_every_public_name_is_used_or_exported():
