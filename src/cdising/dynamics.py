@@ -176,24 +176,6 @@ def _thermo_kernel(k, n: int) -> Callable:
     return drive
 
 
-def _coupling_sum_kernel(k, model: CouplingModel, n: int) -> Callable:
-    # 2 * sum over ranges m < n/2 of h_m sin(km), plus the half-weight
-    # longest-range term h_{n/2} sin(kn/2); needs no denominator
-    sines = np.sin(np.multiply.outer(k, np.arange(1, n // 2 + 1)))
-
-    def total(g: float):
-        weights = 2.0 * coupling_set(model, g, n)
-        weights[-1] *= 0.5
-        return (sines * weights).sum(axis=-1)
-
-    def drive(g):  # one coupling set per field
-        if np.ndim(g) == 0:
-            return total(g)
-        return np.array([total(x) for x in g[:, 0].tolist()]).reshape(len(g), -1)
-
-    return drive
-
-
 def _truncated_residual(k, n: int, m_max: int) -> Callable:
     # Minus the exact drive's tail, ranges m_max < m <= n/2. On the grid,
     # range n - m carries the same sin(mk), so the tail is one geometric
@@ -239,7 +221,9 @@ def cd_drive_from_couplings(k, g: float, model: CouplingModel, n: int):
     longest-range term h_{n/2} sin(kn/2). The coupling set is built once
     per call, whatever the number of momenta.
     """
-    return _coupling_sum_kernel(k, model, n)(g)
+    weights = 2.0 * coupling_set(model, g, n)
+    weights[-1] *= 0.5
+    return (np.sin(np.multiply.outer(k, np.arange(1, n // 2 + 1))) * weights).sum(axis=-1)
 
 
 def drive_function(model: CouplingModel, n: int, k) -> Callable:
@@ -251,23 +235,22 @@ def drive_function(model: CouplingModel, n: int, k) -> Callable:
     column of fields (shape (S, 1)), and den = _denominator(g, cos k) at
     those momenta, which the caller computes once per field; a column gives
     one row per field, the scalar call's bit for bit, so the chain's clock
-    takes all stage times of a step in one call. The residual is 0.0 for
-    the exact family and for truncation at full range (m_max = n/2), whose
-    couplings are the exact ones; the truncated family below full range
-    has a real closed form (minus the tail of a geometric sum); the
-    thermodynamic and direct-sum families subtract the exact drive from
-    their own. The caller validates m_max (see CouplingModel.check).
+    takes all stage times of a step in one call. The residual is 0.0
+    wherever the model's drive is the exact one by identity: the exact
+    family, truncation at full range (m_max = n/2), whose couplings are the
+    exact ones, and the direct-sum family, whose couplings are the grid sine
+    transform of the exact drive and resum to it by discrete orthogonality
+    (cd_drive_from_couplings sums them literally). Below full range the
+    truncated residual has a real closed form (minus the tail of a geometric
+    sum); the thermodynamic one subtracts the exact drive from its own. The
+    caller validates m_max (see CouplingModel.check).
     """
     if model.kind is CouplingKind.TRUNCATED and model.m_max < n // 2:
         return _truncated_residual(k, n, model.m_max)
-    if model.kind in (CouplingKind.EXACT, CouplingKind.TRUNCATED):
-        return lambda g, den: 0.0
-    exact = _exact_kernel(k)
     if model.kind is CouplingKind.THERMODYNAMIC:
-        thermo = _thermo_kernel(k, n)
+        exact, thermo = _exact_kernel(k), _thermo_kernel(k, n)
         return lambda g, den: thermo(g, den) - exact(g, den)
-    total = _coupling_sum_kernel(k, model, n)
-    return lambda g, den: total(g) - exact(g, den)
+    return lambda g, den: 0.0
 
 
 def _integrate(config: ChainConfig, samples: np.ndarray) -> tuple[np.ndarray, Solution]:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .coefficients import (
@@ -61,11 +60,11 @@ def save_csv(
     """Write a run as CSV with LF endings, to path or to stdout when path is None.
 
     The file opens with the manifest: "# key = value" comment lines for the
-    command, the package, numpy and scipy versions (one line), a UTC
+    command, the package and numpy versions (one line), a UTC
     timestamp and each parameter in key order. The header row and the data
     rows follow; floats are written by repr, which round-trips them exactly.
     """
-    versions = f"cdising {__version__} numpy {np.__version__} scipy {scipy.__version__}"
+    versions = f"cdising {__version__} numpy {np.__version__}"
     lines = [f"# command = {command}", f"# version = {versions}"]
     lines.append(f"# timestamp = {datetime.datetime.now(datetime.timezone.utc).isoformat()}")
     lines += [f"# {key} = {params[key]}" for key in sorted(params)]

@@ -10,7 +10,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy
 
 import cdising.dynamics
 import cdising.spin_oracle
@@ -60,7 +59,7 @@ def test_manifest_lines(capsys):
     save_csv(None, "demo", {"n": 4, "g0": 1.5}, ("x",), [])
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "# command = demo"
-    assert lines[1] == f"# version = cdising {__version__} numpy {np.__version__} scipy {scipy.__version__}"
+    assert lines[1] == f"# version = cdising {__version__} numpy {np.__version__}"
     assert lines[2].startswith("# timestamp = ")
     assert lines[3] == "# g0 = 1.5"
     assert lines[4] == "# n = 4"

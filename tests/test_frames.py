@@ -21,7 +21,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from cdising import ChainConfig, CouplingKind, CouplingModel, Schedule, evolve_chain, momentum_grid
-from cdising.dynamics import cd_drive_exact, drive_function
+from cdising.dynamics import cd_drive_exact, cd_drive_from_couplings, drive_function
 
 THERMO = CouplingModel(CouplingKind.THERMODYNAMIC)
 TIGHT = {"rel_tol": 1e-13, "abs_tol": 1e-15}
@@ -46,7 +46,10 @@ def lab_frame_states(config: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
 
     i d/dt (v, u) = 2 [[a, b], [conj(b), -a]] (v, u), with a = g - cos k and
     b = -sin k - i gdot q(k, g), for every mode at once, from the ground
-    state at g0. The drive q is the exact one plus the model's residual.
+    state at g0. The drive q is the exact one plus the model's residual,
+    except for the direct-sum model: its q is the literal coupling sum,
+    which the chain integrates as the exact drive, so that this solve checks
+    that identity with a drive of its own.
     """
     ks = momentum_grid(config.n)
     half = len(ks)
@@ -54,10 +57,15 @@ def lab_frame_states(config: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
     residual = drive_function(config.coupling, config.n, ks)
     cos_k, sin_k = np.cos(ks), np.sin(ks)
 
+    def drive(g):
+        if config.coupling.kind is CouplingKind.DIRECT_SUM:
+            return cd_drive_from_couplings(ks, g, config.coupling, config.n)
+        return cd_drive_exact(ks, g) + residual(g, (g * g + 1.0) - 2.0 * g * cos_k)
+
     def rhs(t, y):
         g, gdot = schedule.ramp(min(max(t, 0.0), schedule.duration))
         a = g - cos_k
-        q = cd_drive_exact(ks, g) + residual(g, (g * g + 1.0) - 2.0 * g * cos_k)
+        q = drive(g)
         b = -sin_k - 1j * (gdot * q)
         v, u = y[:half], y[half:]
         return -2j * np.concatenate((a * v + b * u, b.conj() * v - a * u))

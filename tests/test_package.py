@@ -53,27 +53,29 @@ def test_every_benchmark_probe_site_resolves(monkeypatch):
     assert tracing.PROBES and missing == []
 
 
-def test_import_loads_neither_scipy_integrate_nor_sparse():
-    # the package integrates with its own DOP853, and the spin oracle builds
-    # its operators and ground states with numpy alone, so a fresh
-    # interpreter that imports the CLI, as every command does first, and
-    # then runs a chain, the oracle and the verify battery loads none of
-    # these; the CLI's import loads no multiprocessing either
+def test_no_scipy_module_loads_at_runtime():
+    # the package integrates with its own DOP853, the spin oracle builds its
+    # operators and ground states with numpy alone, and the CSV manifest
+    # records the numpy version only, so a fresh interpreter that imports
+    # the CLI, as every command does first, and then runs a chain, the
+    # oracle, the verify battery and the CSV writer loads no scipy module;
+    # the CLI's import loads no multiprocessing either
     code = """
-import sys
+import sys, tempfile
 import cdising, cdising.cli
 cdising.cli.build_parser()
-heavy = ("scipy.integrate", "scipy.linalg", "scipy.sparse")
-loaded = lambda: sorted(name for name in heavy if name in sys.modules)
+loaded = lambda: sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
 print(loaded())
 # only --jobs > 1 starts worker processes, so it alone imports multiprocessing
 print("multiprocessing" in sys.modules)
 from cdising import ChainConfig, CouplingKind, CouplingModel, Schedule, dense_evolve, evolve_chain
-from cdising.experiments import run_verification
+from cdising import experiments
 config = ChainConfig(4, Schedule(5.0, 0.0, 1.0), CouplingModel(CouplingKind.EXACT))
 evolve_chain(config)
 dense_evolve(config)
-run_verification([4])
+experiments.run_verification([4])
+with tempfile.TemporaryDirectory() as directory:
+    experiments.save_csv(directory + "/run.csv", "demo", {"n": 4}, ("x",), [(1.0,)])
 print(loaded())
 """
     env = dict(os.environ)

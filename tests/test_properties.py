@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from cdising import ChainConfig, CouplingKind, CouplingModel, Schedule, _dop853, evolve_chain
 from cdising.experiments import run_size_sweep
 
-EXACT = CouplingModel(CouplingKind.EXACT)
 THERMO = CouplingModel(CouplingKind.THERMODYNAMIC)
 
 # a fixed draw sequence keeps tier-1 reproducible; no example database on disk
@@ -30,11 +29,14 @@ def chains(draw, max_half: int, max_t: float):
     gf = draw(st.one_of(fields, st.just(g0)))
     ramp = Schedule(g0, gf, draw(st.floats(1e-3, max_t)))
     kind = draw(st.sampled_from(list(CouplingKind)))
-    if kind is CouplingKind.DIRECT_SUM:
-        # the literal coupling sum costs O(n^2) per RHS call
-        n = min(n, 20)
     m_max = draw(st.integers(0, n // 2)) if kind is CouplingKind.TRUNCATED else None
     return n, ramp, CouplingModel(kind, m_max)
+
+
+# the models whose drive is the exact one by identity: the exact couplings,
+# their full range, and the direct sums, the grid sine transform of the
+# exact drive
+EXACT_DRIVES = [CouplingKind.EXACT, CouplingKind.TRUNCATED, CouplingKind.DIRECT_SUM]
 
 
 @SETTINGS
@@ -43,15 +45,15 @@ def chains(draw, max_half: int, max_t: float):
     g0=fields,
     gf=fields,
     t_final=st.floats(1e-3, 1e3),
-    full_truncation=st.booleans(),
+    kind=st.sampled_from(EXACT_DRIVES),
 )
-@example(n=2, g0=0.0, gf=5.0, t_final=1.0, full_truncation=False)
-@example(n=40, g0=1.0, gf=1.0, t_final=3.0, full_truncation=True)
-@example(n=200, g0=0.5, gf=0.5, t_final=1e3, full_truncation=False)
-def test_exact_drives_prepare_the_ground_state(n, g0, gf, t_final, full_truncation):
-    # the full-range truncation carries the exact couplings; with either, the
-    # residual drive is exactly 0, so d_g never leaves 1
-    model = CouplingModel(CouplingKind.TRUNCATED, n // 2) if full_truncation else EXACT
+@example(n=2, g0=0.0, gf=5.0, t_final=1.0, kind=CouplingKind.EXACT)
+@example(n=40, g0=1.0, gf=1.0, t_final=3.0, kind=CouplingKind.TRUNCATED)
+@example(n=200, g0=0.5, gf=0.5, t_final=1e3, kind=CouplingKind.EXACT)
+@example(n=200, g0=5.0, gf=0.0, t_final=1e3, kind=CouplingKind.DIRECT_SUM)
+def test_exact_drives_prepare_the_ground_state(n, g0, gf, t_final, kind):
+    # with any of them the residual drive is exactly 0, so d_g never leaves 1
+    model = CouplingModel(kind, n // 2 if kind is CouplingKind.TRUNCATED else None)
     result = evolve_chain(ChainConfig(n, Schedule(g0, gf, t_final), model))
     assert result.p_gs == 1.0
     traced = evolve_chain(ChainConfig(n, Schedule(g0, gf, t_final), model), 5)
