@@ -9,7 +9,7 @@ break is where the ramp crosses the critical field g = 1: the
 thermodynamic drive has a kink there (slopes +1/4 and -1/4), and an
 8th-order step assumes a smooth right-hand side, so a step that straddles
 the kink is rejected again and again (Hairer, Norsett & Wanner, Solving
-ODEs I, on discontinuities). The RHS may come in two halves: a clock of
+ODEs I, on discontinuities). The RHS comes in two halves: a clock of
 t alone, which the loop calls once per step on the times of all its
 stages, and a state part, called once per stage with the clock's row for
 it. Every floating-point operation runs in scipy's order on the same
@@ -305,10 +305,6 @@ class Solution:
     samples: np.ndarray
 
 
-def _identity(times):
-    return times
-
-
 def _rms(x: np.ndarray):
     return np.linalg.norm(x) / x.size**0.5
 
@@ -355,7 +351,7 @@ def solve_ivp(
     samples=(),
     drift: Callable[[np.ndarray], float] | None = None,
     breaks=(),
-    clock: Callable[[np.ndarray], Sequence] = _identity,
+    clock: Callable[[np.ndarray], Sequence] = np.asarray,
 ) -> Solution:
     """Integrate y' = fun(clock([t])[0], y) from t0 to t1 > t0, (t0, t1) = t_span, by DOP853.
 
@@ -363,8 +359,10 @@ def solve_ivp(
     holds the part of the RHS that depends on t alone: it maps an array of
     times to rows, one per time, and fun(row, y) does the rest. So a step
     calls clock once, on the times of all 12 stages, t + C[1:13] h, and fun
-    once per stage. The default clock, the identity, makes fun an RHS of
-    (t, y). breaks, ascending times strictly inside (t0, t1), split the span
+    once per stage. The default clock, np.asarray, makes fun an RHS of
+    (t, y). Every time clock receives lies in [t0, t1]: the loop, not its
+    callers, clamps the stage times and first-step probes that round past
+    t1. breaks, ascending times strictly inside (t0, t1), split the span
     into segments: a step ends exactly on each break, and the next segment
     starts afresh there, with a new first step, as a new scipy solve from
     the state at the break would. This is where fun may be non-smooth,
@@ -400,7 +398,7 @@ def solve_ivp(
     worst = drift(y) if drift else 0.0
 
     def at(t, y):  # the RHS at one time: a segment's start and its first-step probe
-        return fun(clock([t])[0], y)
+        return fun(clock(np.minimum([t], t_bound))[0], y)
 
     # stage s reads the stages before it: K[:s].T weighted by row s of A
     K_extended = np.empty((N_STAGES_EXTENDED, y.size), dtype=complex)
@@ -424,7 +422,7 @@ def solve_ivp(
             h = t_new - t
             h_abs = np.abs(h)
 
-            rows = clock(t + STEP_C * h)
+            rows = clock(np.minimum(t + STEP_C * h, t_bound))
             K[0] = f
             for s, before, a in stages:
                 K[s] = fun(rows[s - 1], y + np.dot(before, a) * h)

@@ -15,8 +15,8 @@ even-parity sector. Each coupling, grid sum and sign takes its range m
 (power_sum its order) as a scalar or an array, the way the drive kernels
 take k: one closed form per coefficient, which coupling_set calls once on
 the array of ranges. coupling_set builds its field -> couplings kernel once
-per (model, n) and caches it, since the oracle asks for it on every RHS
-evaluation; the kernel holds the direct sum's sin(mk) table.
+per (model, n) and caches it, since the oracle's clock asks for it at every
+stage time; the kernel holds the direct sum's sin(mk) table.
 """
 
 from __future__ import annotations

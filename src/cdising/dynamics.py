@@ -77,8 +77,8 @@ class Schedule:
         and one of rates, each element the scalar call's bit for bit.
         """
         inside = (0 <= t) & (t <= self.duration)  # False at a NaN
-        if not (inside.all() if isinstance(inside, np.ndarray) else inside):
-            raise ValueError(f"time {t[~inside][0] if np.ndim(t) else t} outside [0, {self.duration}]")
+        if not np.all(inside):
+            raise ValueError(f"time {np.extract(np.logical_not(inside), t)[0]} outside [0, {self.duration}]")
         x = t / self.duration
         g = self.g0 + (self.gf - self.g0) * (3.0 - 2.0 * x) * x * x
         return g, 6.0 * (self.gf - self.g0) * t * (self.duration - t) / self.duration**3
@@ -264,8 +264,8 @@ def _integrate(config: ChainConfig, samples: np.ndarray) -> tuple[np.ndarray, So
     # with eps_k = sqrt(den), den = _denominator(g, cos k). The RHS comes in
     # the solver's two halves: per step, the clock takes the ramp, den, the
     # residual kernel of drive_function and the gap once, on a column of the
-    # step's stage times; per stage, rhs turns that row and the state into
-    # the derivative, with the one exp(2i phi) that needs the state.
+    # stage times, which the solver clamps to the span; per stage, rhs turns
+    # that row and the state into the derivative (exp(2i phi) needs the state).
     # One DOP853 solve, which reads the samples as it passes them (nfev as
     # in _dop853.solve_ivp) and restarts where the ramp crosses g = 1: the
     # thermodynamic residual has a kink there (slopes +1/4 and -1/4), which
@@ -282,9 +282,8 @@ def _integrate(config: ChainConfig, samples: np.ndarray) -> tuple[np.ndarray, So
     ramp, t1 = schedule.ramp, schedule.duration
 
     def clock(times):
-        # one row per time: the coefficient 2 gdot r and the phase rate 2 eps_k;
-        # the solver may overshoot the span's end by a rounding error, never its start
-        g, gdot = ramp(np.minimum(times, t1)[:, None])
+        # one row per time: the coefficient 2 gdot r and the phase rate 2 eps_k
+        g, gdot = ramp(times[:, None])
         den = _denominator(g, cos_k)
         rows = np.empty((len(g), 2, half))
         rows[:, 0] = 2.0 * gdot * residual(g, den)

@@ -225,10 +225,10 @@ def run_verification(
     # closed forms against brute-force sums, duality, reduction identities,
     # power sums and drive resummations, each one array over m (or order,
     # or momentum) per (n, g).
-    # The power-sum recurrence runs on brute values, which stay O(n) at
-    # every order; the closed form alternates in powers of sinh^2(x/2) and
-    # cancels catastrophically once that shift exceeds 1 (g below 3 - 2*sqrt(2)
-    # or above 3 + 2*sqrt(2)), so there the comparison stops at order 4.
+    # The power-sum recurrence runs on brute values, which stay O(n) at every
+    # order. The closed form alternates in powers of the shift sinh^2(x/2), so
+    # order p cancels to about eps * shift^p: past shift 1 it runs to order 4,
+    # whose overflow bounds verify's fields, and is compared while shift^p <= 1e3.
     for n in n_values:
         ms = np.arange(n)
         ks = momentum_grid(n)
@@ -263,9 +263,9 @@ def run_verification(
             x = math.log(g)
             shift = math.sinh(0.5 * x) ** 2
             brute = power_sum(np.arange(n + 1), x, n)
-            cap = n if shift <= 1.0 else min(n, 4)
-            closed = power_sum_exact(np.arange(cap + 1), x, n)
-            keep("power sum closed vs sum", rel(closed, brute[: cap + 1]), at_order)
+            closed = power_sum_exact(np.arange((n if shift <= 1.0 else min(n, 4)) + 1), x, n)
+            cap = n if shift <= 1.0 else min(n, 4, int(math.log(1e3) / math.log(shift)))
+            keep("power sum closed vs sum", rel(closed[: cap + 1], brute[: cap + 1]), at_order)
             # central-binomial weights binom(2s, s)/2**(2s+1), s = 0 .. n-1
             weights = 0.5 * np.cumprod(np.r_[1.0, (2.0 * ms[:-1] + 1.0) / (2.0 * ms[1:])])
             keep("power sum recurrence", rel(brute[1:], n * weights - brute[:-1] * shift), at_order)

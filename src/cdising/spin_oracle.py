@@ -189,7 +189,8 @@ def dense_evolve(config: ChainConfig) -> float:
     crosses g = 1 as evolve_chain does, and projects onto the
     positive-parity ground state at the final field. The state never
     leaves the zero-momentum, positive-parity block, so only its orbit
-    amplitudes are carried.
+    amplitudes are carried. The solver's clock reads the ramp once per
+    step, on all its stage times, and takes the couplings at each.
 
     The equation integrated is i chi' = (H(t) - <chi|H(t)|chi>) chi, with
     H(t) the whole Hamiltonian. Its solution is chi = e^(i theta) psi, where
@@ -206,12 +207,14 @@ def dense_evolve(config: ChainConfig) -> float:
     z = _field_sum(n, block).diagonal().real
     # the bonds on top of the weighted CD terms: one product per RHS
     stacked = np.vstack([_bond_sum(n, block), *_weighted_cd_terms(n, block)])
-    ramp, duration = schedule.ramp, schedule.duration
 
-    def rhs(t, state):
-        g, gp = ramp(min(t, duration))
+    def clock(times):
+        return [(g, gp, coupling_set(model, g, n)) for g, gp in zip(*schedule.ramp(times))]
+
+    def rhs(row, state):
+        g, gp, couplings = row
         parts = (stacked @ state).reshape(-1, dim)
-        h_state = -parts[0] - g * (z * state) - gp * (coupling_set(model, g, n) @ parts[1:])
+        h_state = -parts[0] - g * (z * state) - gp * (couplings @ parts[1:])
         # H - <psi|H|psi>: the co-moving phase frame, in which the dominant
         # amplitude barely turns
         return -1j * (h_state - np.vdot(state, h_state) * state)
@@ -219,8 +222,8 @@ def dense_evolve(config: ChainConfig) -> float:
     # an orbit's amplitude is its representative's times sqrt(orbit size)
     start = parity_ground_state(n, schedule.g0)[states] * np.sqrt(sizes)
     sol = solve_ivp(
-        rhs, (0.0, duration), start, rtol=config.rel_tol, atol=config.abs_tol,
-        breaks=schedule.crossings(),
+        rhs, (0.0, schedule.duration), start, rtol=config.rel_tol, atol=config.abs_tol,
+        breaks=schedule.crossings(), clock=clock,
     )
     if not sol.success:
         raise IntegrationError(f"dense run (n={n}, {model.label()}): {sol.message}")

@@ -66,7 +66,7 @@ def scipy_reference(fun, args, kwargs, t_eval=None) -> SimpleNamespace:
     (t0, t1), y = args
     # scipy takes the RHS whole: the call's clock composed with its state part
     clock = kwargs.get("clock")
-    rhs = fun if clock is None else lambda t, y: fun(clock([t])[0], y)
+    rhs = fun if clock is None else lambda t, y: fun(clock(np.minimum([t], t1))[0], y)
     ends = [*kwargs.get("breaks", ()), t1]
     times = np.asarray([] if t_eval is None else t_eval, dtype=float)
     cuts = np.searchsorted(times, ends, side="right")
@@ -276,3 +276,73 @@ def test_chain_clock_runs_once_per_step(trace_points, monkeypatch):
     assert sizes.count(3) == held
     assert len(sizes) == 2 * segments + result.steps + result.rejected + held
     assert result.nfev == 2 * segments + 12 * (result.steps + result.rejected) + 3 * held
+
+
+def test_oracle_clock_runs_once_per_step(monkeypatch):
+    # the oracle's ramp read and couplings run on its clock: once per step on
+    # the 12 stage times, and on the single time of each segment's start and
+    # first-step probe; it reads no samples, so no step runs the extended stages
+    config = ChainConfig(4, Schedule(5.0, 0.0, 2.0), MODELS[1])
+    sizes, solves = [], []
+
+    def counting(fun, *args, clock, **kwargs):
+        def counted(times):
+            sizes.append(len(times))
+            return clock(times)
+
+        solves.append(_dop853.solve_ivp(fun, *args, clock=counted, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(spin_oracle, "solve_ivp", counting)
+    ramp = mock.patch.object(Schedule, "ramp", autospec=True, side_effect=Schedule.ramp)
+    couplings = mock.patch.object(spin_oracle, "coupling_set", wraps=spin_oracle.coupling_set)
+    with ramp as ramps, couplings as coupling_sets:
+        dense_evolve(config)
+    (sol,), segments = solves, 2  # the ramp crosses g = 1 once
+    assert sorted(set(sizes)) == [1, 12]
+    assert sizes.count(1) == 2 * segments
+    assert sizes.count(12) == sol.steps + sol.rejected
+    assert sol.nfev == 2 * segments + 12 * (sol.steps + sol.rejected)
+    assert ramps.call_count == len(sizes)
+    assert coupling_sets.call_count == sum(sizes)
+
+
+def test_loop_clamps_the_times_it_hands_its_clock():
+    # y' = 1e-4 takes one step over (0.3, 0.9), where 0.3 + (0.9 - 0.3)
+    # rounds past 0.9: the first-step probe and the last two stages, at
+    # C = 1, all fall on t + h
+    received = []
+
+    def clock(times):
+        received.extend(times)
+        return np.asarray(times)
+
+    assert 0.3 + (0.9 - 0.3) > 0.9
+    sol = _dop853.solve_ivp(
+        lambda t, y: np.full_like(y, 1e-4), (0.3, 0.9), [1.0], rtol=1e-3, atol=1e-6, clock=clock
+    )
+    assert sol.success and sol.steps == 1
+    assert min(received) == 0.3 and max(received) == 0.9 and received.count(0.9) == 3
+
+
+@pytest.mark.parametrize("g0, gf", RAMPS)
+def test_clocks_receive_only_times_inside_the_span(g0, gf, monkeypatch):
+    # every chain model, traced so that the extended stages run too, and the
+    # oracle; no clock clamps, so a time past t1 would reach it
+    spans = []
+
+    def bounding(fun, t_span, *args, clock, **kwargs):
+        def bounded(times):
+            spans.append((t_span, min(times), max(times)))
+            return clock(times)
+
+        return _dop853.solve_ivp(fun, t_span, *args, clock=bounded, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", bounding)
+    monkeypatch.setattr(spin_oracle, "solve_ivp", bounding)
+    for model in MODELS:
+        evolve_chain(ChainConfig(20, Schedule(g0, gf, 10.0), model), 5)
+    dense_evolve(ChainConfig(4, Schedule(g0, gf, 2.0), MODELS[0]))
+    assert len({t_span for t_span, _, _ in spans}) == 2  # the chain's span and the oracle's
+    for (t0, t1), low, high in spans:
+        assert t0 <= low and high <= t1

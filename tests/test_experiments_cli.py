@@ -23,7 +23,7 @@ from cdising import (
     momentum_grid,
 )
 from cdising.cli import _COMMANDS, main
-from cdising.coefficients import cos_multiple_expansion, coupling_sum
+from cdising.coefficients import cos_multiple_expansion, coupling_sum, power_sum_exact
 from cdising.dynamics import cd_drive_exact, cd_drive_from_couplings, cd_drive_thermo
 from cdising.experiments import (
     Check,
@@ -177,6 +177,32 @@ def test_run_verification_reports_only_the_checks_it_evaluated():
         "dense vs fermionic evolution",
     ]
     assert all(check.passed and check.residual >= 0 and check.scope for check in checks)
+
+
+def test_run_verification_passes_power_sums_far_from_the_critical_field():
+    checks = run_verification([2, 4, 8, 16, 64, 200], [0.01, 0.03, 33.0, 100.0])
+    power_sums = [check for check in checks if check.name.startswith("power sum")]
+    assert [check.name for check in power_sums] == ["power sum closed vs sum", "power sum recurrence"]
+    assert all(check.passed for check in power_sums)
+
+
+@pytest.mark.parametrize("g, compared", [(0.05, 4), (0.01, 2), (0.03, 3), (33.0, 3), (100.0, 2)])
+def test_run_verification_compares_power_sums_while_the_cancellation_is_small(g, compared, monkeypatch):
+    # the closed power sum cancels to about eps * shift^order, so past shift 1
+    # verify compares it up to order 4 and while shift^order <= 1e3; g = 0.05,
+    # on the default grid, still reaches order 4. A 1e-6 error at the last
+    # compared order fails the check, and one order above it goes unseen.
+    def corrupted(at_order):
+        def perturbed(orders, x, n):
+            return power_sum_exact(orders, x, n) + 1e-6 * (np.asarray(orders) == at_order)
+
+        monkeypatch.setattr(experiments, "power_sum_exact", perturbed)
+        return next(check for check in run_verification([200], [g]) if check.name == "power sum closed vs sum")
+
+    assert corrupted(-1).passed  # no order -1: the clean run
+    failed = corrupted(compared)
+    assert not failed.passed and failed.scope == f"order={compared} g={g} n=200"
+    assert corrupted(compared + 1).passed
 
 
 @pytest.mark.parametrize(
