@@ -14,9 +14,12 @@ periodic with even length; the momentum grid is the positive half of the
 even-parity sector. Each coupling, grid sum and sign takes its range m
 (power_sum its order) as a scalar or an array, the way the drive kernels
 take k: one closed form per coefficient, which coupling_set calls once on
-the array of ranges. coupling_set builds its field -> couplings kernel once
-per (model, n) and caches it, since the oracle's clock asks for it at every
-stage time; the kernel holds the direct sum's sin(mk) table.
+the array of ranges. The coupling families take a field or a column of
+fields, as the drive kernels do, so the oracle's clock asks for the
+couplings of all stage times of a step in one call; coupling_set builds its
+field -> couplings kernel once per (model, n) and caches it. The grid sums
+read their sin(mk), cos(mk) and sin^2(k/2)^p factors from one table per
+chain length, built on first use and kept for the most recent n only.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,11 +54,28 @@ def _check_ranges(m, low: float, high: float, name: str = "range index m") -> No
         raise ValueError(f"{name}={lo if lo < low else hi} outside [{low}, {high}]")
 
 
-def _check_field(g: float) -> float:
+def _check_field(g):
+    # g is a field or a column of fields; a column names its first bad field
+    if np.ndim(g):
+        g = np.asarray(g, dtype=float)
+        bad = [field for field in g.ravel().tolist() if not 0 <= field < math.inf]
+        if bad:
+            _check_field(bad[0])
+        return g
     if not 0 <= g < math.inf:
         raise ValueError(f"field g must be finite and nonnegative, got {g}")
     # a float base keeps an integer field off numpy's integer power
     return float(g)
+
+
+def _per_field(f: Callable, g):
+    # f, a float or a tuple of floats, at a scalar field, or at each field of
+    # a column as a column (one per tuple entry). f gets Python floats, so
+    # its integer powers are libm's pow, as in a scalar call; numpy's array
+    # power rounds some fields differently.
+    if np.ndim(g) == 0:
+        return f(g)
+    return np.array([f(x) for x in g[:, 0].tolist()]).T[..., None]
 
 
 def _denominator(g: float, cos_k):
@@ -77,28 +97,76 @@ def momentum_grid(n: int) -> np.ndarray:
     return np.pi * (2.0 * np.arange(n // 2) + 1.0) / n
 
 
-def coupling_exact(m, g: float, n: int):
+def coupling_exact(m, g, n: int):
     """Closed-form coupling strength of the (m+1)-spin counterdiabatic term.
 
     Args:
         m: interaction range, 0 <= m <= n-1 (m = 0 is identically zero);
             a scalar or an array, like every range and order in this module.
-        g: transverse field, finite and g >= 0.
+        g: transverse field, finite and g >= 0, or a column of fields
+            (shape (S, 1)), which gives one row per field, the scalar
+            call's bit for bit.
         n: even chain length.
 
     Returns:
-        The coupling, of the shape of m. It is evaluated at x = min(g, 1/g),
-        where no power exceeds 1, and divided by g^2 above g = 1 (the
-        field-inversion duality); 0**0 == 1 keeps the g -> 0+ limit.
+        The coupling, of the shape of m (one row per field of a column). It
+        is evaluated at x = min(g, 1/g), where no power exceeds 1, and
+        divided by g^2 above g = 1 (the field-inversion duality);
+        0**0 == 1 keeps the g -> 0+ limit.
     """
     _check_chain_length(n)
     # the closed form holds for 0 <= m <= n-1 only; m = n is provably wrong
     _check_ranges(m, 0, n - 1)
-    g = _check_field(g)
-    x = g if g <= 1.0 else 1.0 / g
+
+    def factors(g: float) -> tuple[float, float, float]:
+        x = g if g <= 1.0 else 1.0 / g
+        return x, 8.0 * (1.0 + x**n), max(1.0, g * g)
+
+    x, norm, square = _per_field(factors, _check_field(g))
     # abs() keeps m = 0 off 0**-1; the (m != 0) factor then zeroes it
-    value = (x ** abs(m - 1) + x ** (n - m - 1)) / (8.0 * (1.0 + x**n)) / max(1.0, g * g)
+    value = (x ** abs(m - 1) + x ** (n - m - 1)) / norm / square
     return value * (m != 0)
+
+
+class _Grid(NamedTuple):
+    # the field-independent factors of one chain length's momentum grid:
+    # ks, sin k, cos k and s2 = sin^2(k/2), and the tables whose row m,
+    # m = 0 .. n, holds sin(mk), cos(mk) and s2^m
+    ks: np.ndarray
+    sin_k: np.ndarray
+    cos_k: np.ndarray
+    s2: np.ndarray
+    sin_mk: np.ndarray
+    cos_mk: np.ndarray
+    s2_powers: np.ndarray
+
+    def rows(self, table: str, m):
+        # rows m of a table, or, when some m is not a row, the same rows
+        # built for m alone, as the table is
+        entries, rows = np.asarray(m), getattr(self, table)
+        tabled = entries.dtype.kind in "iu" and entries.size > 0
+        if tabled and 0 <= entries.min() and entries.max() < len(rows):
+            return rows[m]
+        return _TABLES[table](m, self.ks, self.s2)
+
+
+# how each table of _Grid builds its rows m from ks and s2
+_TABLES = {
+    "sin_mk": lambda m, ks, s2: np.sin(np.multiply.outer(m, ks)),
+    "cos_mk": lambda m, ks, s2: np.cos(np.multiply.outer(m, ks)),
+    "s2_powers": lambda m, ks, s2: s2 ** np.asarray(m)[..., None],
+}
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_tables(n: int) -> _Grid:
+    # the grid sums' tables for the most recent n only: verify finishes each
+    # chain length before it moves on, and n = 2000 takes 48 MB
+    ks = momentum_grid(n)
+    s2 = np.sin(0.5 * ks) ** 2
+    every = np.arange(n + 1)
+    tables = {table: build(every, ks, s2) for table, build in _TABLES.items()}
+    return _Grid(ks, np.sin(ks), np.cos(ks), s2, **tables)
 
 
 def coupling_sum(m, g: float, n: int):
@@ -108,13 +176,17 @@ def coupling_sum(m, g: float, n: int):
     momentum grid, divided by 2n. Accepts any integer m and any real g; the
     denominator never vanishes on the grid.
     """
-    ks = momentum_grid(n)
-    return _coupling_sum(np.sin(np.multiply.outer(m, ks)), np.sin(ks), np.cos(ks), g, n)
+    grid = _grid_tables(n)
+    return _coupling_sum(grid.rows("sin_mk", m), grid.sin_k, grid.cos_k, g, n)
 
 
-def _coupling_sum(sin_mk, sin_k, cos_k, g: float, n: int):
-    # coupling_sum from its field-independent sine and cosine tables
-    return (sin_mk * (sin_k / _denominator(g, cos_k))).sum(axis=-1) / (2.0 * n)
+def _coupling_sum(sin_mk, sin_k, cos_k, g, n: int):
+    # coupling_sum from its field-independent sine and cosine tables; a
+    # column of fields gives one row of ranges per field
+    weights = sin_k / _denominator(g, cos_k)
+    if np.ndim(g):
+        weights = weights[..., None, :]
+    return (sin_mk * weights).sum(axis=-1) / (2.0 * n)
 
 
 def cos_sum_exact(m, g: float, n: int):
@@ -136,20 +208,20 @@ def cos_sum_exact(m, g: float, n: int):
 
 def cos_sum(m, g: float, n: int):
     """Brute-force sum of cos(mk)/den over the grid, / 2n (numpy; den as in coupling_sum)."""
-    ks = momentum_grid(n)
-    denom = _denominator(g, np.cos(ks))
-    return (np.cos(np.multiply.outer(m, ks)) / denom).sum(axis=-1) / (2.0 * n)
+    grid = _grid_tables(n)
+    return (grid.rows("cos_mk", m) / _denominator(g, grid.cos_k)).sum(axis=-1) / (2.0 * n)
 
 
-def coupling_thermo(m, g: float):
+def coupling_thermo(m, g):
     """Thermodynamic-limit approximation to coupling_exact.
 
     g**(m-1)/8 below the critical field, g**(-m-1)/8 at or above it; the
     two branches agree at g = 1. Uses the 0**0 == 1 convention at g = 0.
+    g is a field or a column of fields, as in coupling_exact.
     """
     _check_ranges(m, 1, math.inf)
     g = _check_field(g)
-    return (g ** (m - 1) if g < 1.0 else g ** (-m - 1)) / 8.0
+    return g ** np.where(g < 1.0, m - 1, -m - 1) / 8.0
 
 
 def period_sign(m, n: int):
@@ -206,8 +278,8 @@ def cos_multiple_expansion(m: int) -> list[int]:
 def power_sum(order, x: float, n: int):
     """Brute-force sum of sin(k/2)**(2*order)/(sin(k/2)^2 + sinh(x/2)^2), by numpy."""
     _check_ranges(order, 0, math.inf, "order")
-    s2 = np.sin(0.5 * momentum_grid(n)) ** 2
-    return (s2 ** np.asarray(order)[..., None] / (s2 + math.sinh(0.5 * x) ** 2)).sum(axis=-1)
+    grid = _grid_tables(n)
+    return (grid.rows("s2_powers", order) / (grid.s2 + math.sinh(0.5 * x) ** 2)).sum(axis=-1)
 
 
 def power_sum_exact(order, x: float, n: int):
@@ -302,14 +374,12 @@ def identity_residuals(g: float, n: int) -> dict[str, float]:
         raise ValueError(f"g^2 is subnormal at field g = {g}")
     if 16.0 * g * g == math.inf:
         raise ValueError(f"16 g^2 overflows a float at field g = {g}")
-    ks = momentum_grid(n)
-    cos_k = np.cos(ks)
-    sin_k = np.sin(ks)
+    grid = _grid_tables(n)
+    cos_k, sin_k = grid.cos_k, grid.sin_k
     denom = _denominator(g, cos_k)
     # one row per range m, one column per momentum
     ms = np.arange(n - 1)
-    cos_mk = np.cos(np.multiply.outer(ms, ks))
-    sin_mk = np.sin(np.multiply.outer(ms, ks))
+    cos_mk, sin_mk = grid.cos_mk[: n - 1], grid.sin_mk[: n - 1]
     h = coupling_exact(ms, g, n)
     f = cos_sum_exact(ms, g, n)
     d0 = period_sign(ms, n)
@@ -372,25 +442,28 @@ class CouplingModel:
         return self.kind.value
 
 
-def coupling_set(model: CouplingModel, g: float, n: int) -> np.ndarray:
+def coupling_set(model: CouplingModel, g, n: int) -> np.ndarray:
     """Coupling strengths for ranges m = 1 .. n/2 under the given model.
 
     Args:
         model: coupling family (and truncation cap where applicable).
-        g: field, finite and g >= 0 for every family.
+        g: field, finite and g >= 0 for every family, or a column of such
+            fields (shape (S, 1)), as the drive kernels take; every field
+            of a column is checked, and the error names the first bad one.
         n: even chain length.
 
     Returns:
         Array of n/2 coupling values indexed by m - 1, from the family's
         closed form evaluated once on the array of ranges, bit for bit
-        the family's public function.
+        the family's public function. A column gives an (S, n/2) array,
+        whose row i is the call at field i bit for bit.
     """
     g = _check_field(g)
     return _coupling_kernel(model, n)(g)
 
 
 @functools.cache
-def _coupling_kernel(model: CouplingModel, n: int) -> Callable[[float], np.ndarray]:
+def _coupling_kernel(model: CouplingModel, n: int) -> Callable:
     # coupling_set's field -> couplings map for one (model, n): the checks of
     # n and the model, the range array and the direct sum's sin(mk) table are
     # made on the first call, not on every RHS evaluation of a run

@@ -25,6 +25,7 @@ from .coefficients import (
     _check_chain_length,
     _check_field,
     _denominator,
+    _per_field,
     coupling_set,
     momentum_grid,
 )
@@ -146,17 +147,8 @@ class EvolutionResult:
 
 # Drive kernels take a scalar field g, or a column of fields (shape (S, 1)),
 # and its denominator den at the momenta they were built for, which fix
-# their trig factors once; a column gives one row per field.
-def _per_field(f: Callable, g):
-    # f, a float or a tuple of floats, at a scalar field, or at each field of
-    # a column as a column (one per tuple entry). f gets Python floats, so
-    # its integer powers are libm's pow, as in a scalar call; numpy's array
-    # power rounds some fields differently.
-    if np.ndim(g) == 0:
-        return f(g)
-    return np.array([f(x) for x in g[:, 0].tolist()]).T[..., None]
-
-
+# their trig factors once; a column gives one row per field (see
+# coefficients._per_field).
 def _exact_kernel(k) -> Callable:
     quarter_sin = 0.25 * np.sin(k)
     return lambda g, den: quarter_sin / den

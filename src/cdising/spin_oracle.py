@@ -189,8 +189,8 @@ def dense_evolve(config: ChainConfig) -> float:
     crosses g = 1 as evolve_chain does, and projects onto the
     positive-parity ground state at the final field. The state never
     leaves the zero-momentum, positive-parity block, so only its orbit
-    amplitudes are carried. The solver's clock reads the ramp once per
-    step, on all its stage times, and takes the couplings at each.
+    amplitudes are carried. The solver's clock reads the ramp and the
+    couplings once per step, on the column of all its stage times.
 
     The equation integrated is i chi' = (H(t) - <chi|H(t)|chi>) chi, with
     H(t) the whole Hamiltonian. Its solution is chi = e^(i theta) psi, where
@@ -209,7 +209,8 @@ def dense_evolve(config: ChainConfig) -> float:
     stacked = np.vstack([_bond_sum(n, block), *_weighted_cd_terms(n, block)])
 
     def clock(times):
-        return [(g, gp, coupling_set(model, g, n)) for g, gp in zip(*schedule.ramp(times))]
+        g, gp = schedule.ramp(times)
+        return list(zip(g, gp, coupling_set(model, g[:, None], n)))
 
     def rhs(row, state):
         g, gp, couplings = row

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +16,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdising import CouplingKind, CouplingModel, coupling_exact, coupling_set, momentum_grid
+from cdising import coefficients, experiments
 from cdising.coefficients import (
     EXPANSION_MAX_ORDER,
     _check_chain_length,
     _coupling_kernel,
+    _denominator,
+    _grid_tables,
     cos_multiple_expansion,
     cos_sum,
     cos_sum_exact,
@@ -675,3 +682,136 @@ def test_array_ranges_are_validated_entry_by_entry():
         power_sum_exact(np.array([2, -1, 5]), 0.5, 4)
     with pytest.raises(ValueError, match="order=-1"):
         power_sum(np.array([2, -1]), 0.5, 8)
+
+
+# fields every column of the property test holds next to its drawn ones: the
+# 0**0 limit, the critical field and its two neighbours, where x = min(g, 1/g)
+# switches branch, and the float range's ends
+COLUMN_EDGES = [0.0, 1.0, math.nextafter(1.0, math.inf), math.nextafter(1.0, -math.inf), 1e-300, 1e100]
+COLUMN_SIZES = [2, 4, 6, 8, 10, 12, 20, 64, 200]
+
+
+def _every_model(n: int) -> list[CouplingModel]:
+    kinds = (CouplingKind.EXACT, CouplingKind.DIRECT_SUM, CouplingKind.THERMODYNAMIC)
+    models = [CouplingModel(kind) for kind in kinds]
+    return models + [CouplingModel(CouplingKind.TRUNCATED, cap) for cap in range(n // 2 + 1)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from(COLUMN_SIZES),
+    drawn=st.lists(st.one_of(st.floats(0.9, 1.1), st.floats(0.0, 5.0), st.floats(0.0, 1e100)), max_size=40),
+    at=st.integers(0, 40),
+)
+# near g = 1, where x^n is not small next to 1, numpy's array power and
+# libm's pow round 1 + x^n apart at these fields
+@example(n=8, drawn=[1.0189, 0.9809, 1.0851, 1.0123], at=2)
+@example(n=64, drawn=[1.0047, 0.9971, 1.0366], at=0)
+def test_coupling_set_on_a_column_is_its_scalar_calls(n, drawn, at):
+    # row i of a column call has the bytes of the call at field i, for every
+    # family and cap; no field of a column warns (no 1/g at g = 0)
+    fields = drawn[:at] + COLUMN_EDGES + drawn[at:]
+    column = np.array(fields)[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model in _every_model(n):
+            rows = coupling_set(model, column, n)
+            assert rows.shape == (len(fields), n // 2)
+            for row, g in zip(rows, fields):
+                assert row.tobytes() == coupling_set(model, g, n).tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from(COLUMN_SIZES),
+    good=st.lists(st.floats(0.0, 1e100), max_size=6),
+    bad=st.lists(st.sampled_from([math.nan, math.inf, -math.inf, -0.1, -1e-300]), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_coupling_set_on_a_column_names_its_first_bad_field(n, good, bad, data):
+    fields = data.draw(st.permutations(good + bad))
+    first = next(g for g in fields if not 0 <= g < math.inf)
+    for model in _every_model(n)[:4]:
+        with pytest.raises(ValueError) as scalar:
+            coupling_set(model, first, n)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
+            coupling_set(model, np.array(fields)[:, None], n)
+
+
+def _literal_rows(table: str, m, n: int):
+    # the trig and power rows as the grid sums built them on every call
+    ks = momentum_grid(n)
+    if table == "sin_mk":
+        return np.sin(np.multiply.outer(m, ks))
+    if table == "cos_mk":
+        return np.cos(np.multiply.outer(m, ks))
+    return (np.sin(0.5 * ks) ** 2) ** np.asarray(m)[..., None]
+
+
+class _LiteralGrid:
+    # a stand-in for _grid_tables(n) that builds every row it is asked for
+    def __init__(self, n: int):
+        self.n, ks = n, momentum_grid(n)
+        self.ks, self.sin_k, self.cos_k, self.s2 = ks, np.sin(ks), np.cos(ks), np.sin(0.5 * ks) ** 2
+
+    def rows(self, table: str, m):
+        return _literal_rows(table, m, self.n)
+
+    sin_mk = property(lambda self: self.rows("sin_mk", np.arange(self.n + 1)))
+    cos_mk = property(lambda self: self.rows("cos_mk", np.arange(self.n + 1)))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 30, 200])
+def test_grid_sums_are_their_literal_formulas(n, monkeypatch):
+    # table rows inside [0, n], and rows built alone outside it, give the
+    # bits of the sums that built every table on every call
+    ranges = [0, 1, n // 2, n, n + 1, 3 * n, -1, np.arange(n + 1), np.arange(1, n), np.arange(n).reshape(-1, 2),
+              np.array([n + 1, 3 * n]), np.array([-2, 0, n])]
+    orders = [0, 1, n, n + 1, 3 * n, np.arange(n + 1), np.array([0, n + 1]), np.arange(1, n)]
+    _grid_tables.cache_clear()
+    for g in (0.0, 0.01, 0.5, 1.0, 1.7, 100.0):
+        for m in ranges:
+            ks = momentum_grid(n)
+            literal = (_literal_rows("sin_mk", m, n) * (np.sin(ks) / _denominator(g, np.cos(ks)))).sum(axis=-1)
+            values = coupling_sum(m, g, n)
+            assert np.shape(values) == np.shape(m)
+            assert np.asarray(values).tobytes() == (literal / (2.0 * n)).tobytes()
+            literal = (_literal_rows("cos_mk", m, n) / _denominator(g, np.cos(ks))).sum(axis=-1) / (2.0 * n)
+            assert np.asarray(cos_sum(m, g, n)).tobytes() == literal.tobytes()
+        if g == 0.0:
+            continue
+        x = math.log(g)
+        for order in orders:
+            s2 = np.sin(0.5 * momentum_grid(n)) ** 2
+            literal = (_literal_rows("s2_powers", order, n) / (s2 + math.sinh(0.5 * x) ** 2)).sum(axis=-1)
+            assert np.asarray(power_sum(order, x, n)).tobytes() == literal.tobytes()
+    tabled = [identity_residuals(g, n) for g in (0.01, 0.5, 1.0, 1.7, 100.0)]
+    monkeypatch.setattr(coefficients, "_grid_tables", _LiteralGrid)
+    assert tabled == [identity_residuals(g, n) for g in (0.01, 0.5, 1.0, 1.7, 100.0)]
+
+
+def test_verify_builds_each_grid_table_once():
+    # verify finishes each chain length before the next, so each n's tables
+    # are built once over all its fields, and only the last n stays cached
+    _grid_tables.cache_clear()
+    lengths = [2, 4, 8, 16, 64, 200]
+    experiments.run_verification(lengths)
+    info = _grid_tables.cache_info()
+    assert info.misses == len(lengths)
+    assert info.maxsize == 1 and info.currsize == 1
+    assert len(_grid_tables(200).ks) == 100 and _grid_tables.cache_info().misses == len(lengths)
+
+
+def test_grid_tables_are_not_built_at_import():
+    # the tables cost nothing until a grid sum asks for them
+    code = (
+        "import cdising.cli\n"
+        "from cdising.coefficients import _grid_tables\n"
+        "print(_grid_tables.cache_info().misses)\n"
+    )
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": source}, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert done.stdout.split() == ["0"]

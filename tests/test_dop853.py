@@ -281,7 +281,9 @@ def test_chain_clock_runs_once_per_step(trace_points, monkeypatch):
 def test_oracle_clock_runs_once_per_step(monkeypatch):
     # the oracle's ramp read and couplings run on its clock: once per step on
     # the 12 stage times, and on the single time of each segment's start and
-    # first-step probe; it reads no samples, so no step runs the extended stages
+    # first-step probe; it reads no samples, so no step runs the extended
+    # stages. Each clock call asks for the couplings once, on a column of
+    # its times.
     config = ChainConfig(4, Schedule(5.0, 0.0, 2.0), MODELS[1])
     sizes, solves = [], []
 
@@ -304,7 +306,9 @@ def test_oracle_clock_runs_once_per_step(monkeypatch):
     assert sizes.count(12) == sol.steps + sol.rejected
     assert sol.nfev == 2 * segments + 12 * (sol.steps + sol.rejected)
     assert ramps.call_count == len(sizes)
-    assert coupling_sets.call_count == sum(sizes)
+    assert coupling_sets.call_count == len(sizes)
+    fields = [call.args[1] for call in coupling_sets.call_args_list]
+    assert [column.shape for column in fields] == [(size, 1) for size in sizes]
 
 
 def test_loop_clamps_the_times_it_hands_its_clock():
