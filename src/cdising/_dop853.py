@@ -1,29 +1,30 @@
 """DOP853, the explicit Runge-Kutta method of order 8(5,3), in numpy only.
 
 A step-for-step copy of scipy's ``solve_ivp(method="DOP853")`` (scipy
-1.17.1, ``scipy/integrate/_ivp``) for what this package asks of it: one
-forward solve of a complex vector ODE at scalar tolerances, which reads
-its dense-output polynomial at given sample times as the loop passes
-them, as ``t_eval`` does, and restarts at given break times. The chain's
-break is where the ramp crosses the critical field g = 1: the
-thermodynamic drive has a kink there (slopes +1/4 and -1/4), and an
-8th-order step assumes a smooth right-hand side, so a step that straddles
-the kink is rejected again and again (Hairer, Norsett & Wanner, Solving
-ODEs I, on discontinuities). The RHS comes in two halves: a clock of
-t alone, which the loop calls once per step on the times of all its
-stages, and a state part, called once per stage with the clock's row for
-it. Every floating-point operation runs in scipy's order on the same
-tableau, so states, accepted and rejected steps, RHS evaluations (see
-solve_ivp) and sampled values are bit-identical to scipy's solves of the
-composed RHS over the segments between breaks. Unlike scipy, it takes
-rtol as given, with no floor: callers check their tolerances. Importing
-scipy.integrate for this one function costs more than the integrations
-of a typical run.
+1.17.1, ``scipy/integrate/_ivp``) for what this package asks of it:
+forward solves of a complex vector ODE at scalar tolerances, which read
+their dense-output polynomial at given sample times as the loop passes
+them, as ``t_eval`` does, and restart at given break times. One loop
+advances B solves of one state length in lockstep, each with its own step
+control (solve_lockstep; solve_ivp is B = 1). The chain's break is where
+the ramp crosses the critical field g = 1: the thermodynamic drive has a
+kink there (slopes +1/4 and -1/4), and an 8th-order step assumes a smooth
+right-hand side, so a step that straddles the kink is rejected again and
+again (Hairer, Norsett & Wanner, Solving ODEs I, on discontinuities). The
+RHS comes in two halves: a clock of t alone, which the loop calls once per
+step on the times of all its stages (of all its solves), and a state part,
+called once per stage with the clock's rows. Every floating-point
+operation runs in scipy's order on the same tableau, so each solve's
+states, accepted and rejected steps, RHS evaluations (see solve_ivp) and
+sampled values are bit-identical to scipy's solves of the composed RHS
+over the segments between breaks. Unlike scipy, it takes rtol as given,
+with no floor: callers check their tolerances. Importing scipy.integrate
+for this one function costs more than the integrations of a typical run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -283,30 +284,14 @@ def _evaluate(t_old: float, h: float, y_old: np.ndarray, F: np.ndarray, t: np.nd
     return y
 
 
-@dataclass
-class Solution:
-    """Outcome of one solve, with scipy's success flag, message and nfev (see solve_ivp).
-
-    t and y are the last accepted time and state (t1 on success); steps and
-    rejected count accepted and rejected steps over all segments; drift is
-    the largest value of the drift function over y0 and every accepted
-    state (0.0 without one); samples holds the state at each sample time
-    the solve reached, one row each.
-    """
-
-    success: bool
-    message: str
-    t: float
-    y: np.ndarray
-    nfev: int
-    steps: int
-    rejected: int
-    drift: float
-    samples: np.ndarray
+def _norm(x: np.ndarray):
+    # np.linalg.norm of a 1-D complex array, in its own operations without
+    # its checks; the norm of the rows of a stack rounds differently
+    return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def _rms(x: np.ndarray):
-    return np.linalg.norm(x) / x.size**0.5
+    return _norm(x) / x.size**0.5
 
 
 def _initial_step(fun: Callable, t0: float, y0: np.ndarray, f0: np.ndarray, t_bound: float, rtol, atol):
@@ -330,16 +315,164 @@ def _initial_step(fun: Callable, t0: float, y0: np.ndarray, f0: np.ndarray, t_bo
     return min(100 * h0, h1, interval_length)
 
 
-def _error_norm(K: np.ndarray, h: float, scale: np.ndarray):
+def _error_norm(err5: np.ndarray, err3: np.ndarray, h: float):
     # RMS of the 5th-order error estimate, damped where the 3rd-order one is larger
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
-    err5_norm_2 = np.linalg.norm(err5) ** 2
-    err3_norm_2 = np.linalg.norm(err3) ** 2
+    err5_norm_2 = _norm(err5) ** 2
+    err3_norm_2 = _norm(err3) ** 2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(err5))
+
+
+class Solve:
+    """One DOP853 solve: its place in the step loop, then its outcome.
+
+    Takes and checks solve_ivp's arguments but fun and clock. Between steps
+    it holds the last accepted t, y and f, the next attempt's step h to
+    t_new, its step control and its segment and sample cursors. Its outcome
+    reads as scipy's: success, message and nfev (see solve_ivp); t and y
+    are the last accepted time and state (t1 on success); steps and
+    rejected count accepted and rejected steps over all segments; drift is
+    the largest value of the drift function over y0 and every accepted
+    state (0.0 without one); samples holds the state at each sample time
+    the solve reached, one row each.
+    """
+
+    def __init__(self, t_span, y0, rtol: float, atol: float, samples=(), drift=None, breaks=()):
+        self.t, self.t_bound = map(float, t_span)
+        if not self.t < self.t_bound:
+            raise ValueError(f"t_span must increase, got {t_span}")
+        ends = [*map(float, breaks), self.t_bound]
+        if not all(a < b for a, b in zip([self.t, *ends], ends)):
+            raise ValueError(f"breaks must increase strictly inside {t_span}, got {breaks}")
+        self.end, self.later = self.t, iter(ends)
+        self.y = np.asarray(y0, dtype=complex)
+        self.rtol, self.atol, self.drift_of = rtol, atol, drift
+        self.times = np.asarray(samples, dtype=float)
+        self.samples = np.empty((0, self.y.size), dtype=complex)
+        self.nfev = self.steps = self.rejected = 0
+        self.drift = drift(self.y) if drift else 0.0
+        self.success, self.message = True, SUCCESS
+
+    def begin(self, fun: Callable, clock: Callable) -> bool:
+        # a new step from the last accepted state; False once the solve is done.
+        # A segment starts with a fresh first step, as a new scipy solve takes,
+        # from 2 evaluations on the solve's own clock
+        if self.t == self.t_bound:
+            return False
+        if self.t == self.end:
+            self.end = next(self.later)
+            at = lambda t, y: fun(clock(np.minimum([t], self.t_bound))[0], y)  # noqa: E731
+            self.f = at(self.t, self.y)
+            self.h_abs = _initial_step(at, self.t, self.y, self.f, self.end, self.rtol, self.atol)
+            self.nfev += 2
+        self.min_step = 10 * np.abs(np.nextafter(self.t, np.inf) - self.t)
+        self.h_abs = max(self.h_abs, self.min_step)
+        self.retry = False
+        return self.attempt()
+
+    def attempt(self) -> bool:
+        # the next attempt's step, or False when it underflowed: scipy's TOO_SMALL_STEP
+        if not self.h_abs >= self.min_step:
+            self.success, self.message = False, TOO_SMALL_STEP
+            return False
+        self.t_new = min(self.t + self.h_abs, self.end)
+        self.h = self.t_new - self.t
+        self.h_abs = np.abs(self.h)
+        return True
+
+    def settle(self, error_norm: float, y_new, f_new, K_extended: np.ndarray, fun: Callable, clock: Callable):
+        # scipy's step size control on an attempt's error, and the next
+        # attempt, or False once the solve is done. An accepted step reads
+        # the samples it holds off its dense-output polynomial, after its 3
+        # extended stages on the solve's own clock
+        self.nfev += N_STAGES
+        if not error_norm < 1:
+            self.h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
+            self.retry = True
+            self.rejected += 1
+            return self.attempt()
+        factor = MAX_FACTOR
+        if error_norm > 0:
+            factor = min(MAX_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
+        if self.retry:
+            factor = min(1, factor)
+        self.h_abs *= factor
+        t, h, y, f, t_new, read = self.t, self.h, self.y, self.f, self.t_new, len(self.samples)
+        if read < self.times.size and self.times[read] <= t_new:
+            for s, row in zip(range(N_STAGES + 1, N_STAGES_EXTENDED), clock(t + EXTRA_C * h)):
+                K_extended[s] = fun(row, y + np.dot(K_extended[:s].T, A[s, :s]) * h)
+            self.nfev += N_STAGES_EXTENDED - N_STAGES - 1
+            due = np.searchsorted(self.times, t_new, side="right")
+            delta_y = y_new - y
+            F = np.vstack((
+                delta_y, h * f - delta_y, 2 * delta_y - h * (f_new + f), h * np.dot(D, K_extended)
+            ))
+            self.samples = np.concatenate((self.samples, _evaluate(t, h, y, F, self.times[read:due])))
+        self.t, self.y, self.f = t_new, y_new, f_new
+        self.steps += 1
+        if self.drift_of:
+            self.drift = max(self.drift, self.drift_of(y_new))
+        return self.begin(fun, clock)
+
+
+def solve_lockstep(fun: Callable, clock: Callable, solves: Sequence[Solve]) -> Sequence[Solve]:
+    """Advance B solves of one state length N together by DOP853, each as solve_ivp alone.
+
+    Every solve keeps its own step control, segments, samples, counts and
+    drift (see Solve), so each returned Solve is its solve_ivp bit for bit.
+    A pass makes one attempt of each running solve, b of them: the 12
+    stages call fun(rows, Y) once each on the states stacked as (N, b),
+    with each solve's row of the stage on a trailing axis, and the stage
+    sums and error estimates are one batched np.matmul (pinned equal to
+    each solve's np.dot). clock(members), for the indices of the running
+    solves, gives their clock, which maps stage times (S, b) to S such
+    rows in one call per pass. A lone solve, the last one running, and
+    each solve's segment starts and extended stages run unstacked, on the
+    one-member clock, whose times and rows are solve_ivp's.
+    """
+    own = [clock([j]) for j in range(len(solves))]  # each solve's own clock
+    running = [j for j, solve in enumerate(solves) if solve.begin(fun, own[j])]
+    members = []
+    while running:
+        if running != members:  # stack what is left
+            members, active = running, [solves[j] for j in running]
+            # one solve runs unstacked, and keys = [...] reads all of it; b solves stack
+            # states as (N, b) and stages as (b, 16, N), and keys read row i
+            alone = len(members) == 1
+            if alone:
+                keys, lead, nodes, product, errors = [...], (), STEP_C, np.dot, np.dot
+                rows_of = columns_of = itemgetter(0)
+            else:
+                keys, lead, nodes, errors = range(len(members)), (len(members),), STEP_C[:, None], np.matmul
+                product = lambda before, a: np.matmul(before, a).T  # noqa: E731
+                rows_of, columns_of = np.array, np.column_stack
+            K_extended = np.empty((*lead, N_STAGES_EXTENDED, active[0].y.size), dtype=complex)
+            K_t = K_extended.swapaxes(-1, -2)
+            # stage s reads the stages before it: K[:s].T weighted by row s of A
+            stages = [(K_extended[..., s, :].T, K_t[..., :s], A[s, :s]) for s in range(N_STAGES + 1)]
+            (K_0, _, _), *stages, (K_last, K_sum, _) = stages
+            K_error = K_t[..., : N_STAGES + 1]
+            t_bound = rows_of([s.t_bound for s in active])
+            rtol, atol = rows_of([s.rtol for s in active]), rows_of([s.atol for s in active])
+            tick = clock(members)
+        t, h = rows_of([s.t for s in active]), rows_of([s.h for s in active])
+        y = columns_of([s.y for s in active])
+        K_0[...] = columns_of([s.f for s in active])
+        rows = tick(np.minimum(t + nodes * h, t_bound))
+        for (K_s, before, a), row in zip(stages, rows):
+            K_s[...] = fun(row, y + product(before, a) * h)
+        y_new = y + h * product(K_sum, B)
+        K_last[...] = f_new = fun(rows[-1], y_new)
+        scale = (atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol).T
+        err5, err3 = errors(K_error, E5) / scale, errors(K_error, E3) / scale
+        y_new, f_new, running = y_new.T, f_new.T, []
+        for key, j, s in zip(keys, members, active):
+            error_norm = _error_norm(err5[key], err3[key], s.h)
+            if s.settle(error_norm, y_new[key], f_new[key], K_extended[key], fun, own[j]):
+                running.append(j)
+    return solves
 
 
 def solve_ivp(
@@ -352,10 +485,12 @@ def solve_ivp(
     drift: Callable[[np.ndarray], float] | None = None,
     breaks=(),
     clock: Callable[[np.ndarray], Sequence] = np.asarray,
-) -> Solution:
+) -> Solve:
     """Integrate y' = fun(clock([t])[0], y) from t0 to t1 > t0, (t0, t1) = t_span, by DOP853.
 
-    y0 is made a complex array, and fun returns one shaped like it. clock
+    The lone solve of solve_lockstep (B = 1), returned as its Solve. In a
+    lockstep run each solve keeps this step control, these counts and
+    these clock calls as its own. y0 is made a complex array, and fun returns one shaped like it. clock
     holds the part of the RHS that depends on t alone: it maps an array of
     times to rows, one per time, and fun(row, y) does the rest. So a step
     calls clock once, on the times of all 12 stages, t + C[1:13] h, and fun
@@ -384,86 +519,5 @@ def solve_ivp(
     taken at y0 and at each accepted state, and its largest value returned,
     so that no state but the last is kept.
     """
-    t, t_bound = map(float, t_span)
-    if not t < t_bound:
-        raise ValueError(f"t_span must increase, got {t_span}")
-    ends = [*map(float, breaks), t_bound]
-    if not all(a < b for a, b in zip([t, *ends], ends)):
-        raise ValueError(f"breaks must increase strictly inside {t_span}, got {breaks}")
-    y = np.asarray(y0, dtype=complex)
-    samples = np.asarray(samples, dtype=float)
-    out = np.empty((samples.size, y.size), dtype=complex)
-    read = 0
-    nfev, steps, rejected = 0, 0, 0
-    worst = drift(y) if drift else 0.0
-
-    def at(t, y):  # the RHS at one time: a segment's start and its first-step probe
-        return fun(clock(np.minimum([t], t_bound))[0], y)
-
-    # stage s reads the stages before it: K[:s].T weighted by row s of A
-    K_extended = np.empty((N_STAGES_EXTENDED, y.size), dtype=complex)
-    K = K_extended[: N_STAGES + 1]
-    stages = [(s, K[:s].T, A[s, :s]) for s in range(1, N_STAGES)]
-    extra = [(s, K_extended[:s].T, A[s, :s]) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
-    F = np.empty((INTERPOLATOR_POWER, y.size), dtype=complex)
-    message = SUCCESS
-    end, later = t, iter(ends)
-    while t < t_bound:
-        if t == end:  # a segment starts: a fresh first step, as a new solve takes
-            end = next(later)
-            f = at(t, y)
-            h_abs = _initial_step(at, t, y, f, end, rtol, atol)
-            nfev += 2
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        h_abs = max(h_abs, min_step)
-        step_rejected = False
-        while h_abs >= min_step:  # else it underflowed: scipy's TOO_SMALL_STEP
-            t_new = min(t + h_abs, end)
-            h = t_new - t
-            h_abs = np.abs(h)
-
-            rows = clock(np.minimum(t + STEP_C * h, t_bound))
-            K[0] = f
-            for s, before, a in stages:
-                K[s] = fun(rows[s - 1], y + np.dot(before, a) * h)
-            y_new = y + h * np.dot(K[:-1].T, B)
-            f_new = fun(rows[-1], y_new)
-            K[-1] = f_new
-            nfev += N_STAGES
-
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(K, h, scale)
-            if error_norm < 1:
-                factor = MAX_FACTOR
-                if error_norm > 0:
-                    factor = min(MAX_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
-                if step_rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
-            step_rejected = True
-            rejected += 1
-        else:
-            message = TOO_SMALL_STEP
-            break
-
-        if read < samples.size and samples[read] <= t_new:
-            rows = clock(t + EXTRA_C * h)
-            for (s, before, a), row in zip(extra, rows):
-                K_extended[s] = fun(row, y + np.dot(before, a) * h)
-            nfev += N_STAGES_EXTENDED - N_STAGES - 1
-            due = np.searchsorted(samples, t_new, side="right")
-            delta_y = y_new - y
-            F[0] = delta_y
-            F[1] = h * f - delta_y
-            F[2] = 2 * delta_y - h * (f_new + f)
-            F[3:] = h * np.dot(D, K_extended)
-            out[read:due] = _evaluate(t, h, y, F, samples[read:due])
-            read = due
-        t, y, f = t_new, y_new, f_new
-        steps += 1
-        if drift:
-            worst = max(worst, drift(y))
-
-    return Solution(message == SUCCESS, message, t, y, nfev, steps, rejected, worst, out[:read])
+    solve = Solve(t_span, y0, rtol, atol, samples, drift, breaks)
+    return solve_lockstep(fun, lambda members: clock, [solve])[0]

@@ -14,17 +14,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from ._dop853 import Solution, solve_ivp
+from ._dop853 import Solve, solve_ivp, solve_lockstep
 from .coefficients import (
     CouplingKind,
     CouplingModel,
     _check_chain_length,
     _check_field,
     _denominator,
+    _grid_tables,
     _per_field,
     coupling_set,
     momentum_grid,
@@ -46,6 +47,15 @@ MIN_REL_TOL = 100 * np.finfo(float).eps
 
 class IntegrationError(RuntimeError):
     """Raised when the adaptive integrator fails to complete a run."""
+
+
+def _cubic(t, g0, gf, duration, cube):
+    # the ramp's field and rate at times t, in the one rounding order that
+    # Schedule.ramp and the chains' clock share, for a ramp or for an array of
+    # ramps; cube is duration**3, taken by libm's pow on each Python float
+    # duration, as numpy's array power rounds some values differently
+    x = t / duration
+    return g0 + (gf - g0) * (3.0 - 2.0 * x) * x * x, 6.0 * (gf - g0) * t * (duration - t) / cube
 
 
 @dataclass(frozen=True)
@@ -80,9 +90,7 @@ class Schedule:
         inside = (0 <= t) & (t <= self.duration)  # False at a NaN
         if not np.all(inside):
             raise ValueError(f"time {np.extract(np.logical_not(inside), t)[0]} outside [0, {self.duration}]")
-        x = t / self.duration
-        g = self.g0 + (self.gf - self.g0) * (3.0 - 2.0 * x) * x * x
-        return g, 6.0 * (self.gf - self.g0) * t * (self.duration - t) / self.duration**3
+        return _cubic(t, self.g0, self.gf, self.duration, self.duration**3)
 
     def crossings(self) -> tuple[float, ...]:
         """Times strictly inside (0, duration) where the ramp crosses the critical field g = 1.
@@ -211,11 +219,16 @@ def cd_drive_from_couplings(k, g: float, model: CouplingModel, n: int):
 
     2 * sum over ranges m < n/2 of h_m sin(km), plus the half-weight
     longest-range term h_{n/2} sin(kn/2). The coupling set is built once
-    per call, whatever the number of momenta.
+    per call, whatever the number of momenta; on the chain's own grid, so
+    is the sin(km) table (see coefficients._grid_tables).
     """
     weights = 2.0 * coupling_set(model, g, n)
     weights[-1] *= 0.5
-    return (np.sin(np.multiply.outer(k, np.arange(1, n // 2 + 1))) * weights).sum(axis=-1)
+    if np.array_equal(k, momentum_grid(n)):  # a contiguous copy sums in the order of a table built here
+        sines = np.ascontiguousarray(_grid_tables(n).sin_mk[1 : n // 2 + 1].T)
+    else:
+        sines = np.sin(np.multiply.outer(k, np.arange(1, n // 2 + 1)))
+    return (sines * weights).sum(axis=-1)
 
 
 def drive_function(model: CouplingModel, n: int, k) -> Callable:
@@ -245,42 +258,43 @@ def drive_function(model: CouplingModel, n: int, k) -> Callable:
     return lambda g, den: 0.0
 
 
-def _integrate(config: ChainConfig, samples: np.ndarray) -> tuple[np.ndarray, Solution]:
-    # Integrates every grid mode from its ground state at g0, in the
-    # adiabatic interaction frame, over the stacked state
+def _chains(configs: Sequence[ChainConfig]) -> tuple[Callable, Callable, Callable, np.ndarray]:
+    # The RHS, clock, drift and initial state of the solves of chains of one
+    # length. Each integrates every grid mode from its ground state at g0, in
+    # the adiabatic interaction frame, over the stacked state
     # [d_g..., d_e..., phi...]: ground and excited amplitudes in the
-    # instantaneous eigenbasis, stripped of the dynamical phase phi.
-    # The exact drive cancels the rotation of the basis, so only the
-    # residual r = 2 gdot (q - q_exact) couples the two:
+    # instantaneous eigenbasis, stripped of the dynamical phase phi. The
+    # exact drive cancels the rotation of the basis, so only the residual
+    # r = 2 gdot (q - q_exact) couples the two:
     #   d_g' = r exp(-2i phi) d_e,  d_e' = -r exp(2i phi) d_g,  phi' = 2 eps_k(g)
-    # with eps_k = sqrt(den), den = _denominator(g, cos k). The RHS comes in
-    # the solver's two halves: per step, the clock takes the ramp, den, the
-    # residual kernel of drive_function and the gap once, on a column of the
-    # stage times, which the solver clamps to the span; per stage, rhs turns
-    # that row and the state into the derivative (exp(2i phi) needs the state).
-    # One DOP853 solve, which reads the samples as it passes them (nfev as
-    # in _dop853.solve_ivp) and restarts where the ramp crosses g = 1: the
-    # thermodynamic residual has a kink there (slopes +1/4 and -1/4), which
-    # no step may straddle. Every model restarts there, as does the spin
-    # oracle, so the rule does not depend on the drive. Returns the state
-    # at each sample time and then the final state (one row each), and the
-    # solve, whose drift is the largest norm drift of any mode at any
-    # accepted step.
-    schedule = config.schedule
-    ks = momentum_grid(config.n)
-    residual = drive_function(config.coupling, config.n, ks)
-    cos_k = np.cos(ks)
-    half = len(ks)
-    ramp, t1 = schedule.ramp, schedule.duration
+    # with eps_k = sqrt(den), den = _denominator(g, cos k). Per step, the clock
+    # takes the ramp, den and the gap once on the stage times of all running
+    # chains (see _dop853.solve_lockstep), and each chain's residual kernel of
+    # drive_function on its own; per stage, rhs turns those rows and the
+    # states, one (N,) or stacked (N, b), into the derivatives (exp(2i phi)
+    # needs the state). A solve restarts where its ramp crosses g = 1: the
+    # thermodynamic residual has a kink there (slopes +1/4 and -1/4), which no
+    # step may straddle; every model restarts there, as does the spin oracle.
+    ks = momentum_grid(configs[0].n)
+    cos_k, half = np.cos(ks)[:, None], len(ks)
+    ramps = np.array([(s.g0, s.gf, s.duration, s.duration**3) for s in (c.schedule for c in configs)])
+    residuals = [drive_function(c.coupling, c.n, ks) for c in configs]
 
-    def clock(times):
-        # one row per time: the coefficient 2 gdot r and the phase rate 2 eps_k
-        g, gdot = ramp(times[:, None])
-        den = _denominator(g, cos_k)
-        rows = np.empty((len(g), 2, half))
-        rows[:, 0] = 2.0 * gdot * residual(g, den)
-        rows[:, 1] = 2.0 * np.sqrt(den)
-        return rows
+    def clock(members):
+        # one chain's ramp as Python floats, whose differences are then not array operations
+        g0, gf, duration, cube = ramps[members].T if len(members) > 1 else ramps[members[0]].tolist()
+
+        def tick(times):
+            # per time and chain: the coefficient 2 gdot r and the phase rate 2 eps_k
+            g, gdot = _cubic(times.reshape(len(times), 1, -1), g0, gf, duration, cube)
+            den = _denominator(g, cos_k)
+            rows = np.empty((len(times), 2, *den.shape[1:]))
+            for j, member in enumerate(members):
+                rows[:, 0, :, j] = 2.0 * gdot[..., j] * residuals[member](g[..., j], den[..., j])
+            rows[:, 1] = 2.0 * np.sqrt(den)
+            return rows if times.ndim > 1 else rows[..., 0]
+
+        return tick
 
     def rhs(row, y):
         coupling = row[0] * np.exp(2j * y[2 * half :].real)
@@ -289,14 +303,11 @@ def _integrate(config: ChainConfig, samples: np.ndarray) -> tuple[np.ndarray, So
     def drift(y):
         return float(np.max(np.abs(np.abs(y[:half]) ** 2 + np.abs(y[half : 2 * half]) ** 2 - 1.0)))
 
-    y0 = np.concatenate((np.ones(half), np.zeros(2 * half))).astype(complex)
-    sol = solve_ivp(
-        rhs, (0.0, t1), y0, rtol=config.rel_tol, atol=config.abs_tol, samples=samples, drift=drift,
-        breaks=schedule.crossings(), clock=clock,
-    )
-    if not sol.success:
-        raise IntegrationError(f"integration failed on [0, {t1:.6g}]: {sol.message}")
-    return np.concatenate((sol.samples, sol.y[None, :])), sol
+    return rhs, clock, drift, np.concatenate((np.ones(half), np.zeros(2 * half))).astype(complex)
+
+
+def _failure(config: ChainConfig, sol: Solve) -> IntegrationError:
+    return IntegrationError(f"integration failed on [0, {config.schedule.duration:.6g}]: {sol.message}")
 
 
 def ground_state_probability(frames: np.ndarray) -> np.ndarray:
@@ -329,14 +340,68 @@ def evolve_chain(config: ChainConfig, trace_points: int | None = None) -> Evolut
         raise ValueError(f"trace needs at least 2 samples, got {trace_points}")
     schedule = config.schedule
     times = np.linspace(0.0, schedule.duration, trace_points or 0)
-    frames, sol = _integrate(config, times[:-1])
-    probs = ground_state_probability(frames)
+    rhs, clock, drift, y0 = _chains([config])
+    sol = solve_ivp(
+        rhs, (0.0, schedule.duration), y0, rtol=config.rel_tol, atol=config.abs_tol, samples=times[:-1],
+        drift=drift, breaks=schedule.crossings(), clock=clock([0]),
+    )
+    if not sol.success:
+        raise _failure(config, sol)
+    probs = ground_state_probability(np.concatenate((sol.samples, sol.y[None, :])))
     trace = None
     if trace_points:
         # the last sample sits at the target field itself, not at its rounded ramp value
         fields = [*schedule.ramp(times[:-1])[0].tolist(), schedule.gf]
         trace = [(float(t), float(g), float(p)) for t, g, p in zip(times, fields, probs)]
     return EvolutionResult(float(probs[-1]), trace, sol.drift, sol.steps, sol.nfev, sol.rejected)
+
+
+def _evolve_group(configs: Sequence[ChainConfig]) -> list:
+    # the final-only results of chains of one length, in lockstep, with a
+    # failed solve's IntegrationError in its place, for evolve_chains to raise
+    rhs, clock, drift, y0 = _chains(configs)
+    solves = [
+        Solve((0.0, c.schedule.duration), y0, c.rel_tol, c.abs_tol, (), drift, c.schedule.crossings())
+        for c in configs
+    ]
+    results = []
+    for config, sol in zip(configs, solve_lockstep(rhs, clock, solves)):
+        p_gs = float(ground_state_probability(sol.y[None, :])[0])
+        result = EvolutionResult(p_gs, None, sol.drift, sol.steps, sol.nfev, sol.rejected)
+        results.append(result if sol.success else _failure(config, sol))
+    return results
+
+
+def evolve_chains(configs: Sequence[ChainConfig], jobs: int = 1) -> list[EvolutionResult]:
+    """Final-only evolve_chain of each config, bit for bit, in input order.
+
+    Configs of one chain length advance in one step loop, each with its own
+    step control (see _dop853.solve_lockstep); the first config whose solve
+    fails raises its solo run's IntegrationError. jobs >= 1 processes share
+    the work: each length's configs are cut into parts of at most
+    len(configs) / jobs, rounded up, which no more than jobs workers take.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    size = -(-len(configs) // jobs)
+    parts = []
+    for n in dict.fromkeys(config.n for config in configs):
+        where = [i for i, config in enumerate(configs) if config.n == n]
+        parts += [where[start : start + size] for start in range(0, len(where), size)]
+    groups = [[configs[i] for i in part] for part in parts]
+    if jobs == 1 or len(parts) < 2:
+        done = map(_evolve_group, groups)
+    else:
+        from multiprocessing import Pool  # imported here: only jobs > 1 pays its import
+
+        with Pool(min(jobs, len(parts))) as pool:
+            done = pool.map(_evolve_group, groups)
+    solved = dict(zip([i for part in parts for i in part], [one for results in done for one in results]))
+    results = [solved[i] for i in range(len(configs))]
+    for result in results:
+        if isinstance(result, IntegrationError):
+            raise result
+    return results
 
 
 def dispersion_ground_energy(n: int, g: float) -> float:

@@ -3,8 +3,10 @@
 Each runner turns the ChainConfigs it is given (the CLI builds them from
 its flags) into plain rows of Python numbers; the writer prepends a
 manifest (command, parameters, version, timestamp) as comment lines so
-every file is self-describing. Data rows are deterministic: identical
-parameters give byte-identical rows.
+every file is self-describing. The sweeps and the oracle comparison group
+their configs by chain length and advance each group in one step loop
+(dynamics.evolve_chains), which moves no bit of any row. Data rows are
+deterministic: identical parameters give byte-identical rows.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .dynamics import (
     cd_drive_thermo,
     dispersion_ground_energy,
     evolve_chain,
+    evolve_chains,
 )
 from .spin_oracle import MAX_SPINS, dense_evolve, sector_ground_energy
 
@@ -88,23 +91,6 @@ def run_coeffs(n: int, g: float, model: CouplingModel) -> list[tuple[int, float]
     return [(m, float(values[m - 1])) for m in range(1, n // 2 + 1)]
 
 
-def _p_gs(config: ChainConfig) -> float:
-    return evolve_chain(config).p_gs
-
-
-def _final_probabilities(configs: Sequence[ChainConfig], jobs: int) -> list[float]:
-    # final p_gs of each config, in order; a config pickles whole, and
-    # evolve_chain does not depend on its process, so jobs never moves a bit
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1 or len(configs) < 2:
-        return [_p_gs(config) for config in configs]
-    from multiprocessing import Pool  # imported here: only jobs > 1 pays its import
-
-    with Pool(min(jobs, len(configs))) as pool:
-        return pool.map(_p_gs, configs)
-
-
 def run_truncation_sweep(
     configs: Sequence[ChainConfig], jobs: int = 1
 ) -> list[tuple[int, int, float]]:
@@ -113,14 +99,14 @@ def run_truncation_sweep(
     jobs: worker processes, >= 1 (1 = serial; the rows are identical either
     way, and no more workers start than there are configs).
     """
-    probs = _final_probabilities(configs, jobs)
+    probs = [result.p_gs for result in evolve_chains(configs, jobs)]
     return [(c.n, c.coupling.m_max, p) for c, p in zip(configs, probs)]
 
 
 def run_size_sweep(configs: Sequence[ChainConfig], jobs: int = 1) -> list[tuple[int, float, float]]:
     """Final ground-state probability as rows (n, t_final, p_gs) in config
     order; jobs as in run_truncation_sweep."""
-    probs = _final_probabilities(configs, jobs)
+    probs = [result.p_gs for result in evolve_chains(configs, jobs)]
     return [(c.n, c.schedule.duration, p) for c, p in zip(configs, probs)]
 
 
@@ -134,10 +120,9 @@ def run_oracle_comparison(configs: Sequence[ChainConfig]) -> list[tuple[str, flo
     """Dense spin evolution against the fermionic pipeline, one row (model
     label, p dense, p fermionic, absolute difference) per config."""
     rows = []
-    for config in configs:
+    for config, fermionic in zip(configs, evolve_chains(configs)):
         dense = dense_evolve(config)
-        fermionic = evolve_chain(config).p_gs
-        rows.append((config.coupling.label(), dense, fermionic, abs(dense - fermionic)))
+        rows.append((config.coupling.label(), dense, fermionic.p_gs, abs(dense - fermionic.p_gs)))
     return rows
 
 

@@ -350,3 +350,70 @@ def test_clocks_receive_only_times_inside_the_span(g0, gf, monkeypatch):
     assert len({t_span for t_span, _, _ in spans}) == 2  # the chain's span and the oracle's
     for (t0, t1), low, high in spans:
         assert t0 <= low and high <= t1
+
+
+@pytest.mark.parametrize("n", [2, 4, 20, 200, 2000])
+@pytest.mark.parametrize("b", [1, 2, 11, 101])
+def test_batched_stage_products_are_each_solves_dot_bitwise(n, b):
+    # The lockstep loop takes the stage sums, the 12th-order sum and the
+    # error estimates of b solves as one np.matmul over the (b, N, s) view
+    # of its (b, 16, N) stages, where a lone solve takes np.dot over the
+    # (N, s) view of its (16, N) stages, as scipy does. They agree bit for
+    # bit on the BLAS numpy was built with here; numpy does not promise it,
+    # so this pins it for every shape the chains use (N = 3 n/2).
+    size = 3 * (n // 2)
+    rng = np.random.default_rng(n + b)
+    K = rng.standard_normal((b, _dop853.N_STAGES + 1, size)) + 1j * rng.standard_normal((b, 13, size))
+    K_t = K.swapaxes(-1, -2)
+    weights = [_dop853.A[s, :s] for s in range(1, _dop853.N_STAGES)] + [_dop853.B, _dop853.E5, _dop853.E3]
+    assert sorted({a.size for a in weights}) == list(range(1, 14))
+    for a in weights:
+        batched = np.matmul(K_t[..., : a.size], a)
+        for row, solve in zip(batched, K):
+            assert same_bits(row, np.dot(solve[: a.size].T, a))
+    # the error norm stays one 1-D norm per solve, np.linalg.norm's own operations
+    for row in np.matmul(K_t, _dop853.E5):
+        assert same_bits(_dop853._norm(row), np.linalg.norm(row))
+
+
+def test_lockstep_solves_are_their_solo_solves():
+    # y' = c y^2 from y(0) = 1 blows up at t = 1/c: the solve with c = 1 ends
+    # at its too-small step before t1 = 2, the others reach t1, on their own
+    # spans, breaks, samples, tolerances and drift; the clock hands each
+    # solve its c, one per stage time
+    coefficients = np.array([0.3, 1.0, 0.1, 0.45])
+    problems = [
+        ((0.0, 2.0), 1e-10, 1e-12, [0.0, 0.4, 1.7], (0.5,)),
+        ((0.0, 2.0), 1e-10, 1e-12, [0.5, 0.9, 1.5], ()),
+        ((0.5, 1.25), 1e-6, 1e-9, [], (0.75, 1.0)),
+        ((0.0, 1.0), 1e-12, 1e-14, np.linspace(0.0, 1.0, 9), ()),
+    ]
+
+    def fun(row, y):
+        return row * y * y
+
+    def clock(members):
+        # a lone solve's rows are its c per time, b solves' one c per solve on a trailing axis
+        c = coefficients[members] if len(members) > 1 else coefficients[members[0]]
+        return lambda times: np.broadcast_to(c, times.shape)
+
+    def drift(y):
+        return float(abs(y[0]))
+
+    def solve(span, rtol, atol, samples, breaks):
+        return _dop853.Solve(span, [1.0 + 0j], rtol, atol, samples, drift, breaks)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        together = _dop853.solve_lockstep(fun, clock, [solve(*problem) for problem in problems])
+        alone = [
+            _dop853.solve_ivp(fun, span, [1.0 + 0j], rtol, atol, samples, drift, breaks, clock=clock([j]))
+            for j, (span, rtol, atol, samples, breaks) in enumerate(problems)
+        ]
+    assert [sol.success for sol in together] == [True, False, True, True]
+    for ours, ref in zip(together, alone):
+        assert (ours.success, ours.message, ours.t) == (ref.success, ref.message, ref.t)
+        assert same_bits(ours.y, ref.y) and same_bits(ours.samples, ref.samples)
+        assert [ours.nfev, ours.steps, ours.rejected, ours.drift] == [
+            ref.nfev, ref.steps, ref.rejected, ref.drift
+        ]

@@ -321,6 +321,19 @@ def test_drive_kernels_accept_arrays_and_scalars():
             assert abs(value - literal) <= 1e-15
 
 
+@pytest.mark.parametrize("n", [2, 8, 200])
+def test_drive_from_couplings_on_the_grid_is_each_momentums_sum_bitwise(n):
+    # on the chain's own momentum grid the sin(km) table is the grid's
+    # (coefficients._grid_tables), which verify builds once per n; a lone
+    # momentum builds its own table, and the sums must agree bit for bit
+    ks = momentum_grid(n)
+    for model in (EXACT, THERMO, CouplingModel(CouplingKind.DIRECT_SUM), _truncated(n // 4)):
+        for g in (0.0, 0.4, 1.0, 2.2):
+            grid = cd_drive_from_couplings(ks, g, model, n)
+            each = [cd_drive_from_couplings(float(k), g, model, n) for k in ks]
+            assert grid.tobytes() == np.array(each).tobytes(), (model, g)
+
+
 @pytest.mark.parametrize("n", [2, 20, 200])
 def test_column_kernel_is_the_scalar_kernel_bitwise(n):
     # the chain's clock hands each residual kernel a column of fields, one

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cdising import ChainConfig, CouplingKind, CouplingModel, Schedule, _dop853, evolve_chain
+from cdising import ChainConfig, CouplingKind, CouplingModel, IntegrationError, Schedule, evolve_chain
+from cdising import _dop853, dynamics
+from cdising.dynamics import evolve_chains
 from cdising.experiments import run_size_sweep
 
 THERMO = CouplingModel(CouplingKind.THERMODYNAMIC)
@@ -104,3 +106,71 @@ def test_long_chain_has_no_overflow(model):
         tight = evolve_chain(ChainConfig(2000, ramp, model, rel_tol=1e-13, abs_tol=1e-15))
     assert math.isfinite(default.p_gs) and math.isfinite(default.norm_drift)
     assert abs(default.p_gs - tight.p_gs) < 1e-8
+
+
+TOLERANCES = [(1e-10, 1e-12), (1e-8, 1e-10), (1e-12, 1e-14)]
+TRUNCATED = CouplingKind.TRUNCATED
+
+
+def same_results(ours, solo) -> bool:
+    # p_gs and norm_drift to the bit, and the counts
+    return (ours.p_gs.hex(), ours.norm_drift.hex(), ours.steps, ours.rejected, ours.nfev, ours.trace) == (
+        solo.p_gs.hex(), solo.norm_drift.hex(), solo.steps, solo.rejected, solo.nfev, None
+    )
+
+
+@settings(SETTINGS, max_examples=40)
+@given(
+    chain_list=st.lists(
+        st.tuples(chains(max_half=10, max_t=5.0), st.sampled_from(TOLERANCES)), min_size=1, max_size=6
+    )
+)
+@example(
+    # one length: reversed ramps, ramps that end at g = 1, and ramps that
+    # cross g = 1, so restart there, at different times and so on different
+    # passes of the loop; then a second length, run in its own loop
+    chain_list=[
+        ((20, Schedule(5.0, 0.0, 10.0), THERMO), TOLERANCES[0]),
+        ((20, Schedule(0.0, 5.0, 10.0), THERMO), TOLERANCES[0]),
+        ((20, Schedule(5.0, 1.0, 4.0), CouplingModel(CouplingKind.EXACT)), TOLERANCES[1]),
+        ((20, Schedule(0.5, 1.0, 3.0), CouplingModel(TRUNCATED, 3)), TOLERANCES[0]),
+        ((8, Schedule(5.0, 0.0, 1.0), CouplingModel(CouplingKind.DIRECT_SUM)), TOLERANCES[2]),
+        ((20, Schedule(1.5, 0.2, 7.0), CouplingModel(TRUNCATED, 0)), TOLERANCES[0]),
+        ((20, Schedule(3.0, 0.9, 2.0), CouplingModel(TRUNCATED, 10)), TOLERANCES[2]),
+        ((8, Schedule(0.2, 3.0, 5.0), THERMO), TOLERANCES[1]),
+    ]
+)
+def test_lockstep_results_are_the_solo_results_bitwise(chain_list):
+    configs = [ChainConfig(n, ramp, model, *tolerances) for (n, ramp, model), tolerances in chain_list]
+    together = evolve_chains(configs)
+    assert len(together) == len(configs)
+    for config, ours in zip(configs, together):
+        assert same_results(ours, evolve_chain(config)), config
+
+
+def test_lockstep_failure_raises_the_first_solo_error_in_input_order(monkeypatch):
+    # the solves that end at t = 3 or later are made to fail, after the loop:
+    # those of configs 1 (the second length) and 2 (the first length, which
+    # runs first); config 1's error comes first in input order, and its
+    # message is its solo run's
+    configs = [
+        ChainConfig(6, Schedule(5.0, 0.0, 2.0), THERMO),
+        ChainConfig(4, Schedule(5.0, 0.0, 3.0), THERMO),
+        ChainConfig(6, Schedule(0.0, 5.0, 3.5), THERMO),
+    ]
+
+    def failing(solves):
+        for solve in solves:
+            if solve.t_bound >= 3.0:
+                solve.success, solve.message = False, f"failed at {solve.t_bound}"
+        return solves
+
+    lockstep, single = dynamics.solve_lockstep, dynamics.solve_ivp
+    monkeypatch.setattr(dynamics, "solve_lockstep", lambda *args: failing(lockstep(*args)))
+    monkeypatch.setattr(dynamics, "solve_ivp", lambda *args, **kwargs: failing([single(*args, **kwargs)])[0])
+    with pytest.raises(IntegrationError) as solo:
+        evolve_chain(configs[1])
+    with pytest.raises(IntegrationError) as together:
+        evolve_chains(configs)
+    assert str(together.value) == str(solo.value) == "integration failed on [0, 3]: failed at 3.0"
+    assert evolve_chains(configs[:1])[0].p_gs == evolve_chain(configs[0]).p_gs
