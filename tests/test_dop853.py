@@ -355,7 +355,7 @@ def test_clocks_receive_only_times_inside_the_span(g0, gf, monkeypatch):
 @pytest.mark.parametrize("n", [2, 4, 20, 200, 2000])
 @pytest.mark.parametrize("b", [1, 2, 11, 101])
 def test_batched_stage_products_are_each_solves_dot_bitwise(n, b):
-    # The lockstep loop takes the stage sums, the 12th-order sum and the
+    # The lockstep loop takes the stage sums, the 8th-order sum (weights B) and the
     # error estimates of b solves as one np.matmul over the (b, N, s) view
     # of its (b, 16, N) stages, where a lone solve takes np.dot over the
     # (N, s) view of its (16, N) stages, as scipy does. They agree bit for
@@ -363,7 +363,8 @@ def test_batched_stage_products_are_each_solves_dot_bitwise(n, b):
     # so this pins it for every shape the chains use (N = 3 n/2).
     size = 3 * (n // 2)
     rng = np.random.default_rng(n + b)
-    K = rng.standard_normal((b, _dop853.N_STAGES + 1, size)) + 1j * rng.standard_normal((b, 13, size))
+    shape = (b, _dop853.N_STAGES + 1, size)
+    K = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     K_t = K.swapaxes(-1, -2)
     weights = [_dop853.A[s, :s] for s in range(1, _dop853.N_STAGES)] + [_dop853.B, _dop853.E5, _dop853.E3]
     assert sorted({a.size for a in weights}) == list(range(1, 14))
