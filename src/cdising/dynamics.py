@@ -25,7 +25,6 @@ from .coefficients import (
     _check_chain_length,
     _check_field,
     _denominator,
-    _grid_tables,
     _per_field,
     coupling_set,
     momentum_grid,
@@ -219,16 +218,11 @@ def cd_drive_from_couplings(k, g: float, model: CouplingModel, n: int):
 
     2 * sum over ranges m < n/2 of h_m sin(km), plus the half-weight
     longest-range term h_{n/2} sin(kn/2). The coupling set is built once
-    per call, whatever the number of momenta; on the chain's own grid, so
-    is the sin(km) table (see coefficients._grid_tables).
+    per call, whatever the number of momenta.
     """
     weights = 2.0 * coupling_set(model, g, n)
     weights[-1] *= 0.5
-    if np.array_equal(k, momentum_grid(n)):  # a contiguous copy sums in the order of a table built here
-        sines = np.ascontiguousarray(_grid_tables(n).sin_mk[1 : n // 2 + 1].T)
-    else:
-        sines = np.sin(np.multiply.outer(k, np.arange(1, n // 2 + 1)))
-    return (sines * weights).sum(axis=-1)
+    return (np.sin(np.multiply.outer(k, np.arange(1, n // 2 + 1))) * weights).sum(axis=-1)
 
 
 def drive_function(model: CouplingModel, n: int, k) -> Callable:
@@ -281,8 +275,7 @@ def _chains(configs: Sequence[ChainConfig]) -> tuple[Callable, Callable, Callabl
     residuals = [drive_function(c.coupling, c.n, ks) for c in configs]
 
     def clock(members):
-        # one chain's ramp as Python floats, whose differences are then not array operations
-        g0, gf, duration, cube = ramps[members].T if len(members) > 1 else ramps[members[0]].tolist()
+        g0, gf, duration, cube = ramps[members].T
 
         def tick(times):
             # per time and chain: the coefficient 2 gdot r and the phase rate 2 eps_k

@@ -28,6 +28,7 @@ from cdising.dynamics import (
     DEFAULT_GF,
     DEFAULT_T_FINAL,
     MIN_REL_TOL,
+    _chains,
     _denominator,
     cd_drive_exact,
     cd_drive_from_couplings,
@@ -323,9 +324,8 @@ def test_drive_kernels_accept_arrays_and_scalars():
 
 @pytest.mark.parametrize("n", [2, 8, 200])
 def test_drive_from_couplings_on_the_grid_is_each_momentums_sum_bitwise(n):
-    # on the chain's own momentum grid the sin(km) table is the grid's
-    # (coefficients._grid_tables), which verify builds once per n; a lone
-    # momentum builds its own table, and the sums must agree bit for bit
+    # verify sums the whole grid in one call and the tests call single
+    # momenta; each row of the grid's sum must be its momentum's bit for bit
     ks = momentum_grid(n)
     for model in (EXACT, THERMO, CouplingModel(CouplingKind.DIRECT_SUM), _truncated(n // 4)):
         for g in (0.0, 0.4, 1.0, 2.2):
@@ -357,6 +357,47 @@ def test_column_kernel_is_the_scalar_kernel_bitwise(n):
         for g, row in zip(fields, rows):
             scalar = np.broadcast_to(drive(float(g), _den(ks, float(g))), ks.shape)
             assert row.tobytes() == scalar.tobytes(), (model, g)
+
+
+@pytest.mark.parametrize("n", [2, 20, 200])
+def test_chains_clock_is_the_schedule_ramp_bitwise(n):
+    # the chains' clock reads the ramps of all its members on arrays of stage
+    # times: 1-D times for a lone member, (S, b) for b stacked ones. Each row
+    # must be what Schedule.ramp gives at that time in Python floats, through
+    # the shared denominator and the member's residual kernel, on both sides
+    # of g = 1 and at the crossing itself
+    ks = momentum_grid(n)
+    configs = [
+        ChainConfig(n, Schedule(DEFAULT_G0, DEFAULT_GF, DEFAULT_T_FINAL), THERMO),
+        ChainConfig(n, Schedule(0.0, 5.0, 3.0), _truncated(0)),
+        ChainConfig(n, Schedule(0.2, 0.9, 7.0), THERMO),
+        ChainConfig(n, Schedule(1.5, 4.0, 2.0), _truncated(n // 4)),
+        ChainConfig(n, Schedule(3.0, 1.0, 5.0), EXACT),
+    ]
+    _, clock, _, _ = _chains(configs)
+    rng = np.random.default_rng(5)
+
+    def times_of(config, size):
+        duration = config.schedule.duration
+        return np.concatenate(([0.0, duration], config.schedule.crossings(), rng.uniform(0.0, duration, size)))
+
+    def assert_rows(config, times, rows):
+        assert rows.shape == (len(times), 2, ks.size)
+        for t, row in zip(times.tolist(), rows):
+            g, gdot = config.schedule.ramp(t)
+            den = _denominator(g, np.cos(ks))
+            residual = drive_function(config.coupling, n, ks)(g, den)
+            assert row[0].tobytes() == np.broadcast_to(2.0 * gdot * residual, ks.shape).tobytes(), (config, t)
+            assert row[1].tobytes() == (2.0 * np.sqrt(den)).tobytes(), (config, t)
+
+    for j, config in enumerate(configs):
+        times = times_of(config, 30)
+        assert_rows(config, times, clock([j])(times))
+    members = [4, 0, 3, 2]
+    times = np.column_stack([times_of(configs[j], 30)[-12:] for j in members])
+    rows = clock(members)(times)
+    for column, j in enumerate(members):
+        assert_rows(configs[j], times[:, column], rows[..., column])
 
 
 def test_truncated_drive_endpoints():

@@ -118,3 +118,25 @@ def test_every_public_name_is_used_or_exported():
                     unused.append(site)
     # an allowlist entry that is gone or has gained a caller is stale
     assert unused == [] and kept == UNCALLED
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # CI runs no linter, so this catches an import left behind when the code
+    # that read it goes. __init__ imports to re-export, and __all__ reads
+    # those names; a __future__ import is a directive, not a name.
+    unread = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = [node for node in ast.walk(tree) if isinstance(node, ast.Name)]
+        read = {node.id for node in names if isinstance(node.ctx, ast.Load)}
+        if path.stem == "__init__":
+            read |= set(cdising.__all__)
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        for node in imports:
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unread.append(f"{path.stem}.{name}")
+    assert unread == []
