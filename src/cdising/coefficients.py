@@ -16,8 +16,9 @@ even-parity sector. Each coupling, grid sum and sign takes its range m
 take k: one closed form per coefficient, which coupling_set calls once on
 the array of ranges. The coupling families take a field or a column of
 fields, as the drive kernels do, so the oracle's clock asks for the
-couplings of all stage times of a step in one call; coupling_set builds its
-field -> couplings kernel once per (model, n) and caches it. The grid sums
+couplings of all stage times of a step in one call. coupling_set is a plain
+dispatch: it checks the field, n and the model, then calls the family's
+function on m = 1 .. n/2, with no cache of its own. The grid sums
 read their sin(mk), cos(mk) and sin^2(k/2)^p factors from one table per
 chain length, built on first use and kept for the most recent n only.
 """
@@ -178,16 +179,11 @@ def coupling_sum(m, g: float, n: int):
     denominator never vanishes on the grid.
     """
     grid = _grid_tables(n)
-    return _coupling_sum(grid.rows("sin_mk", m), grid.sin_k, grid.cos_k, g, n)
-
-
-def _coupling_sum(sin_mk, sin_k, cos_k, g, n: int):
-    # coupling_sum from its field-independent sine and cosine tables; a
-    # column of fields gives one row of ranges per field
-    weights = sin_k / _denominator(g, cos_k)
+    # a column of fields gives one row of ranges per field
+    weights = grid.sin_k / _denominator(g, grid.cos_k)
     if np.ndim(g):
         weights = weights[..., None, :]
-    return (sin_mk * weights).sum(axis=-1) / (2.0 * n)
+    return (grid.rows("sin_mk", m) * weights).sum(axis=-1) / (2.0 * n)
 
 
 def cos_sum_exact(m, g: float, n: int):
@@ -449,32 +445,20 @@ def coupling_set(model: CouplingModel, g, n: int) -> np.ndarray:
         n: even chain length.
 
     Returns:
-        Array of n/2 coupling values indexed by m - 1, from the family's
-        closed form evaluated once on the array of ranges, bit for bit
-        the family's public function. A column gives an (S, n/2) array,
-        whose row i is the call at field i bit for bit.
+        Array of n/2 coupling values indexed by m - 1: the family's public
+        function (coupling_exact, coupling_sum or coupling_thermo, the
+        truncated family zeroed above m_max) called once on the array of
+        ranges. A column gives an (S, n/2) array, whose row i is the call
+        at field i bit for bit. The field is checked first, then n, then
+        the model.
     """
     g = _check_field(g)
-    return _coupling_kernel(model, n)(g)
-
-
-@functools.cache
-def _coupling_kernel(model: CouplingModel, n: int) -> Callable:
-    # coupling_set's field -> couplings map for one (model, n): the checks of
-    # n and the model, the range array and the direct sum's sin(mk) table are
-    # made on the first call, not on every RHS evaluation of a run. The table
-    # is its own m = 1 .. n/2 rows: _grid_tables(n) would hold 48 MB, not 8 MB,
-    # at n = 2000
     _check_chain_length(n)
     model.check(n)
     ms = np.arange(1, n // 2 + 1)
     if model.kind is CouplingKind.DIRECT_SUM:
-        ks = momentum_grid(n)
-        sin_mk, sin_k, cos_k = np.sin(np.multiply.outer(ms, ks)), np.sin(ks), np.cos(ks)
-        return lambda g: _coupling_sum(sin_mk, sin_k, cos_k, g, n)
+        return coupling_sum(ms, g, n)
     if model.kind is CouplingKind.THERMODYNAMIC:
-        return lambda g: coupling_thermo(ms, g)
-    if model.kind is CouplingKind.TRUNCATED:
-        kept = ms <= model.m_max
-        return lambda g: coupling_exact(ms, g, n) * kept
-    return lambda g: coupling_exact(ms, g, n)
+        return coupling_thermo(ms, g)
+    values = coupling_exact(ms, g, n)
+    return values * (ms <= model.m_max) if model.kind is CouplingKind.TRUNCATED else values

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from cdising import coefficients, experiments
 from cdising.coefficients import (
     EXPANSION_MAX_ORDER,
     _check_chain_length,
-    _coupling_kernel,
     _denominator,
     _grid_tables,
     cos_multiple_expansion,
@@ -590,8 +590,8 @@ def test_coupling_set_matches_scalar_couplings(n):
 
 @pytest.mark.parametrize("n", [2, 8, 20])
 def test_coupling_set_is_its_family_function_bit_for_bit(n):
-    # the kernel cached per (model, n) returns what the public function of
-    # its family returns on the ranges 1 .. n/2, on a first and a later call
+    # coupling_set returns what the public function of its family returns
+    # on the ranges 1 .. n/2, on a first and a later call
     ms = np.arange(1, n // 2 + 1)
     families = [
         (CouplingModel(CouplingKind.EXACT), lambda g: coupling_exact(ms, g, n)),
@@ -602,13 +602,39 @@ def test_coupling_set_is_its_family_function_bit_for_bit(n):
         (CouplingModel(CouplingKind.TRUNCATED, cap), lambda g, cap=cap: coupling_exact(ms, g, n) * (ms <= cap))
         for cap in range(n // 2 + 1)
     ]
-    _coupling_kernel.cache_clear()
     for model, family in families:
         for g in (0.0, 1.0, 0.5, 5.0, 0.0, 1.0, 0.5, 5.0):
             values, expected = coupling_set(model, g, n), family(g)
             assert values.shape == expected.shape == (n // 2,)
             assert np.array_equal(values, expected)
             assert np.array_equal(np.signbit(values), np.signbit(expected))
+
+
+def test_coupling_set_keeps_no_table_per_chain_length():
+    # the direct sum reads _grid_tables, which keeps the most recent n only
+    # (about 0.5 MB at n = 200); one n/2 x n/2 table per n seen would hold
+    # about 2.7 MB after n = 2 .. 200
+    model = CouplingModel(CouplingKind.DIRECT_SUM)
+    tracemalloc.start()
+    try:
+        for n in range(2, 201, 2):
+            coupling_set(model, 0.5, n)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20
+
+
+def test_coupling_set_checks_the_field_then_the_chain_length_for_every_family():
+    # coupling_thermo takes no n, so for thermo only the dispatch checks it
+    kinds = (CouplingKind.EXACT, CouplingKind.THERMODYNAMIC, CouplingKind.DIRECT_SUM)
+    models = [CouplingModel(kind) for kind in kinds] + [CouplingModel(CouplingKind.TRUNCATED, 1)]
+    for model in models:
+        for n in (3, 1, 0):
+            with pytest.raises(ValueError, match=rf"^chain length must be even and >= 2, got {n}$"):
+                coupling_set(model, 0.5, n)
+        with pytest.raises(ValueError, match="field g must be finite and nonnegative"):
+            coupling_set(model, math.nan, 3)
 
 
 def test_coupling_model_validation_and_labels():
