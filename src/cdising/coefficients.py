@@ -20,7 +20,8 @@ couplings of all stage times of a step in one call. coupling_set is a plain
 dispatch: it checks the field, n and the model, then calls the family's
 function on m = 1 .. n/2, with no cache of its own. The grid sums
 read their sin(mk), cos(mk) and sin^2(k/2)^p factors from one table per
-chain length, built on first use and kept for the most recent n only.
+chain length, built on first use and kept for the most recent n only; they
+take ranges and orders 0 .. n, the table's rows, and raise outside them.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _check_ranges(m, low: float, high: float, name: str = "range index m") -> No
     lo = hi = m
     if isinstance(m, np.ndarray):
         entries = m.ravel().tolist()
-        lo, hi = min(entries), max(entries)
+        lo, hi = min(entries, default=low), max(entries, default=high)
     if lo < low or hi > high:
         raise ValueError(f"{name}={lo if lo < low else hi} outside [{low}, {high}]")
 
@@ -132,32 +133,14 @@ def coupling_exact(m, g, n: int):
 
 class _Grid(NamedTuple):
     # the field-independent factors of one chain length's momentum grid:
-    # ks, sin k, cos k and s2 = sin^2(k/2), and the tables whose row m,
+    # sin k, cos k and s2 = sin^2(k/2), and the tables whose row m,
     # m = 0 .. n, holds sin(mk), cos(mk) and s2^m
-    ks: np.ndarray
     sin_k: np.ndarray
     cos_k: np.ndarray
     s2: np.ndarray
     sin_mk: np.ndarray
     cos_mk: np.ndarray
     s2_powers: np.ndarray
-
-    def rows(self, table: str, m):
-        # rows m of a table, or, when some m is not a row, the same rows
-        # built for m alone, as the table is
-        entries, rows = np.asarray(m), getattr(self, table)
-        tabled = entries.dtype.kind in "iu" and entries.size > 0
-        if tabled and 0 <= entries.min() and entries.max() < len(rows):
-            return rows[m]
-        return _TABLES[table](m, self.ks, self.s2)
-
-
-# how each table of _Grid builds its rows m from ks and s2
-_TABLES = {
-    "sin_mk": lambda m, ks, s2: np.sin(np.multiply.outer(m, ks)),
-    "cos_mk": lambda m, ks, s2: np.cos(np.multiply.outer(m, ks)),
-    "s2_powers": lambda m, ks, s2: s2 ** np.asarray(m)[..., None],
-}
 
 
 @functools.lru_cache(maxsize=1)
@@ -166,24 +149,25 @@ def _grid_tables(n: int) -> _Grid:
     # chain length before it moves on, and n = 2000 takes 48 MB
     ks = momentum_grid(n)
     s2 = np.sin(0.5 * ks) ** 2
-    every = np.arange(n + 1)
-    tables = {table: build(every, ks, s2) for table, build in _TABLES.items()}
-    return _Grid(ks, np.sin(ks), np.cos(ks), s2, **tables)
+    every = np.multiply.outer(np.arange(n + 1), ks)
+    return _Grid(np.sin(ks), np.cos(ks), s2, np.sin(every), np.cos(every), s2 ** np.arange(n + 1)[:, None])
 
 
 def coupling_sum(m, g: float, n: int):
     """Brute-force momentum sum behind coupling_exact.
 
     sin(mk) sin(k)/den (den from _denominator) summed by numpy over the
-    momentum grid, divided by 2n. Accepts any integer m and any real g; the
+    momentum grid, divided by 2n. Takes integer ranges 0 <= m <= n, the rows
+    of the chain's table, and any real g or a column of them; the
     denominator never vanishes on the grid.
     """
     grid = _grid_tables(n)
+    _check_ranges(m, 0, n)
     # a column of fields gives one row of ranges per field
     weights = grid.sin_k / _denominator(g, grid.cos_k)
     if np.ndim(g):
         weights = weights[..., None, :]
-    return (grid.rows("sin_mk", m) * weights).sum(axis=-1) / (2.0 * n)
+    return (grid.sin_mk[m] * weights).sum(axis=-1) / (2.0 * n)
 
 
 def cos_sum_exact(m, g: float, n: int):
@@ -204,9 +188,10 @@ def cos_sum_exact(m, g: float, n: int):
 
 
 def cos_sum(m, g: float, n: int):
-    """Brute-force sum of cos(mk)/den over the grid, / 2n (numpy; den as in coupling_sum)."""
+    """Brute-force sum of cos(mk)/den over the grid, / 2n (numpy; den and 0 <= m <= n as in coupling_sum)."""
     grid = _grid_tables(n)
-    return (grid.rows("cos_mk", m) / _denominator(g, grid.cos_k)).sum(axis=-1) / (2.0 * n)
+    _check_ranges(m, 0, n)
+    return (grid.cos_mk[m] / _denominator(g, grid.cos_k)).sum(axis=-1) / (2.0 * n)
 
 
 def coupling_thermo(m, g):
@@ -273,10 +258,13 @@ def cos_multiple_expansion(m: int) -> list[int]:
 
 
 def power_sum(order, x: float, n: int):
-    """Brute-force sum of sin(k/2)**(2*order)/(sin(k/2)^2 + sinh(x/2)^2), by numpy."""
-    _check_ranges(order, 0, math.inf, "order")
+    """Brute-force sum of sin(k/2)**(2*order)/(sin(k/2)^2 + sinh(x/2)^2), by numpy.
+
+    Takes integer orders 0 <= order <= n, the domain of power_sum_exact.
+    """
     grid = _grid_tables(n)
-    return (grid.rows("s2_powers", order) / (grid.s2 + math.sinh(0.5 * x) ** 2)).sum(axis=-1)
+    _check_ranges(order, 0, n, "order")
+    return (grid.s2_powers[order] / (grid.s2 + math.sinh(0.5 * x) ** 2)).sum(axis=-1)
 
 
 def power_sum_exact(order, x: float, n: int):
@@ -292,7 +280,7 @@ def power_sum_exact(order, x: float, n: int):
     """
     _check_chain_length(n)
     orders = np.asarray(order)
-    lo, top = int(orders.min()), int(orders.max())
+    lo, top = int(orders.min(initial=0)), int(orders.max(initial=0))
     if lo < 0 or top > n:
         raise ValueError(f"order {lo if lo < 0 else top} outside [0, {n}]")
     if x == 0:

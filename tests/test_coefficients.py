@@ -775,25 +775,22 @@ def _literal_rows(table: str, m, n: int):
 
 
 class _LiteralGrid:
-    # a stand-in for _grid_tables(n) that builds every row it is asked for
+    # a stand-in for _grid_tables(n) that builds its rows on every read
     def __init__(self, n: int):
         self.n, ks = n, momentum_grid(n)
-        self.ks, self.sin_k, self.cos_k, self.s2 = ks, np.sin(ks), np.cos(ks), np.sin(0.5 * ks) ** 2
+        self.sin_k, self.cos_k, self.s2 = np.sin(ks), np.cos(ks), np.sin(0.5 * ks) ** 2
 
-    def rows(self, table: str, m):
-        return _literal_rows(table, m, self.n)
-
-    sin_mk = property(lambda self: self.rows("sin_mk", np.arange(self.n + 1)))
-    cos_mk = property(lambda self: self.rows("cos_mk", np.arange(self.n + 1)))
+    sin_mk = property(lambda self: _literal_rows("sin_mk", np.arange(self.n + 1), self.n))
+    cos_mk = property(lambda self: _literal_rows("cos_mk", np.arange(self.n + 1), self.n))
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 30, 200])
 def test_grid_sums_are_their_literal_formulas(n, monkeypatch):
-    # table rows inside [0, n], and rows built alone outside it, give the
-    # bits of the sums that built every table on every call
-    ranges = [0, 1, n // 2, n, n + 1, 3 * n, -1, np.arange(n + 1), np.arange(1, n), np.arange(n).reshape(-1, 2),
-              np.array([n + 1, 3 * n]), np.array([-2, 0, n])]
-    orders = [0, 1, n, n + 1, 3 * n, np.arange(n + 1), np.array([0, n + 1]), np.arange(1, n)]
+    # table rows inside [0, n], in any order, give the bits of the sums that
+    # built every row on every call
+    ranges = [0, 1, n // 2, n, np.arange(n + 1), np.arange(1, n), np.arange(n).reshape(-1, 2),
+              np.array([n, 0, n // 2])]
+    orders = [0, 1, n, np.arange(n + 1), np.arange(1, n), np.array([n, 0, n // 2])]
     _grid_tables.cache_clear()
     for g in (0.0, 0.01, 0.5, 1.0, 1.7, 100.0):
         for m in ranges:
@@ -811,9 +808,40 @@ def test_grid_sums_are_their_literal_formulas(n, monkeypatch):
             s2 = np.sin(0.5 * momentum_grid(n)) ** 2
             literal = (_literal_rows("s2_powers", order, n) / (s2 + math.sinh(0.5 * x) ** 2)).sum(axis=-1)
             assert np.asarray(power_sum(order, x, n)).tobytes() == literal.tobytes()
+    # a range or order outside [0, n] is no row of the table; an array names
+    # its smallest entry if that is below 0, else its largest
+    outside = [(n + 1, n + 1), (3 * n, 3 * n), (-1, -1), (np.array([n + 1, 3 * n]), 3 * n),
+               (np.array([-2, 0, n]), -2), (np.array([0, n + 1]), n + 1)]
+    for bad, named in outside:
+        for grid_sum in (coupling_sum, cos_sum):
+            with pytest.raises(ValueError, match=rf"^range index m={named} outside \[0, {n}\]$"):
+                grid_sum(bad, 0.5, n)
+        with pytest.raises(ValueError, match=rf"^order={named} outside \[0, {n}\]$"):
+            power_sum(bad, 0.5, n)
+        # the grid's odd chain length is reported first
+        for grid_sum in (coupling_sum, cos_sum, power_sum):
+            with pytest.raises(ValueError, match="^chain length must be even"):
+                grid_sum(bad, 0.5, n + 1)
     tabled = [identity_residuals(g, n) for g in (0.01, 0.5, 1.0, 1.7, 100.0)]
     monkeypatch.setattr(coefficients, "_grid_tables", _LiteralGrid)
     assert tabled == [identity_residuals(g, n) for g in (0.01, 0.5, 1.0, 1.7, 100.0)]
+
+
+def test_an_empty_range_array_gives_an_empty_float_array():
+    # every range-taking function, at scalar fields (log-fields for the power
+    # sums) and at a column of fields where the family takes one
+    empty = np.array([], dtype=int)
+    n = 8
+    for g, x in ((0.5, -0.5), (1.0, 0.5), (2.0, 2.0)):
+        values = [
+            coupling_exact(empty, g, n), coupling_sum(empty, g, n), cos_sum_exact(empty, g, n),
+            cos_sum(empty, g, n), coupling_thermo(empty, g), power_sum(empty, x, n), power_sum_exact(empty, x, n),
+        ]
+        for value in values:
+            assert isinstance(value, np.ndarray) and value.dtype == float and value.shape == (0,)
+    column = np.array([[0.5], [1.0], [2.0]])
+    for value in (coupling_exact(empty, column, n), coupling_sum(empty, column, n), coupling_thermo(empty, column)):
+        assert value.dtype == float and value.shape == (3, 0)
 
 
 def test_verify_builds_each_grid_table_once():
@@ -825,7 +853,7 @@ def test_verify_builds_each_grid_table_once():
     info = _grid_tables.cache_info()
     assert info.misses == len(lengths)
     assert info.maxsize == 1 and info.currsize == 1
-    assert len(_grid_tables(200).ks) == 100 and _grid_tables.cache_info().misses == len(lengths)
+    assert len(_grid_tables(200).sin_k) == 100 and _grid_tables.cache_info().misses == len(lengths)
 
 
 def test_grid_tables_are_not_built_at_import():

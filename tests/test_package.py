@@ -5,11 +5,14 @@ from __future__ import annotations
 import ast
 import importlib
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import cdising
+from cdising import cli
 
 PUBLIC = {
     "__version__",
@@ -140,3 +143,22 @@ def test_no_module_imports_a_name_it_never_reads():
                 if name not in read:
                     unread.append(f"{path.stem}.{name}")
     assert unread == []
+
+
+def test_every_cdising_call_in_the_workflow_parses():
+    # the CI workflow runs these calls on a hosted runner only, so a renamed
+    # flag or subcommand there would go unseen; each call is cut where the
+    # shell pipes, redirects or ends it
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    calls = []
+    for line in workflow.read_text().splitlines():
+        if line.lstrip().startswith(("#", "- name:")):
+            continue
+        calls += [shlex.split(call) for call in re.findall(r"(?:^|[\s/])cdising ([^|>;]*)", line)]
+    failed = []
+    for argv in calls:
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            failed.append(" ".join(argv))
+    assert len(calls) >= 20 and failed == []
