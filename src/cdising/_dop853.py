@@ -24,6 +24,7 @@ for this one function costs more than the integrations of a typical run.
 
 from __future__ import annotations
 
+import math
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -185,6 +186,9 @@ A[15, 14] = -9.15095847217987001081870187138
 
 
 B = A[N_STAGES, :N_STAGES]
+# the stage products weight complex stages: complex copies of the weights
+# spare np.dot and np.matmul a cast on every call, and give the same sums
+A_COMPLEX, B_COMPLEX = A.astype(complex), B.astype(complex)
 
 E3 = np.zeros(N_STAGES + 1)
 E3[:-1] = B.copy()
@@ -284,10 +288,11 @@ def _evaluate(t_old: float, h: float, y_old: np.ndarray, F: np.ndarray, t: np.nd
     return y
 
 
-def _norm(x: np.ndarray):
+def _norm(x: np.ndarray) -> float:
     # np.linalg.norm of a 1-D complex array, in its own operations without
-    # its checks; the norm of the rows of a stack rounds differently
-    return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    # its checks; the norm of the rows of a stack rounds differently. A lone
+    # float takes math's square root, which rounds as numpy's does
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def _rms(x: np.ndarray):
@@ -322,7 +327,7 @@ def _error_norm(err5: np.ndarray, err3: np.ndarray, h: float):
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(err5))
+    return abs(h) * err5_norm_2 / math.sqrt(denom * len(err5))
 
 
 class Solve:
@@ -367,7 +372,7 @@ class Solve:
             self.f = at(self.t, self.y)
             self.h_abs = _initial_step(at, self.t, self.y, self.f, self.end, self.rtol, self.atol)
             self.nfev += 2
-        self.min_step = 10 * np.abs(np.nextafter(self.t, np.inf) - self.t)
+        self.min_step = 10 * abs(math.nextafter(self.t, math.inf) - self.t)
         self.h_abs = max(self.h_abs, self.min_step)
         self.retry = False
         return self.attempt()
@@ -379,7 +384,7 @@ class Solve:
             return False
         self.t_new = min(self.t + self.h_abs, self.end)
         self.h = self.t_new - self.t
-        self.h_abs = np.abs(self.h)
+        self.h_abs = abs(self.h)
         return True
 
     def settle(self, error_norm: float, y_new, f_new, K_extended: np.ndarray, fun: Callable, clock: Callable):
@@ -402,7 +407,7 @@ class Solve:
         t, h, y, f, t_new, read = self.t, self.h, self.y, self.f, self.t_new, len(self.samples)
         if read < self.times.size and self.times[read] <= t_new:
             for s, row in zip(range(N_STAGES + 1, N_STAGES_EXTENDED), clock(t + EXTRA_C * h)):
-                K_extended[s] = fun(row, y + np.dot(K_extended[:s].T, A[s, :s]) * h)
+                K_extended[s] = fun(row, y + np.dot(K_extended[:s].T, A_COMPLEX[s, :s]) * h)
             self.nfev += N_STAGES_EXTENDED - N_STAGES - 1
             due = np.searchsorted(self.times, t_new, side="right")
             delta_y = y_new - y
@@ -453,7 +458,9 @@ def solve_lockstep(fun: Callable, clock: Callable, solves: Sequence[Solve]) -> S
             K_extended = np.empty((*lead, N_STAGES_EXTENDED, active[0].y.size), dtype=complex)
             K_t = K_extended.swapaxes(-1, -2)
             # stage s reads the stages before it: K[:s].T weighted by row s of A
-            stages = [(K_extended[..., s, :].T, K_t[..., :s], A[s, :s]) for s in range(N_STAGES + 1)]
+            stages = [
+                (K_extended[..., s, :].T, K_t[..., :s], A_COMPLEX[s, :s]) for s in range(N_STAGES + 1)
+            ]
             (K_0, _, _), *stages, (K_last, K_sum, _) = stages
             K_error = K_t[..., : N_STAGES + 1]
             t_bound = rows_of([s.t_bound for s in active])
@@ -465,7 +472,7 @@ def solve_lockstep(fun: Callable, clock: Callable, solves: Sequence[Solve]) -> S
         rows = tick(np.minimum(t + nodes * h, t_bound))
         for (K_s, before, a), row in zip(stages, rows):
             K_s[...] = fun(row, y + product(before, a) * h)
-        y_new = y + h * product(K_sum, B)
+        y_new = y + h * product(K_sum, B_COMPLEX)
         K_last[...] = f_new = fun(rows[-1], y_new)
         scale = (atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol).T
         err5, err3 = errors(K_error, E5) / scale, errors(K_error, E3) / scale

@@ -247,15 +247,23 @@ _COMMANDS: dict[str, tuple[Callable[[dict], int], str, tuple[_Param, ...]]] = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The cdising parser: every subcommand with its flags, or only command's flags.
+
+    With a command named, the other subcommands are registered with their
+    help but no flags, so the top-level usage, choices and errors read the
+    same, and the named one parses as in the full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="cdising",
         description="Counterdiabatic driving of the transverse-field Ising chain.",
     )
     parser.add_argument("--version", action="version", version=f"cdising {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, params) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+    for name, (_, help_text, params) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is not None and name != command:
+            continue
         p.add_argument("--out", help="output CSV path (default: stdout)")
         p.add_argument("--config", help="key=value file supplying defaults")
         for param in params:
@@ -267,8 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top level takes no option with a value, so its first positional
+    # argument names the subcommand, the one whose flags are built
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return _COMMANDS[args.command][0](_resolve(args))
     except IntegrationError as error:

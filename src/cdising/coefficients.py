@@ -12,11 +12,13 @@ imports, so grid sums and modes round it alike. Every function here is a
 pure function of its arguments. Fields are dimensionless; chains are
 periodic with even length; the momentum grid is the positive half of the
 even-parity sector. Each coupling, grid sum and sign takes its range m
-(power_sum its order) as a scalar or an array, the way the drive kernels
-take k: one closed form per coefficient, which coupling_set calls once on
-the array of ranges. The coupling families take a field or a column of
-fields, as the drive kernels do, so the oracle's clock asks for the
-couplings of all stage times of a step in one call. coupling_set is a plain
+(power_sum its order) as an integer or an integer array, the way the drive
+kernels take k: one closed form per coefficient, which coupling_set calls
+once on the array of ranges. The coupling families, the cosine sums and
+identity_residuals take a field or a column of fields, as the drive
+kernels do, so the oracle's clock asks for the couplings of all stage
+times of a step in one call, and verify takes all its fields at once for
+each chain length. coupling_set is a plain
 dispatch: it checks the field, n and the model, then calls the family's
 function on m = 1 .. n/2, with no cache of its own. The grid sums
 read their sin(mk), cos(mk) and sin^2(k/2)^p factors from one table per
@@ -45,10 +47,19 @@ def _check_chain_length(n: int) -> None:
         raise ValueError(f"chain length must be even and >= 2, got {n}")
 
 
+def _check_integer(m, name: str) -> None:
+    # ranges and orders index table rows: an int, a numpy integer or an
+    # integer array, and no float, however whole
+    if not (isinstance(m, (int, np.integer)) or isinstance(m, np.ndarray) and m.dtype.kind in "iu"):
+        raise ValueError(f"{name} must be an int or an integer array, got {m!r}")
+
+
 def _check_ranges(m, low: float, high: float, name: str = "range index m") -> None:
-    # m is a scalar or an array; every entry must lie in [low, high]. On the
-    # short arrays used here a list's min and max cost a fraction of numpy's:
-    # 1.5 against 6.1 us on 4 ranges, and a scalar compare 0.15 against 7.7 us.
+    # m is an integer or an integer array; every entry must lie in [low, high].
+    # On the short arrays used here a list's min and max cost a fraction of
+    # numpy's: 1.5 against 6.1 us on 4 ranges, and a scalar compare 0.15
+    # against 7.7 us.
+    _check_integer(m, name)
     lo = hi = m
     if isinstance(m, np.ndarray):
         entries = m.ravel().tolist()
@@ -170,28 +181,44 @@ def coupling_sum(m, g: float, n: int):
     return (grid.sin_mk[m] * weights).sum(axis=-1) / (2.0 * n)
 
 
-def cos_sum_exact(m, g: float, n: int):
+def cos_sum_exact(m, g, n: int):
     """Closed form of the companion cosine sum (see cos_sum).
 
-    The g = 1 value is the analytic limit (n - 2m)/16, hard-coded rather
-    than nudged; g > 1 is rearranged to avoid overflowing g**n.
+    (g^(n-m) - g^m) / (4 (g^n + 1)(g^2 - 1)). The g = 1 value is the
+    analytic limit (n - 2m)/16, hard-coded rather than nudged; g > 1 is
+    rearranged to avoid overflowing g**n. g is a field or a column of
+    fields, as in coupling_exact; each field takes its own branch.
     """
     _check_chain_length(n)
     _check_ranges(m, 0, n - 1)
     g = _check_field(g)
-    if g == 1.0:
-        return (n - 2 * m) / 16.0
-    if g > 1.0:
-        # divide numerator and denominator by g**n so nothing overflows
-        return (g ** (-m) - g ** (m - n)) / (4.0 * (1.0 + g ** (-n)) * (g * g - 1.0)) + 0.0
-    return (g ** (n - m) - g**m) / (4.0 * (g**n + 1.0) * (g * g - 1.0)) + 0.0
+
+    def branch(g: float) -> tuple[int, int, float]:
+        # the offsets of the two exponents, top - m and bottom + m, and their
+        # divisor; g = 1 takes the limit below, and divides 0 by 1 meanwhile
+        if g == 1.0:
+            return n, 0, 1.0
+        if g > 1.0:
+            # divide numerator and denominator by g**n so nothing overflows
+            return 0, -n, 4.0 * (1.0 + g ** (-n)) * (g * g - 1.0)
+        return n, 0, 4.0 * (g**n + 1.0) * (g * g - 1.0)
+
+    top, bottom, divisor = _per_field(branch, g)
+    value = (g ** (top - m) - g ** (bottom + m)) / divisor + 0.0
+    limit = (n - 2 * m) / 16.0
+    if np.ndim(g):
+        return np.where(g == 1.0, limit, value)
+    return limit if g == 1.0 else value
 
 
-def cos_sum(m, g: float, n: int):
-    """Brute-force sum of cos(mk)/den over the grid, / 2n (numpy; den and 0 <= m <= n as in coupling_sum)."""
+def cos_sum(m, g, n: int):
+    """Brute-force sum of cos(mk)/den over the grid, / 2n (numpy; den, m and g as in coupling_sum)."""
     grid = _grid_tables(n)
     _check_ranges(m, 0, n)
-    return (grid.cos_mk[m] / _denominator(g, grid.cos_k)).sum(axis=-1) / (2.0 * n)
+    den = _denominator(g, grid.cos_k)
+    if np.ndim(g):
+        den = den[..., None, :]
+    return (grid.cos_mk[m] / den).sum(axis=-1) / (2.0 * n)
 
 
 def coupling_thermo(m, g):
@@ -279,6 +306,7 @@ def power_sum_exact(order, x: float, n: int):
         n: even chain length.
     """
     _check_chain_length(n)
+    _check_integer(order, "order")
     orders = np.asarray(order)
     lo, top = int(orders.min(initial=0)), int(orders.max(initial=0))
     if lo < 0 or top > n:
@@ -316,7 +344,26 @@ def _relative_residual(a, b):
     return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
-def identity_residuals(g: float, n: int) -> dict[str, float]:
+def _identity_coefficients(g: float) -> tuple[float, float, float]:
+    # the identities' Python-float coefficients at one field, (g^2 + 1)/(2g),
+    # ((g^2 - 1)/(2g))^2 and (g^2 + 1)/(16 g^2); raises where one would not be
+    # a finite, normal float
+    if g == 0:
+        raise ValueError("field must be positive")
+    try:  # an overflowing finite base raises; g^2 = inf gives inf
+        coef_sin2 = ((g * g - 1.0) / (2.0 * g)) ** 2
+    except OverflowError:
+        coef_sin2 = math.inf
+    if coef_sin2 == math.inf:
+        raise ValueError(f"((g^2 - 1)/(2g))^2 overflows a float at field g = {g}")
+    if g * g < sys.float_info.min:
+        raise ValueError(f"g^2 is subnormal at field g = {g}")
+    if 16.0 * g * g == math.inf:
+        raise ValueError(f"16 g^2 overflows a float at field g = {g}")
+    return (g * g + 1.0) / (2.0 * g), coef_sin2, (g * g + 1.0) / (16.0 * g * g)
+
+
+def identity_residuals(g, n: int):
     """Residuals of the trigonometric-sum identities behind the closed forms.
 
     For every range index m in [0, n-2], evaluates both sides of the three
@@ -332,32 +379,25 @@ def identity_residuals(g: float, n: int) -> dict[str, float]:
             residual would read as a failed identity, so it raises. Below
             about g = 0.01 the cos_sin2 and coupling_step right-hand sides
             cancel terms of order 1/g^2, and their residuals grow as far as
-            eps/g^2.
+            eps/g^2. Or a column of such fields (shape (S, 1)); the error
+            names the first bad one.
         n: even chain length.
 
     Returns:
         Mapping identity name -> maximum residual over m, where each
         residual is |lhs - rhs| / max(1, |lhs|, |rhs|) (absolute below
-        unit scale, relative above it).
+        unit scale, relative above it). A column gives each name an array
+        of S maxima, entry i the scalar call's at field i bit for bit.
     """
     _check_chain_length(n)
-    if _check_field(g) == 0:
-        raise ValueError("field must be positive")
-    coef_cos = (g * g + 1.0) / (2.0 * g)
-    try:  # an overflowing finite base raises; g^2 = inf gives inf
-        coef_sin2 = ((g * g - 1.0) / (2.0 * g)) ** 2
-    except OverflowError:
-        coef_sin2 = math.inf
-    if coef_sin2 == math.inf:
-        raise ValueError(f"((g^2 - 1)/(2g))^2 overflows a float at field g = {g}")
-    if g * g < sys.float_info.min:
-        raise ValueError(f"g^2 is subnormal at field g = {g}")
-    if 16.0 * g * g == math.inf:
-        raise ValueError(f"16 g^2 overflows a float at field g = {g}")
+    g = _check_field(g)
+    coef_cos, coef_sin2, coef_d0 = _per_field(_identity_coefficients, g)
     grid = _grid_tables(n)
     cos_k, sin_k = grid.cos_k, grid.sin_k
     denom = _denominator(g, cos_k)
-    # one row per range m, one column per momentum
+    if np.ndim(g):
+        denom = denom[..., None, :]
+    # one row per range m, one column per momentum (behind one row per field)
     ms = np.arange(n - 1)
     cos_mk, sin_mk = grid.cos_mk[: n - 1], grid.sin_mk[: n - 1]
     h = coupling_exact(ms, g, n)
@@ -373,7 +413,7 @@ def identity_residuals(g: float, n: int) -> dict[str, float]:
         ),
         "cos_sin2": (
             (cos_mk * sin_k * sin_k / denom).sum(axis=-1) / (2.0 * n),
-            -coef_sin2 * f + (g * g + 1.0) / (16.0 * g * g) * d0 + (dm1 + dp1) / (16.0 * g),
+            -coef_sin2 * f + coef_d0 * d0 + (dm1 + dp1) / (16.0 * g),
         ),
         "sin_sin_cos": (
             (sin_mk * sin_k * cos_k / denom).sum(axis=-1) / (2.0 * n),
@@ -381,11 +421,12 @@ def identity_residuals(g: float, n: int) -> dict[str, float]:
         ),
         "coupling_step": (
             coupling_sum(ms + 1, g, n),
-            coef_cos * h - coef_sin2 * f + (g * g + 1.0) / (16.0 * g * g) * delta,
+            coef_cos * h - coef_sin2 * f + coef_d0 * delta,
         ),
         "aux_step": (cos_sum(ms + 1, g, n), coef_cos * f - h - delta / (8.0 * g)),
     }
-    return {name: float(np.max(_relative_residual(lhs, rhs))) for name, (lhs, rhs) in sides.items()}
+    maxima = {name: np.max(_relative_residual(lhs, rhs), axis=-1) for name, (lhs, rhs) in sides.items()}
+    return maxima if np.ndim(g) else {name: float(value) for name, value in maxima.items()}
 
 
 class CouplingKind(Enum):

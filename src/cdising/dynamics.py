@@ -213,15 +213,18 @@ def cd_drive_thermo(k, g: float, n: int):
     return _thermo_kernel(k, n)(g, _denominator(g, np.cos(k)))
 
 
-def cd_drive_from_couplings(k, g: float, model: CouplingModel, n: int):
+def cd_drive_from_couplings(k, g, model: CouplingModel, n: int):
     """Drive factor summed literally from a coupling set.
 
     2 * sum over ranges m < n/2 of h_m sin(km), plus the half-weight
     longest-range term h_{n/2} sin(kn/2). The coupling set is built once
-    per call, whatever the number of momenta.
+    per call, whatever the number of momenta. g is a field or a column of
+    fields, as for the drive kernels; a column gives one row per field.
     """
     weights = 2.0 * coupling_set(model, g, n)
-    weights[-1] *= 0.5
+    weights[..., -1] *= 0.5
+    if np.ndim(g):
+        weights = weights[..., None, :]
     return (np.sin(np.multiply.outer(k, np.arange(1, n // 2 + 1))) * weights).sum(axis=-1)
 
 

@@ -25,6 +25,7 @@ from .coefficients import (
     CouplingKind,
     CouplingModel,
     _check_field,
+    _identity_coefficients,
     _relative_residual as rel,
     cos_multiple_expansion,
     cos_sum,
@@ -199,61 +200,79 @@ def run_verification(
     g_values = [_check_field(g) for g in g_values]
     worst: dict[str, tuple[float, str]] = {}
 
-    def keep(name: str, residuals, scope: Callable[[int], str]) -> None:
-        # the first largest residual, located by scope(index), replaces the
-        # check's worst so far only when strictly larger
-        residuals = np.atleast_1d(residuals)
-        at = int(np.argmax(residuals))
-        if name not in worst or residuals[at] > worst[name][0]:
-            worst[name] = (float(residuals[at]), scope(at))
+    def keep(name: str, residuals, scope: Callable[[int, int], str]) -> None:
+        # residuals holds one row per field (or one row); the first largest
+        # entry in (row, entry) order, located by scope(row, entry), replaces
+        # the check's worst so far only when strictly larger
+        residuals = np.atleast_2d(residuals)
+        row, at = np.unravel_index(np.argmax(residuals), residuals.shape)
+        if name not in worst or residuals[row, at] > worst[name][0]:
+            worst[name] = (float(residuals[row, at]), scope(int(row), int(at)))
 
     # closed forms against brute-force sums, duality, reduction identities,
     # power sums and drive resummations, each one array over m (or order,
-    # or momentum) per (n, g).
+    # or momentum), and, but for the power sums, one row per field.
     # The power-sum recurrence runs on brute values, which stay O(n) at every
     # order. The closed form alternates in powers of the shift sinh^2(x/2), so
     # order p cancels to about eps * shift^p: past shift 1 it runs to order 4,
     # whose overflow bounds verify's fields, and is compared while shift^p <= 1e3.
+    column = np.array(g_values)[:, None]
+    positive = [i for i, g in enumerate(g_values) if g > 0]
     for n in n_values:
         ms = np.arange(n)
         ks = momentum_grid(n)
-        for g in g_values:
-            where = f"g={g} n={n}"
-            at_m = lambda m: f"m={m} {where}"
-            at_order = lambda order: f"order={order} {where}"
-            # each drive kernel once on the whole momentum grid; the
-            # residuals sit k by k, exact before thermo
-            pairs = (
-                (cd_drive_exact(ks, g), CouplingModel(CouplingKind.EXACT)),
-                (cd_drive_thermo(ks, g, n), CouplingModel(CouplingKind.THERMODYNAMIC)),
-            )
-            r = np.column_stack(
-                [rel(closed, cd_drive_from_couplings(ks, g, model, n)) for closed, model in pairs]
-            ).ravel()
-            keep(
-                "drive resummation", r,
-                lambda i: f"{('exact', 'thermo')[i % 2]} drive k={ks[i // 2]:.3f} {where}",
-            )
-            h = coupling_exact(ms, g, n)
-            keep("coupling closed vs sum", rel(h, coupling_sum(ms, g, n)), at_m)
-            keep("cosine sum closed vs sum", rel(cos_sum_exact(ms, g, n), cos_sum(ms, g, n)), at_m)
-            if g <= 0:
-                continue
-            keep("field-inversion duality", rel(g * h, coupling_exact(ms, 1.0 / g, n) / g), at_m)
-            identities = identity_residuals(g, n)
-            names = list(identities)
-            keep("reduction identities", list(identities.values()), lambda i: f"{names[i]} {where}")
+        where = lambda i: f"g={g_values[i]} n={n}"  # field i's scope
+        at_m = lambda i, m: f"m={m} {where(i)}"
+        # central-binomial weights binom(2s, s)/2**(2s+1), s = 0 .. n-1
+        weights = 0.5 * np.cumprod(np.r_[1.0, (2.0 * ms[:-1] + 1.0) / (2.0 * ms[1:])])
+        # Field by field, in grid order, what can raise at an extreme field:
+        # the duality's inverse field, the identities' coefficients and the
+        # closed power sums' overflow, so an error names the first bad field
+        # and its first failing check. The power sums stay per field: each
+        # field's shift sets its term table and its cap.
+        for i in positive:
+            g = g_values[i]
+            _check_field(1.0 / g)
+            _identity_coefficients(g)
             if g == 1.0:
                 continue
+            at_order = lambda _, order: f"order={order} {where(i)}"
             x = math.log(g)
             shift = math.sinh(0.5 * x) ** 2
             brute = power_sum(np.arange(n + 1), x, n)
             closed = power_sum_exact(np.arange((n if shift <= 1.0 else min(n, 4)) + 1), x, n)
             cap = n if shift <= 1.0 else min(n, 4, int(math.log(1e3) / math.log(shift)))
             keep("power sum closed vs sum", rel(closed[: cap + 1], brute[: cap + 1]), at_order)
-            # central-binomial weights binom(2s, s)/2**(2s+1), s = 0 .. n-1
-            weights = 0.5 * np.cumprod(np.r_[1.0, (2.0 * ms[:-1] + 1.0) / (2.0 * ms[1:])])
             keep("power sum recurrence", rel(brute[1:], n * weights - brute[:-1] * shift), at_order)
+
+        # each drive kernel once on the whole momentum grid and field column;
+        # the residuals sit k by k, exact before thermo
+        pairs = (
+            (cd_drive_exact(ks, column), CouplingModel(CouplingKind.EXACT)),
+            (cd_drive_thermo(ks, column, n), CouplingModel(CouplingKind.THERMODYNAMIC)),
+        )
+        r = np.stack(
+            [rel(closed, cd_drive_from_couplings(ks, column, model, n)) for closed, model in pairs],
+            axis=-1,
+        )
+        keep(
+            "drive resummation", r.reshape(len(g_values), -1),
+            lambda i, j: f"{('exact', 'thermo')[j % 2]} drive k={ks[j // 2]:.3f} {where(i)}",
+        )
+        h = coupling_exact(ms, column, n)
+        keep("coupling closed vs sum", rel(h, coupling_sum(ms, column, n)), at_m)
+        keep("cosine sum closed vs sum", rel(cos_sum_exact(ms, column, n), cos_sum(ms, column, n)), at_m)
+        if not positive:
+            continue
+        fields = column[positive]
+        duality = rel(fields * h[positive], coupling_exact(ms, 1.0 / fields, n) / fields)
+        keep("field-inversion duality", duality, lambda i, m: at_m(positive[i], m))
+        identities = identity_residuals(fields, n)
+        names = list(identities)
+        keep(
+            "reduction identities", np.column_stack(list(identities.values())),
+            lambda i, j: f"{names[j]} {where(positive[i])}",
+        )
 
     # expansions cross-checked exactly against the Chebyshev route:
     # cos(mk) = T_m(1 - 2 sin^2(k/2)), and the sine product is half the
@@ -263,14 +282,14 @@ def run_verification(
     for m in range(EXPANSION_MAX_ORDER + 1):
         b = cos_multiple_expansion(m)
         diff = max(abs(x - y) for x, y in zip(b + pad, cheb[m] + pad))
-        keep("expansion Chebyshev identity", float(diff), lambda _: f"cos expansion m={m}")
+        keep("expansion Chebyshev identity", float(diff), lambda *_: f"cos expansion m={m}")
         if m == 0:
             continue
         a = sin_product_expansion(m)
         low = cheb[m - 1] + pad
         high = cheb[m + 1] + pad
         diff = max(abs(2 * a[s] - (low[s + 1] - high[s + 1])) for s in range(m + 1))
-        keep("expansion Chebyshev identity", float(diff), lambda _: f"sin expansion m={m}")
+        keep("expansion Chebyshev identity", float(diff), lambda *_: f"sin expansion m={m}")
 
     # and a small-order float reconstruction to tie them to actual angles;
     # the alternating terms cancel to ~4^m eps near k = pi, so this family
@@ -281,10 +300,10 @@ def run_verification(
             s2 = math.sin(0.5 * k) ** 2
             rebuilt = sum(c * s2 ** (s + 1) for s, c in enumerate(sin_coeffs))
             r = abs(rebuilt - math.sin(k) * math.sin(m * k))
-            keep("expansion reconstruction", r, lambda _: f"sin expansion m={m} k={k:.3f}")
+            keep("expansion reconstruction", r, lambda *_: f"sin expansion m={m} k={k:.3f}")
             rebuilt = sum(c * s2**s for s, c in enumerate(cos_coeffs))
             r = abs(rebuilt - math.cos(m * k))
-            keep("expansion reconstruction", r, lambda _: f"cos expansion m={m} k={k:.3f}")
+            keep("expansion reconstruction", r, lambda *_: f"cos expansion m={m} k={k:.3f}")
 
     # dense spin oracle against the fermionic pipeline
     ramp = Schedule(DEFAULT_G0, DEFAULT_GF, 1.0)
@@ -293,10 +312,10 @@ def run_verification(
             continue
         for g in (0.0, 0.5, 1.0, 2.0):
             r = abs(sector_ground_energy(n, g) - dispersion_ground_energy(n, g))
-            keep("dense ground energies", r, lambda _: f"g={g} n={n}")
+            keep("dense ground energies", r, lambda *_: f"g={g} n={n}")
         config = ChainConfig(n, ramp, CouplingModel(CouplingKind.EXACT))
         for label, _, _, diff in run_oracle_comparison([config]):
-            keep("dense vs fermionic evolution", diff, lambda _: f"{label} n={n} t_final=1")
+            keep("dense vs fermionic evolution", diff, lambda *_: f"{label} n={n} t_final=1")
     return [
         Check(name, worst[name][1], worst[name][0], threshold)
         for name, threshold in CHECKS.items()

@@ -13,16 +13,19 @@ translation orbit per basis state, with entries weighted by
 sqrt(R_a / R_b) between orbits of sizes R_a and R_b (A. W. Sandvik, AIP
 Conf. Proc. 1297, 135 (2010), sec. 4): dimension 20 at n = 8, 56 at
 n = 10 and 180 at n = 12, against 2^(n-1) for the parity sector. The
-evolution stacks the bonds on the weighted counterdiabatic terms, so each
-RHS makes one dense product, and runs in the co-moving phase frame (see
-dense_evolve), one global phase away from the Schrodinger equation. The
-ground state and the ground level come from one numpy.linalg.eigh of the
-real Hamiltonian block. The oracle shares no rule with the fermion
-pipeline it checks: the longest range's half weight is spelled here as
-well as in dynamics. The one full-space view, multi_spin_term, takes the
-same builder with one state per orbit; it stays because the benchmark
-tracer probes it. The orbit tables are built on the first call for each
-n. The oracle needs numpy alone, and evolves with the package's DOP853.
+field, the bonds and the weighted counterdiabatic terms are stacked into
+one matrix per chain length, so each RHS makes one dense product and one
+weighted sum of its parts; the evolution runs in the co-moving phase frame
+(see dense_evolve), one global phase away from the Schrodinger equation.
+The ground state and the ground level come from one numpy.linalg.eigh of
+the real Hamiltonian block, read off the same stacked field and bonds.
+The oracle shares no rule with the fermion pipeline it checks: the
+longest range's half weight is spelled here as well as in dynamics. The
+one full-space view, multi_spin_term, takes the same builder with one
+state per orbit; it stays because the benchmark tracer probes it. The
+orbit tables and the stacked operators are built on the first call for
+each n and kept: under 5 MB for all six lengths. The oracle needs numpy
+alone, and evolves with the package's DOP853.
 """
 
 from __future__ import annotations
@@ -135,9 +138,24 @@ def _weighted_cd_terms(n: int, basis: tuple) -> list[np.ndarray]:
     return [_multi_spin(n, m, basis, 0.5 if m == n // 2 else 1.0) for m in range(1, n // 2 + 1)]
 
 
+@functools.cache
+def _block_operators(n: int) -> np.ndarray:
+    """The field, the bonds and the weighted CD terms on the momentum block, stacked.
+
+    Row block 0 is the field sum, 1 the bond sum and 1 + m the range-m
+    term, so one product with a state gives every part of H(t) on it: an
+    (n/2 + 2) dim x dim complex matrix, 4.1 MB at n = 12.
+    """
+    block = _momentum_block(n)
+    return np.vstack([_field_sum(n, block), _bond_sum(n, block), *_weighted_cd_terms(n, block)])
+
+
 def _ground_level(n: int, g: float) -> tuple[float, np.ndarray]:
-    # the Hamiltonian block is real; numpy's eigh returns ascending levels
-    eigenvalues, eigenvectors = np.linalg.eigh(_ising(n, g, _momentum_block(n)).real)
+    # the Hamiltonian block, -(bonds + g field), is real; numpy's eigh returns
+    # ascending levels
+    dim = _momentum_block(n)[0].size
+    field, bonds = _block_operators(n)[: 2 * dim].reshape(2, dim, dim)
+    eigenvalues, eigenvectors = np.linalg.eigh((-(bonds + g * field)).real)
     return float(eigenvalues[0]), eigenvectors[:, 0]
 
 
@@ -190,7 +208,10 @@ def dense_evolve(config: ChainConfig) -> float:
     positive-parity ground state at the final field. The state never
     leaves the zero-momentum, positive-parity block, so only its orbit
     amplitudes are carried. The solver's clock reads the ramp and the
-    couplings once per step, on the column of all its stage times.
+    couplings once per step, on the column of all its stage times, and
+    gives each stage time one complex weight row, i g, i and i gdot h_m,
+    for the stacked field, bonds and range-m terms; each RHS is one
+    product with the stack and that row's weighted sum of the parts.
 
     The equation integrated is i chi' = (H(t) - <chi|H(t)|chi>) chi, with
     H(t) the whole Hamiltonian. Its solution is chi = e^(i theta) psi, where
@@ -201,24 +222,21 @@ def dense_evolve(config: ChainConfig) -> float:
     """
     n, schedule, model = config.n, config.schedule, config.coupling
     _check_size(n)
-    block = _momentum_block(n)
-    states, _, sizes = block
+    states, _, sizes = _momentum_block(n)
     dim = states.size
-    z = _field_sum(n, block).diagonal().real
-    # the bonds on top of the weighted CD terms: one product per RHS
-    stacked = np.vstack([_bond_sum(n, block), *_weighted_cd_terms(n, block)])
+    stacked = _block_operators(n)
 
     def clock(times):
+        # -i times the weights of the stacked parts: -i H = i (g field + bonds + gdot CD)
         g, gp = schedule.ramp(times)
-        return list(zip(g, gp, coupling_set(model, g[:, None], n)))
+        couplings = coupling_set(model, g[:, None], n)
+        return 1j * np.column_stack([g, np.ones_like(g), gp[:, None] * couplings])
 
-    def rhs(row, state):
-        g, gp, couplings = row
-        parts = (stacked @ state).reshape(-1, dim)
-        h_state = -parts[0] - g * (z * state) - gp * (couplings @ parts[1:])
-        # H - <psi|H|psi>: the co-moving phase frame, in which the dominant
-        # amplitude barely turns
-        return -1j * (h_state - np.vdot(state, h_state) * state)
+    def rhs(weights, state):
+        h = weights @ (stacked @ state).reshape(-1, dim)
+        # -i (H - <psi|H|psi>): the co-moving phase frame, in which the
+        # dominant amplitude barely turns
+        return h - np.vdot(state, h) * state
 
     # an orbit's amplitude is its representative's times sqrt(orbit size)
     start = parity_ground_state(n, schedule.g0)[states] * np.sqrt(sizes)

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdising import CouplingKind, CouplingModel, coupling_exact, coupling_set, momentum_grid
-from cdising import coefficients, experiments
+from cdising import coefficients, dynamics, experiments
 from cdising.coefficients import (
     EXPANSION_MAX_ORDER,
     _check_chain_length,
@@ -762,6 +762,85 @@ def test_coupling_set_on_a_column_names_its_first_bad_field(n, good, bad, data):
             coupling_set(model, first, n)
         with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
             coupling_set(model, np.array(fields)[:, None], n)
+
+
+# the fields every column of the grid-sum property test holds next to its
+# drawn ones: the 0**0 limit, the critical field, where cos_sum_exact takes
+# its limit, its two neighbours, and fields far from it on either side
+SUM_EDGES = [0.0, 1.0, math.nextafter(1.0, math.inf), math.nextafter(1.0, -math.inf), 0.01, 100.0]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from(COLUMN_SIZES),
+    drawn=st.lists(
+        st.one_of(st.floats(0.9, 1.1), st.floats(0.0, 5.0), st.floats(0.0, 1e100)), max_size=20
+    ),
+    at=st.integers(0, 20),
+)
+def test_cosine_sums_identities_and_resummed_drive_on_a_column_are_their_scalar_calls(n, drawn, at):
+    # row i of a column call has the bytes of the call at field i, and no
+    # field of a column warns; the identities take the fields inside their range
+    fields = drawn[:at] + SUM_EDGES + drawn[at:]
+    column = np.array(fields)[:, None]
+    ms, ks = np.arange(n), momentum_grid(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        calls = [
+            lambda g: cos_sum_exact(ms, g, n),
+            lambda g: cos_sum_exact(n // 2, g, n),
+            lambda g: cos_sum(np.arange(n + 1), g, n),
+            lambda g: cos_sum(1, g, n),
+        ]
+        for model in _every_model(n):
+            calls.append(lambda g, model=model: dynamics.cd_drive_from_couplings(ks, g, model, n))
+        for call in calls:
+            rows = call(column)
+            assert len(rows) == len(fields)
+            for row, g in zip(rows, fields):
+                assert row.tobytes() == np.asarray(call(g)).tobytes()
+        inside = [g for g in fields if 1e-150 <= g <= 1e150]
+        maxima = identity_residuals(np.array(inside)[:, None], n)
+        for i, g in enumerate(inside):
+            scalar = identity_residuals(g, n)
+            assert list(maxima) == list(scalar)
+            assert [float(v[i]).hex() for v in maxima.values()] == [v.hex() for v in scalar.values()]
+
+
+def test_identity_residuals_on_a_column_names_its_first_bad_field():
+    for fields, message in (
+        ([0.5, 0.0, 1e-160], "field must be positive"),
+        ([2.0, 1e-160, 0.0], "((g^2 - 1)/(2g))^2 overflows a float at field g = 1e-160"),
+        ([1.0, 1e154, 1e200], "16 g^2 overflows a float at field g = 1e+154"),
+        ([1.0, -1.0, 1e154], "field g must be finite and nonnegative, got -1.0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            identity_residuals(np.array(fields)[:, None], 8)
+
+
+@pytest.mark.parametrize("g", [0.5, np.array([[0.5], [2.0]])], ids=["field", "column"])
+@pytest.mark.parametrize("m", [1.5, np.array([1.0, 2.0])], ids=["float", "float_array"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, g: coupling_exact(m, g, 8),
+        lambda m, g: coupling_sum(m, g, 8),
+        lambda m, g: cos_sum_exact(m, g, 8),
+        lambda m, g: cos_sum(m, g, 8),
+        lambda m, g: coupling_thermo(m, g),
+        lambda m, g: power_sum(m, g, 8),
+        lambda m, g: power_sum_exact(m, g, 8),
+    ],
+    ids=[
+        "coupling_exact", "coupling_sum", "cos_sum_exact", "cos_sum", "coupling_thermo", "power_sum",
+        "power_sum_exact",
+    ],
+)
+def test_a_range_or_order_that_is_no_integer_is_rejected(call, m, g):
+    # ranges and orders index table rows: a float, whole or not, is the
+    # module's ValueError, not numpy's IndexError or a value
+    with pytest.raises(ValueError, match="must be an int or an integer array, got"):
+        call(m, g)
 
 
 def _literal_rows(table: str, m, n: int):

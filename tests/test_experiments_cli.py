@@ -23,7 +23,17 @@ from cdising import (
     momentum_grid,
 )
 from cdising.cli import _COMMANDS, main
-from cdising.coefficients import cos_multiple_expansion, coupling_sum, power_sum_exact
+from cdising.coefficients import _relative_residual as rel
+from cdising.coefficients import (
+    cos_multiple_expansion,
+    cos_sum,
+    cos_sum_exact,
+    coupling_exact,
+    coupling_sum,
+    identity_residuals,
+    power_sum,
+    power_sum_exact,
+)
 from cdising.dynamics import cd_drive_exact, cd_drive_from_couplings, cd_drive_thermo
 from cdising.experiments import (
     Check,
@@ -133,9 +143,10 @@ CORRUPTIONS = [
 
 
 def corrupt_coupling_sum(monkeypatch, m: int, g: float, n: int) -> None:
-    # perturb verify's brute-force coupling sum by 1e-6 at range m, field g, length n
-    def perturbed(ms, field, length):
-        return coupling_sum(ms, field, length) + 1e-6 * ((ms == m) & ((field, length) == (g, n)))
+    # perturb verify's brute-force coupling sum by 1e-6 at range m, length n,
+    # in the row of its field column that equals g
+    def perturbed(ms, fields, length):
+        return coupling_sum(ms, fields, length) + 1e-6 * ((ms == m) & (fields == g) & (length == n))
 
     monkeypatch.setattr(experiments, "coupling_sum", perturbed)
 
@@ -203,6 +214,71 @@ def test_run_verification_compares_power_sums_while_the_cancellation_is_small(g,
     failed = corrupted(compared)
     assert not failed.passed and failed.scope == f"order={compared} g={g} n=200"
     assert corrupted(compared + 1).passed
+
+
+def per_field_coefficient_checks(n_values, g_values) -> dict[str, tuple[float, str]]:
+    # verify's coefficient checks as one loop over (n, g) of scalar calls:
+    # the worst residual of each check and its scope, the first largest in
+    # (n, field, entry) order
+    worst = {}
+
+    def keep(name, residuals, scope):
+        residuals = np.atleast_1d(residuals)
+        at = int(np.argmax(residuals))
+        if name not in worst or residuals[at] > worst[name][0]:
+            worst[name] = (float(residuals[at]), scope(at))
+
+    for n in n_values:
+        ms, ks = np.arange(n), momentum_grid(n)
+        for g in g_values:
+            where = f"g={g} n={n}"
+            r = np.column_stack([
+                rel(cd_drive_exact(ks, g), cd_drive_from_couplings(ks, g, EXACT, n)),
+                rel(cd_drive_thermo(ks, g, n), cd_drive_from_couplings(ks, g, THERMO, n)),
+            ]).ravel()
+            at_k = lambda i: f"{('exact', 'thermo')[i % 2]} drive k={ks[i // 2]:.3f} {where}"  # noqa: E731
+            at_m = lambda m: f"m={m} {where}"  # noqa: E731
+            keep("drive resummation", r, at_k)
+            h = coupling_exact(ms, g, n)
+            keep("coupling closed vs sum", rel(h, coupling_sum(ms, g, n)), at_m)
+            keep("cosine sum closed vs sum", rel(cos_sum_exact(ms, g, n), cos_sum(ms, g, n)), at_m)
+            if g <= 0:
+                continue
+            keep("field-inversion duality", rel(g * h, coupling_exact(ms, 1.0 / g, n) / g), at_m)
+            identities = identity_residuals(g, n)
+            names = list(identities)
+            keep("reduction identities", list(identities.values()), lambda i: f"{names[i]} {where}")
+            if g == 1.0:
+                continue
+            x = math.log(g)
+            shift = math.sinh(0.5 * x) ** 2
+            brute = power_sum(np.arange(n + 1), x, n)
+            closed = power_sum_exact(np.arange((n if shift <= 1.0 else min(n, 4)) + 1), x, n)
+            cap = n if shift <= 1.0 else min(n, 4, int(math.log(1e3) / math.log(shift)))
+            at_order = lambda order: f"order={order} {where}"  # noqa: E731
+            keep("power sum closed vs sum", rel(closed[: cap + 1], brute[: cap + 1]), at_order)
+            weights = 0.5 * np.cumprod(np.r_[1.0, (2.0 * ms[:-1] + 1.0) / (2.0 * ms[1:])])
+            keep("power sum recurrence", rel(brute[1:], n * weights - brute[:-1] * shift), at_order)
+    return worst
+
+
+@pytest.mark.parametrize(
+    "n_values, g_values",
+    [
+        ([2, 4, 8, 16, 64, 200], None),
+        ([2, 4, 8, 16, 64, 200], [0.01, 0.03, 33.0, 100.0]),
+        ([2, 200], [0.3, 1.0, 3.0]),
+    ],
+)
+def test_run_verification_on_field_columns_is_its_per_field_loop(n_values, g_values):
+    # verify takes each chain length's fields as one column; every
+    # coefficient check keeps the residual and the scope of the loop of
+    # scalar calls bit for bit
+    looped = per_field_coefficient_checks(n_values, g_values or experiments._default_verify_grid())
+    checks = {check.name: (check.residual, check.scope) for check in run_verification(n_values, g_values)}
+    assert len(looped) == 7
+    for name, (residual, scope) in looped.items():
+        assert checks[name][0].hex() == residual.hex() and checks[name][1] == scope
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cdising
 from cdising import cli
 
@@ -145,16 +147,22 @@ def test_no_module_imports_a_name_it_never_reads():
     assert unread == []
 
 
-def test_every_cdising_call_in_the_workflow_parses():
-    # the CI workflow runs these calls on a hosted runner only, so a renamed
-    # flag or subcommand there would go unseen; each call is cut where the
-    # shell pipes, redirects or ends it
+def workflow_calls() -> list[list[str]]:
+    # the cdising calls of the CI workflow, each cut where the shell pipes,
+    # redirects or ends it
     workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
     calls = []
     for line in workflow.read_text().splitlines():
         if line.lstrip().startswith(("#", "- name:")):
             continue
         calls += [shlex.split(call) for call in re.findall(r"(?:^|[\s/])cdising ([^|>;]*)", line)]
+    return calls
+
+
+def test_every_cdising_call_in_the_workflow_parses():
+    # the CI workflow runs these calls on a hosted runner only, so a renamed
+    # flag or subcommand there would go unseen
+    calls = workflow_calls()
     failed = []
     for argv in calls:
         try:
@@ -162,3 +170,17 @@ def test_every_cdising_call_in_the_workflow_parses():
         except SystemExit:
             failed.append(" ".join(argv))
     assert len(calls) >= 20 and failed == []
+
+
+def test_the_named_command_parser_reads_as_the_full_parser(capsys):
+    # main builds the flags of the named subcommand only: every workflow call
+    # parses to the same Namespace, and usage, help and errors read the same
+    for argv in workflow_calls():
+        assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
+    for argv in (["coeffs", "--no-such-flag"], ["no-such-command"], ["verify", "--help"], ["--help"], []):
+        outputs = []
+        for parse in (cli.build_parser().parse_args, cli.main):
+            with pytest.raises(SystemExit) as exit_:
+                parse(argv)
+            outputs.append((exit_.value.code, *capsys.readouterr()))
+        assert outputs[0] == outputs[1]
